@@ -14,7 +14,7 @@ certify
     Exhaustive one-sided/two-sided certification plus the LP oracle for the
     minimal achievable error at a fixed degree.
 lp
-    Linear-program surface for the learners and oracles.
+    Matrix-form, sparse linear-program surface for the learners and oracles.
 learn
     The disjunction eliminator, the reliable hinge-loss LP learner with
     rounding/derandomization, the weight-capped L1 learner, the fully

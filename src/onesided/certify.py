@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
+from scipy import sparse
 
 from . import lp as lpmod
-from .cube import (BoolFunc, Conjunction, Cnf, Disjunction, Dnf, Halfspace,
-                   Majority, cube_matrix, eval_concept_batch, eval_target)
+from .cube import NEGATIVE, POSITIVE, TWOSIDED, BoolFunc, cube_matrix, target_values
 from .errors import InputError, ResourceLimitError, SolverError
-from .poly import (SparsePolynomial, StructuredPolynomial, eval_on_cube,
+from .poly import (SparsePolynomial, StructuredPolynomial, characters, eval_on_cube,
                    monomials_upto)
 
 EXACT_TOL = 1e-9
@@ -33,8 +33,6 @@ CUBE_CAP = 24
 
 #: Default cap on the number of monomial columns in the LP oracle.
 LP_MONOMIAL_CAP = 4096
-
-POSITIVE, NEGATIVE, TWOSIDED = "positive", "negative", "twosided"
 
 
 @dataclass(frozen=True)
@@ -65,12 +63,6 @@ class CertReport:
         }
 
 
-def _target_values(f: BoolFunc, X: np.ndarray) -> np.ndarray:
-    if isinstance(f, (Disjunction, Conjunction, Majority, Halfspace, Dnf, Cnf)):
-        return eval_concept_batch(f, X)
-    return np.array([eval_target(f, tuple(int(v) for v in row)) for row in X], dtype=np.int8)
-
-
 def _dim_of(p: StructuredPolynomial, f: BoolFunc) -> int:
     n = getattr(f, "n", None)
     if n is None:
@@ -92,7 +84,7 @@ def _scan(
     if n > cap:
         raise ResourceLimitError(f"exhaustive check enumerates 2^{n} points; cap is 2^{cap}")
     X = cube_matrix(n)
-    fvals = _target_values(f, X)
+    fvals = target_values(f, X)
     pvals = eval_on_cube(p)
     eps_f = Fraction(eps)
     one = Fraction(1)
@@ -188,34 +180,25 @@ def min_eps(
     if len(monos) > monomial_cap:
         raise ResourceLimitError(f"LP oracle monomial count {len(monos)} exceeds cap {monomial_cap}")
     X = cube_matrix(n)
-    fvals = _target_values(f, X)
-    chi = np.ones((X.shape[0], len(monos)), dtype=np.float64)
-    for j, mono in enumerate(monos):
-        if mono:
-            chi[:, j] = X[:, [v - 1 for v in mono]].prod(axis=1)
+    fvals = target_values(f, X)
+    chi = characters(X, monos)
 
-    nv = len(monos) + 1  # coefficients + eps
-    cons: list[lpmod.Constraint] = []
-
-    def row(i: int, eps_coef: float) -> np.ndarray:
-        r = np.zeros(nv)
-        r[:-1] = chi[i]
-        r[-1] = eps_coef
-        return r
-
-    for i in range(X.shape[0]):
-        if fvals[i] == 1:
-            cons.append(lpmod.Constraint(row(i, +1.0), lpmod.GE, 1.0))       # p + eps >= 1
-            if mode != POSITIVE:
-                cons.append(lpmod.Constraint(row(i, -1.0), lpmod.LE, 1.0))   # p - eps <= 1
-        else:
-            cons.append(lpmod.Constraint(row(i, -1.0), lpmod.LE, -1.0))      # p - eps <= -1
-            if mode != NEGATIVE:
-                cons.append(lpmod.Constraint(row(i, +1.0), lpmod.GE, -1.0))  # p + eps >= -1
-    objective = np.zeros(nv)
+    # Columns [coefficients | eps], rows grouped by point x in cube order:
+    # -f(x) p(x) - eps <= -1 (p gets within eps of f(x)), followed, where the
+    # mode bounds both sides at x, by f(x) p(x) - eps <= 1 (p overshoots f(x)
+    # by at most eps).
+    two_rows = np.where(fvals == 1, mode != POSITIVE, mode != NEGATIVE)
+    point = np.repeat(np.arange(X.shape[0]), 1 + two_rows)
+    second = np.zeros(point.size, dtype=bool)
+    second[1:] = point[1:] == point[:-1]
+    side = np.where(second, fvals[point], -fvals[point]).astype(np.int8)
+    A_ub = sparse.hstack([sparse.csr_array(chi[point] * side[:, None]),
+                          sparse.csr_array(np.full((point.size, 1), -1.0))], format="csr")
+    b_ub = np.where(second, 1.0, -1.0)
+    objective = np.zeros(len(monos) + 1)
     objective[-1] = 1.0
     bounds = [(None, None)] * len(monos) + [(0.0, None)]
-    sol = lpmod.solve(lpmod.LinearProgram(objective, tuple(cons), tuple(bounds)))
+    sol = lpmod.solve(lpmod.LinearProgram(objective, A_ub, b_ub, bounds=tuple(bounds)))
     if sol.status != "optimal":
         raise SolverError(f"LP oracle did not reach optimality: status={sol.status}")
     coeffs = sol.values[:-1]

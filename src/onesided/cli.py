@@ -1,8 +1,9 @@
 """Command-line binding over the library; no numeric logic lives here.
 
 Exit codes: 0 success, 1 domain error (bad data, infeasible, cap exceeded),
-2 usage error.  ``--json`` switches every command from human-readable tables
-to the documented JSON schemas.
+2 usage error.  ``--json`` switches the commands that print results
+(everything but ``bench`` and ``replay``) from human-readable tables to the
+documented JSON schemas.
 """
 
 from __future__ import annotations
@@ -112,39 +113,17 @@ def _cmd_mineps(args) -> int:
 def _cmd_learn(args) -> int:
     train = load_sample_csv(args.train)
     calib = load_sample_csv(args.calib) if args.calib else None
+    algo = args.algo.replace("-", "_")  # the CLI spells the registry names with hyphens
+    hyp, reports, hyp_json = harness.train_learner(algo, train, calib, args.d, args.W, args.eps)
     out: dict = {"algo": args.algo}
-    if args.algo == "disjunction":
-        hyp = learn.learn_disjunction_positive(train)
-        out["concept"] = format_concept(hyp)
-    elif args.algo in ("reliable-positive", "reliable-negative"):
-        if calib is None:
-            raise InputError("reliable learners need --calib")
-        sign = "positive" if args.algo.endswith("positive") else "negative"
-        hyp, rep = learn.learn_reliable(train, args.d, args.W, args.eps, sign, calib)
-        out["fit"] = rep.__dict__
-        out["hypothesis"] = hyp.to_json()
-    elif args.algo == "fully-reliable":
-        if calib is None:
-            raise InputError("the fully reliable learner needs --calib")
-        hyp, reps = learn.learn_fully_reliable(train, args.d, args.W, args.eps, calib)
-        out["fit"] = {k: v.__dict__ for k, v in reps.items()}
-    elif args.algo == "agnostic-l1":
-        if calib is None:
-            raise InputError("the L1 learner needs --calib")
-        hyp, rep = learn.learn_agnostic_l1(train, args.d, args.W, calib)
-        out["fit"] = rep.__dict__
-        out["hypothesis"] = hyp.to_json()
+    if "concept" in hyp_json:  # the eliminator outputs a concept and solves no LP
+        out["concept"] = hyp_json["concept"]
     else:
-        raise InputError(f"unknown algo {args.algo!r}")
+        out["fit"] = reports.get("fit", reports)  # one fit report, or one per side
+    if "polynomial" in hyp_json:  # a thresholded polynomial, which --out writes
+        out["hypothesis"] = hyp_json
     if args.heldout:
-        held = load_sample_csv(args.heldout)
-        metrics = empirical_metrics(hyp, held)
-        out["heldout_metrics"] = {
-            "false_pos": metrics.false_pos,
-            "false_neg": metrics.false_neg,
-            "err": metrics.err,
-            "unknown_rate": metrics.unknown_rate,
-        }
+        out["heldout_metrics"] = empirical_metrics(hyp, load_sample_csv(args.heldout)).to_json()
     if args.out and "hypothesis" in out:
         Path(args.out).write_text(json.dumps(out["hypothesis"], indent=2, sort_keys=True) + "\n")
     human_lines = [f"algo={args.algo}"]
@@ -280,12 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--root", default=None)
     p.add_argument("--summary", default=None, help="append one CSV row per run")
-    common(p)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("replay", help="re-execute a run directory and compare bytes")
     p.add_argument("run_dir")
-    common(p)
     p.set_defaults(func=_cmd_replay)
 
     return parser

@@ -24,13 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import CUBE_CAP, CertReport, verify_onesided, verify_twosided
-from .cube import Concept, Conjunction, Cnf, Dnf, Halfspace
+from .cube import NEGATIVE, POSITIVE, TWOSIDED, Concept, Conjunction, Cnf, Dnf, Halfspace
 from .errors import InputError, ParameterError, ResourceLimitError
 from .poly import (AffineForm, SparseForm, SparsePolynomial, StructuredPolynomial,
                    SumForm, UniPoly, chebyshev, negate_onesided, sparse_constant,
                    weight_and_degree)
-
-POSITIVE, NEGATIVE, TWOSIDED = "positive", "negative", "twosided"
 
 
 @dataclass(frozen=True)

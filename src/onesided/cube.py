@@ -8,12 +8,14 @@ Conventions used throughout the package:
 * Variables are 1-based.  A *signed literal* is a nonzero integer whose sign
   selects the polarity: ``+j`` is the literal x_j, ``-j`` is its negation.
 * Partial classifiers answer -1, +1, or 0, where 0 encodes "abstain".
+* Sides and modes are named by the tags :data:`POSITIVE`, :data:`NEGATIVE`,
+  :data:`TWOSIDED` and :data:`FULLY`, shared by every module.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -21,6 +23,8 @@ import numpy as np
 from .errors import DimensionError, InputError
 
 Bits = Sequence[int]
+
+POSITIVE, NEGATIVE, TWOSIDED, FULLY = "positive", "negative", "twosided", "fully"
 
 
 @dataclass(frozen=True)
@@ -152,8 +156,15 @@ class Cnf:
 
 Concept = Union[Disjunction, Conjunction, Majority, Halfspace, Dnf, Cnf]
 
+_CONCEPT_TYPES = (Disjunction, Conjunction, Majority, Halfspace, Dnf, Cnf)
+
 #: Evaluable targets accepted by certification and metric helpers.
 BoolFunc = Union[Concept, Callable[[tuple[int, ...]], int]]
+
+
+def is_concept(x) -> bool:
+    """Whether ``x`` is one of the concept classes (rather than a plain callable)."""
+    return isinstance(x, _CONCEPT_TYPES)
 
 
 def _check_literals(literals: Sequence[int], n: int) -> None:
@@ -250,10 +261,17 @@ def eval_concept_batch(c: Concept, X: np.ndarray) -> np.ndarray:
 
 def eval_target(f: BoolFunc, bits: tuple[int, ...]) -> int:
     """Evaluate a concept or a plain +-1-valued callable at one point."""
-    v = eval_concept(f, bits) if isinstance(f, (Disjunction, Conjunction, Majority, Halfspace, Dnf, Cnf)) else f(bits)
+    v = eval_concept(f, bits) if is_concept(f) else f(bits)
     if v not in (-1, 1):
         raise InputError(f"target returned {v!r}, expected -1 or +1")
     return v
+
+
+def target_values(f: BoolFunc, X: np.ndarray) -> np.ndarray:
+    """+-1 values (int8) of a concept or a plain callable target on the rows of X."""
+    if is_concept(f):
+        return eval_concept_batch(f, X)
+    return np.array([eval_target(f, tuple(int(v) for v in row)) for row in X], dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +382,21 @@ class LabeledSample:
         return int(self.points.shape[0])
 
 
+def dedup(points: np.ndarray, labels: np.ndarray):
+    """Distinct points (sorted) with their +1 and -1 label counts.
+
+    Merging repeated points into counted rows keeps LP optima and empirical
+    rates exact.
+    """
+    distinct, inverse = np.unique(points, axis=0, return_inverse=True)
+    k = distinct.shape[0]
+    pos = np.zeros(k, dtype=np.int64)
+    negc = np.zeros(k, dtype=np.int64)
+    np.add.at(pos, inverse[labels == 1], 1)
+    np.add.at(negc, inverse[labels == -1], 1)
+    return distinct, pos, negc
+
+
 def make_sample(points: Iterable[Bits], labels: Iterable[int], n: int) -> LabeledSample:
     pts = np.array([as_bits(p, n) for p in points], dtype=np.int8).reshape(-1, n)
     return LabeledSample(pts, np.array(list(labels), dtype=np.int8), n)
@@ -417,9 +450,12 @@ class ErrorMetrics:
     err: float
     unknown_rate: float
 
+    def to_json(self) -> dict:
+        return asdict(self)
+
 
 def _predictions(h, s: LabeledSample) -> np.ndarray:
-    if isinstance(h, (Disjunction, Conjunction, Majority, Halfspace, Dnf, Cnf)):
+    if is_concept(h):
         return eval_concept_batch(h, s.points)
     batch = getattr(h, "decide_batch", None)
     if batch is not None:

@@ -19,14 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .cube import (Concept, LabeledSample, Majority, constant_concept,
-                   empirical_metrics, eval_concept_batch, format_concept,
-                   parse_concept, save_sample_csv)
+from .cube import (FULLY, NEGATIVE, POSITIVE, Concept, LabeledSample, Majority,
+                   constant_concept, dedup, empirical_metrics, eval_concept_batch,
+                   format_concept, parse_concept, save_sample_csv)
 from .errors import InputError, ResourceLimitError
 from .learn import (learn_agnostic_l1, learn_disjunction_positive, learn_fully_reliable,
                     learn_reliable)
-
-POSITIVE, NEGATIVE, FULLY = "positive", "negative", "fully"
 
 GENERATOR_ID = "uniform-cube/pcg64"
 
@@ -161,12 +159,7 @@ def brute_opt(s: LabeledSample, bank: Sequence[Concept], mode: str):
         raise InputError("need a nonempty sample")
     if mode not in (POSITIVE, NEGATIVE, FULLY):
         raise InputError(f"mode must be positive, negative or fully, got {mode!r}")
-    pts, inverse = np.unique(s.points, axis=0, return_inverse=True)
-    k = pts.shape[0]
-    npos = np.zeros(k, dtype=np.int64)
-    nneg = np.zeros(k, dtype=np.int64)
-    np.add.at(npos, inverse[s.labels == 1], 1)
-    np.add.at(nneg, inverse[s.labels == -1], 1)
+    pts, npos, nneg = dedup(s.points, s.labels)
     m = s.m
 
     if mode == FULLY:
@@ -175,15 +168,16 @@ def brute_opt(s: LabeledSample, bank: Sequence[Concept], mode: str):
         for sentinel in (constant_concept(s.n, -1), constant_concept(s.n, 1)):
             if format_concept(sentinel) not in keys:
                 work.append(sentinel)
-        E = _bank_eval(work, pts).astype(np.int8)
+        E = _bank_eval(work, pts).astype(np.float64)
         w_err = np.where(E == 1, nneg, npos)  # per-concept error mass where agreement predicts E_i
         total = npos + nneg
         names = [format_concept(c) for c in work]
         best = None  # (value, name_i, name_j, i, j)
         for i in range(len(work)):
-            agree = E == E[i]
-            err = (agree * w_err[i]).sum(axis=1)
-            unk = (m - (agree * total).sum(axis=1)) / m
+            # [E_j(x) == E_i(x)] = (1 + E_j(x) E_i(x)) / 2, so each masked sum over
+            # the points is one mat-vec; all terms are integers, so float64 is exact
+            err = (w_err[i].sum() + E @ (E[i] * w_err[i])) / 2
+            unk = (m - (total.sum() + E @ (E[i] * total)) / 2) / m
             for j in np.flatnonzero(err == 0):
                 cand = (float(unk[j]), *sorted((names[i], names[j])), i, int(j))
                 if best is None or cand[:3] < best[:3]:
@@ -204,6 +198,59 @@ def brute_opt(s: LabeledSample, bank: Sequence[Concept], mode: str):
         if best is None or cand[:2] < best[:2]:
             best = cand
     return float(best[0]), bank[best[2]]
+
+
+# ---------------------------------------------------------------------------
+# Learner registry
+
+
+def _disjunction(train, calib, d, W, eps):
+    hyp = learn_disjunction_positive(train)
+    return hyp, {}, {"concept": format_concept(hyp)}
+
+
+def _reliable(sign: str):
+    def fit(train, calib, d, W, eps):
+        hyp, rep = learn_reliable(train, d, W, eps, sign, calib)
+        return hyp, {"fit": rep.__dict__}, hyp.to_json()
+
+    return fit
+
+
+def _fully_reliable(train, calib, d, W, eps):
+    hyp, reps = learn_fully_reliable(train, d, W, eps, calib)
+    hyp_json = {"kind": "agreement", "note": "pair of thresholded one-sided hypotheses"}
+    return hyp, {k: v.__dict__ for k, v in reps.items()}, hyp_json
+
+
+def _agnostic_l1(train, calib, d, W, eps):
+    hyp, rep = learn_agnostic_l1(train, d, W, calib)
+    return hyp, {"fit": rep.__dict__}, hyp.to_json()
+
+
+#: algo name -> (needs a calibration sample, trainer).
+LEARNERS = {
+    "disjunction": (False, _disjunction),
+    "reliable_positive": (True, _reliable(POSITIVE)),
+    "reliable_negative": (True, _reliable(NEGATIVE)),
+    "fully_reliable": (True, _fully_reliable),
+    "agnostic_l1": (True, _agnostic_l1),
+}
+
+
+def train_learner(algo: str, train: LabeledSample, calib: LabeledSample | None,
+                  d: int, W: float, eps: float) -> tuple[object, dict, dict]:
+    """Run a registered learner: (hypothesis, fit reports as dicts, hypothesis JSON).
+
+    The reports are ``{"fit": ...}`` for a single LP fit, one entry per side
+    for the fully reliable learner, and empty for the disjunction eliminator.
+    """
+    if algo not in LEARNERS:
+        raise InputError(f"unknown learner algo {algo!r}")
+    needs_calib, trainer = LEARNERS[algo]
+    if needs_calib and calib is None:
+        raise InputError(f"learner {algo!r} needs a calibration sample")
+    return trainer(train, calib, d, W, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +318,6 @@ class RunManifest:
         return manifest_hash(self.inputs_json())
 
 
-def _metrics_json(metrics) -> dict:
-    return {
-        "false_pos": metrics.false_pos,
-        "false_neg": metrics.false_neg,
-        "err": metrics.err,
-        "unknown_rate": metrics.unknown_rate,
-    }
-
-
 def run_experiment(manifest: RunManifest | dict, root: str | None = None, persist: bool = True) -> RunManifest:
     """Generate data, train the requested learner, evaluate held out, persist.
 
@@ -303,35 +341,16 @@ def run_experiment(manifest: RunManifest | dict, root: str | None = None, persis
         held = generate(concept, manifest.noise, m_held, manifest.seed, HELDOUT_STREAM) if m_held else None
 
         stage = "learn"
-        algo = manifest.learner["algo"]
-        d = int(manifest.learner.get("d", 1))
-        W = float(manifest.learner.get("W", 1.0))
-        eps = float(manifest.learner.get("eps", 0.1))
-        reports: dict = {}
-        if algo == "disjunction":
-            hyp = learn_disjunction_positive(train)
-            hyp_json: dict = {"concept": format_concept(hyp)}
-        elif algo in ("reliable_positive", "reliable_negative"):
-            sign = "positive" if algo.endswith("positive") else "negative"
-            hyp, rep = learn_reliable(train, d, W, eps, sign, calib)
-            reports["fit"] = rep.__dict__
-            hyp_json = hyp.to_json()
-        elif algo == "fully_reliable":
-            hyp, reps = learn_fully_reliable(train, d, W, eps, calib)
-            reports = {k: v.__dict__ for k, v in reps.items()}
-            hyp_json = {"kind": "agreement", "note": "pair of thresholded one-sided hypotheses"}
-        elif algo == "agnostic_l1":
-            hyp, rep = learn_agnostic_l1(train, d, W, calib)
-            reports["fit"] = rep.__dict__
-            hyp_json = hyp.to_json()
-        else:
-            raise InputError(f"unknown learner algo {algo!r}")
+        learner = manifest.learner
+        hyp, reports, hyp_json = train_learner(
+            learner["algo"], train, calib, int(learner.get("d", 1)), float(learner.get("W", 1.0)),
+            float(learner.get("eps", 0.1)))
 
         stage = "evaluate"
         results: dict = {"reports": reports}
-        results["train_metrics"] = _metrics_json(empirical_metrics(hyp, train))
+        results["train_metrics"] = empirical_metrics(hyp, train).to_json()
         if held is not None:
-            results["heldout_metrics"] = _metrics_json(empirical_metrics(hyp, held))
+            results["heldout_metrics"] = empirical_metrics(hyp, held).to_json()
 
         stage = "oracle"
         if manifest.oracle and held is not None:

@@ -8,9 +8,14 @@ weight <= W,
     minimize   sum over true-labeled examples of (1 - p(x_i))_+
     subject to p(x_i) <= -1 + eps   for every false-labeled example,
 
-(the negative-side learner mirrors every role).  The weight cap is encoded
-with split variables u_S >= +-c_S and sum u_S <= W, which keeps the
-objective exactly the hinge sum.  Duplicate sample points are merged into
+(the negative-side learner mirrors every role).  The LP is built in matrix
+form over the columns [c (one per monomial) | u (one per monomial) | hinge
+slacks]: a block of character rows of the sample with -I on the slacks,
+a block of hard rows, then the weight-cap block, which encodes the cap with
+split variables as the row pair c_S - u_S <= 0, -c_S - u_S <= 0 per
+monomial and one row sum u_S <= W, so the objective stays exactly the
+hinge sum.  The L1 learner uses the same layout with one absolute-error
+slack per distinct labeled point.  Duplicate sample points are merged into
 weighted rows before solving; the optimum is unchanged.
 
 Derandomization always uses a fresh calibration sample, never training data.
@@ -22,13 +27,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import lp as lpmod
-from .cube import LabeledSample, Disjunction, PartialHypothesis, as_bits
+from .cube import (NEGATIVE, POSITIVE, Disjunction, LabeledSample, PartialHypothesis, as_bits,
+                   dedup)
 from .errors import InfeasibleError, InputError, ResourceLimitError, SolverError
-from .poly import SparsePolynomial, monomials_upto, sparse_eval_batch
-
-POSITIVE, NEGATIVE = "positive", "negative"
+from .poly import SparsePolynomial, characters, monomials_upto, sparse_eval_batch
 
 #: Calibration sample must have at least CALIBRATION_FACTOR / eps^2 examples.
 CALIBRATION_FACTOR = 2.0
@@ -48,19 +53,18 @@ def chop(a: float) -> float:
 
 @dataclass(frozen=True)
 class ReliableHypothesis:
-    """A polynomial with a rounding scheme.
+    """A polynomial with a calibrated threshold.
 
-    ``thresholded`` mode answers sgn-style by comparing H(x) = chop(p(x))
-    against the calibrated threshold: the positive-side learner answers +1
-    iff H(x) > t, the negative-side learner +1 iff H(x) >= t (the exact
-    mirror).  ``randomized`` mode defers to :func:`randomized_round` with an
-    explicit uniform draw.  ``clamp=False`` skips the chop (used by the
-    agnostic learner, which thresholds the raw polynomial).
+    It answers sgn-style by comparing H(x) = chop(p(x)) against the
+    threshold: the positive-side learner answers +1 iff H(x) > t, the
+    negative-side learner +1 iff H(x) >= t (the exact mirror).  Randomized
+    rounding is the free function :func:`randomized_round`.  ``clamp=False``
+    skips the chop (used by the agnostic learner, which thresholds the raw
+    polynomial).
     """
 
     p: SparsePolynomial
     sign: str = POSITIVE
-    mode: str = "thresholded"
     threshold: float | None = None
     calibration_m: int | None = None
     clamp: bool = True
@@ -73,16 +77,12 @@ class ReliableHypothesis:
         return np.clip(values, -1.0, 1.0) if self.clamp else values
 
     def decide(self, x) -> int:
-        if self.mode != "thresholded":
-            raise InputError("randomized hypotheses need randomized_round(p, x, u)")
         v = self._h(np.array([float(self.p.eval(as_bits(x, self.n)))]))[0]
         if self.sign == POSITIVE:
             return 1 if v > self.threshold else -1
         return 1 if v >= self.threshold else -1
 
     def decide_batch(self, X: np.ndarray) -> np.ndarray:
-        if self.mode != "thresholded":
-            raise InputError("randomized hypotheses need randomized_round(p, x, u)")
         v = self._h(sparse_eval_batch(self.p, X))
         hit = v > self.threshold if self.sign == POSITIVE else v >= self.threshold
         return np.where(hit, 1, -1).astype(np.int8)
@@ -93,7 +93,9 @@ class ReliableHypothesis:
         return {
             "polynomial": sparse_to_json(self.p),
             "sign": self.sign,
-            "mode": self.mode,
+            # the only mode; kept so hypothesis.json, whose hash result.json
+            # records, replays byte-identical across versions
+            "mode": "thresholded",
             "threshold": self.threshold,
             "calibration_m": self.calibration_m,
             "clamp": self.clamp,
@@ -147,40 +149,31 @@ def learn_disjunction_positive(s: LabeledSample) -> Disjunction:
 # LP fits
 
 
-def _dedup(points: np.ndarray, labels: np.ndarray):
-    """Distinct points with per-label counts (merging keeps LP optima exact)."""
-    distinct, inverse = np.unique(points, axis=0, return_inverse=True)
-    k = distinct.shape[0]
-    pos = np.zeros(k, dtype=np.int64)
-    negc = np.zeros(k, dtype=np.int64)
-    np.add.at(pos, inverse[labels == 1], 1)
-    np.add.at(negc, inverse[labels == -1], 1)
-    return distinct, pos, negc
+def _weight_block(M: int, W: float, nslack: int):
+    """Weight-cap rows over the columns [c (M) | u (M) | slacks (nslack)].
+
+    Rows c_S - u_S <= 0 and -c_S - u_S <= 0 for each monomial S in turn,
+    then sum_S u_S <= W.
+    """
+    eye = sparse.identity(M, format="csr")
+    split = sparse.hstack([sparse.kron(eye, np.array([[1.0], [-1.0]])),
+                           sparse.kron(eye, np.array([[-1.0], [-1.0]]))])
+    cap = sparse.hstack([sparse.csr_array((1, M)), sparse.csr_array(np.ones((1, M)))])
+    A = sparse.hstack([sparse.vstack([split, cap]), sparse.csr_array((2 * M + 1, nslack))])
+    b = np.zeros(2 * M + 1)
+    b[-1] = W
+    return A, b
 
 
-def _features(X: np.ndarray, monos) -> np.ndarray:
-    phi = np.ones((X.shape[0], len(monos)), dtype=np.float64)
-    for j, mono in enumerate(monos):
-        if mono:
-            phi[:, j] = X[:, [v - 1 for v in mono]].prod(axis=1)
-    return phi
-
-
-def _weight_rows(nmono: int, nvars: int, W: float) -> list[lpmod.Constraint]:
-    rows = []
-    for j in range(nmono):
-        r1 = np.zeros(nvars)
-        r1[j] = 1.0
-        r1[nmono + j] = -1.0
-        rows.append(lpmod.Constraint(r1, lpmod.LE, 0.0))  # c_S - u_S <= 0
-        r2 = np.zeros(nvars)
-        r2[j] = -1.0
-        r2[nmono + j] = -1.0
-        rows.append(lpmod.Constraint(r2, lpmod.LE, 0.0))  # -c_S - u_S <= 0
-    cap = np.zeros(nvars)
-    cap[nmono:2 * nmono] = 1.0
-    rows.append(lpmod.Constraint(cap, lpmod.LE, float(W)))  # sum u_S <= W
-    return rows
+def _capped_program(A_fit, b_fit: np.ndarray, slack_weights: np.ndarray, M: int, W: float) -> lpmod.LinearProgram:
+    """Minimize the weighted slacks over [c | u | slacks]: the fit rows, then the weight cap."""
+    A_cap, b_cap = _weight_block(M, W, len(slack_weights))
+    return lpmod.LinearProgram(
+        np.concatenate([np.zeros(2 * M), slack_weights.astype(np.float64)]),
+        sparse.vstack([A_fit, A_cap], format="csr"),
+        np.concatenate([b_fit, b_cap]),
+        bounds=tuple([(None, None)] * M + [(0.0, None)] * (M + len(slack_weights))),
+    )
 
 
 def _extract_poly(n: int, monos, coeffs: np.ndarray) -> SparsePolynomial:
@@ -205,46 +198,30 @@ def reliable_fit(
     monos = monomials_upto(s.n, d)
     if len(monos) > feature_cap:
         raise ResourceLimitError(f"{len(monos)} monomial features exceed cap {feature_cap}")
-    distinct, pos, negc = _dedup(s.points, s.labels)
-    phi = _features(distinct, monos)
+    distinct, pos, negc = dedup(s.points, s.labels)
+    phi = characters(distinct, monos)
     M = len(monos)
 
-    if sign == POSITIVE:
-        hinge_idx = np.flatnonzero(pos)      # xi_j >= 1 - p(x_j), weighted by pos count
-        hard_idx = np.flatnonzero(negc)      # p(x_j) <= -1 + eps
-        hinge_sign, hard_rel, hard_rhs = +1.0, lpmod.LE, -1.0 + eps
-        hinge_counts = pos[hinge_idx]
-    else:
-        hinge_idx = np.flatnonzero(negc)     # xi_j >= 1 + p(x_j), weighted by neg count
-        hard_idx = np.flatnonzero(pos)       # p(x_j) >= 1 - eps
-        hinge_sign, hard_rel, hard_rhs = -1.0, lpmod.GE, 1.0 - eps
-        hinge_counts = negc[hinge_idx]
-
-    nh = len(hinge_idx)
-    nvars = 2 * M + nh
-    cons: list[lpmod.Constraint] = []
-    for slot, j in enumerate(hinge_idx):
-        row = np.zeros(nvars)
-        row[:M] = hinge_sign * phi[j]
-        row[2 * M + slot] = 1.0
-        cons.append(lpmod.Constraint(row, lpmod.GE, 1.0))  # xi + sign*p >= 1
-    for j in hard_idx:
-        row = np.zeros(nvars)
-        row[:M] = phi[j]
-        cons.append(lpmod.Constraint(row, hard_rel, hard_rhs))
-    cons.extend(_weight_rows(M, nvars, W))
-
-    objective = np.zeros(nvars)
-    objective[2 * M:] = hinge_counts.astype(np.float64)
-    bounds = [(None, None)] * M + [(0.0, None)] * M + [(0.0, None)] * nh
-    program = lpmod.LinearProgram(objective, tuple(cons), tuple(bounds))
+    # side = +1 for the positive-side learner, -1 for its mirror
+    side, hinge_counts, hard_counts = (1.0, pos, negc) if sign == POSITIVE else (-1.0, negc, pos)
+    hinge_idx, hard_idx = np.flatnonzero(hinge_counts), np.flatnonzero(hard_counts)
+    nh, nhard = len(hinge_idx), len(hard_idx)
+    A_fit = sparse.vstack([
+        # xi_j >= 1 - side * p(x_j), written -side * p(x_j) - xi_j <= -1
+        sparse.hstack([sparse.csr_array(-side * phi[hinge_idx]), sparse.csr_array((nh, M)),
+                       -sparse.identity(nh, format="csr")]),
+        # side * p(x_j) <= -1 + eps on every point carrying the protected label
+        sparse.hstack([sparse.csr_array(side * phi[hard_idx]), sparse.csr_array((nhard, M + nh))]),
+    ])
+    b_fit = np.concatenate([np.full(nh, -1.0), np.full(nhard, -1.0 + eps)])
+    program = _capped_program(A_fit, b_fit, hinge_counts[hinge_idx], M, W)
     sol = lpmod.solve(program)
     if sol.status == "infeasible":
         raise InfeasibleError(f"hinge LP infeasible (weight cap W={W} too small for eps={eps})")
     if sol.status != "optimal":
         raise SolverError(f"hinge LP ended with status {sol.status}")
-    active = sum(1 for c in cons if abs(float(c.coeffs @ sol.values) - c.bound) <= 1e-7)
     poly = _extract_poly(s.n, monos, sol.values[:M])
+    active = lpmod.count_active(program, sol.values)
     report = FitReport(max(0.0, sol.objective_value), active, eps, float(W), d, s.m, sol.status)
     return poly, report
 
@@ -264,30 +241,20 @@ def agnostic_l1_fit(
     rows = np.hstack([s.points, s.labels[:, None]])
     distinct, counts = np.unique(rows, axis=0, return_counts=True)
     X, y = distinct[:, :-1], distinct[:, -1].astype(np.float64)
-    phi = _features(X, monos)
     M, k = len(monos), X.shape[0]
-    nvars = 2 * M + k
-    cons: list[lpmod.Constraint] = []
-    for j in range(k):
-        up = np.zeros(nvars)
-        up[:M] = phi[j]
-        up[2 * M + j] = -1.0
-        cons.append(lpmod.Constraint(up, lpmod.LE, y[j]))    # p - e <= y
-        dn = np.zeros(nvars)
-        dn[:M] = -phi[j]
-        dn[2 * M + j] = -1.0
-        cons.append(lpmod.Constraint(dn, lpmod.LE, -y[j]))   # -p - e <= -y
-    cons.extend(_weight_rows(M, nvars, W))
-    objective = np.zeros(nvars)
-    objective[2 * M:] = counts.astype(np.float64)
-    bounds = [(None, None)] * M + [(0.0, None)] * M + [(0.0, None)] * k
-    sol = lpmod.solve(lpmod.LinearProgram(objective, tuple(cons), tuple(bounds)))
+    # per distinct (x_j, y_j) in turn: p(x_j) - e_j <= y_j, then -p(x_j) - e_j <= -y_j
+    up_down = np.array([[1.0], [-1.0]])
+    A_fit = sparse.hstack([sparse.csr_array(np.kron(characters(X, monos), up_down)),
+                           sparse.csr_array((2 * k, M)),
+                           sparse.kron(sparse.identity(k, format="csr"), np.array([[-1.0], [-1.0]]))])
+    program = _capped_program(A_fit, np.kron(y, [1.0, -1.0]), counts, M, W)
+    sol = lpmod.solve(program)
     if sol.status == "infeasible":
         raise InfeasibleError("L1 LP infeasible")
     if sol.status != "optimal":
         raise SolverError(f"L1 LP ended with status {sol.status}")
-    active = sum(1 for c in cons if abs(float(c.coeffs @ sol.values) - c.bound) <= 1e-7)
     poly = _extract_poly(s.n, monos, sol.values[:M])
+    active = lpmod.count_active(program, sol.values)
     report = FitReport(max(0.0, sol.objective_value), active, None, float(W), d, s.m, sol.status)
     return poly, report
 
@@ -336,13 +303,13 @@ def derandomize(
         for t in candidates:  # ascending; false_+ is non-increasing in t
             fp = (neg_sorted.size - np.searchsorted(neg_sorted, t, side="right")) / m
             if fp <= eps:
-                return ReliableHypothesis(p, POSITIVE, "thresholded", t, m)
+                return ReliableHypothesis(p, POSITIVE, t, m)
     else:
         pos_sorted = np.sort(H[y == 1])
         for t in reversed(candidates):  # descending; false_- is non-decreasing in t
             fn = np.searchsorted(pos_sorted, t, side="left") / m
             if fn <= eps:
-                return ReliableHypothesis(p, NEGATIVE, "thresholded", t, m)
+                return ReliableHypothesis(p, NEGATIVE, t, m)
     raise AssertionError("sentinel threshold always satisfies the bound")
 
 
@@ -413,7 +380,7 @@ def learn_agnostic_l1(
     """Weight-capped L1 fit, thresholded on fresh data to minimize error."""
     poly, report = agnostic_l1_fit(s, d, W)
     t = choose_error_threshold(sparse_eval_batch(poly, fresh.points), fresh.labels)
-    return ReliableHypothesis(poly, POSITIVE, "thresholded", t, fresh.m, clamp=False), report
+    return ReliableHypothesis(poly, POSITIVE, t, fresh.m, clamp=False), report
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .cube import (BoolFunc, as_bits, cube_matrix, eval_concept_batch, eval_target)
-from .cube import Disjunction, Conjunction, Majority, Halfspace, Dnf, Cnf
+from .cube import BoolFunc, as_bits, cube_matrix, target_values
 from .errors import DimensionError, InputError, ResourceLimitError
 
 Coef = Union[Fraction, float]
@@ -229,10 +228,17 @@ def sparse_eval_batch(p: SparsePolynomial, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != p.n:
         raise DimensionError(f"matrix has wrong column count for n={p.n}")
-    out = np.zeros(X.shape[0])
+    variables = np.ascontiguousarray(X.T)
+    out, col, term = np.zeros(X.shape[0]), np.empty(X.shape[0]), np.empty(X.shape[0])
     for mono, coef in p.terms.items():
-        col = np.ones(X.shape[0]) if not mono else X[:, [v - 1 for v in mono]].prod(axis=1)
-        out += float(coef) * col
+        # out += coef * prod_{v in mono} x_v, term by term and in the same order as a
+        # fresh product per term, but in buffers reused across terms and without a
+        # fancy-index copy of X per term
+        col.fill(1.0)
+        for v in mono:
+            col *= variables[v - 1]
+        np.multiply(col, float(coef), out=term)
+        out += term
     return out
 
 
@@ -242,6 +248,15 @@ def monomials_upto(n: int, d: int) -> list[Monomial]:
     for size in range(min(n, d) + 1):
         out.extend(itertools.combinations(range(1, n + 1), size))
     return out
+
+
+def characters(X: np.ndarray, monos: Sequence[Monomial]) -> np.ndarray:
+    """The int8 +-1 matrix of monomial values: entry (i, j) is prod_{v in monos[j]} X[i, v-1]."""
+    chi = np.ones((X.shape[0], len(monos)), dtype=np.int8)
+    for j, mono in enumerate(monos):
+        if mono:
+            chi[:, j] = X[:, [v - 1 for v in mono]].prod(axis=1)
+    return chi
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +349,7 @@ def _values_on(p: StructuredPolynomial, X: np.ndarray) -> list[Coef]:
         monos = list(p.poly.terms.items())
         if not monos:
             return [Fraction(0)] * X.shape[0]
-        signs = np.ones((X.shape[0], len(monos)), dtype=np.int8)
-        for j, (mono, _) in enumerate(monos):
-            if mono:
-                signs[:, j] = X[:, [v - 1 for v in mono]].prod(axis=1)
+        signs = characters(X, [mono for mono, _ in monos])
         for i in range(X.shape[0]):
             acc = Fraction(0)
             row = signs[i]
@@ -438,10 +450,7 @@ def exact_multilinear(f: BoolFunc, n: int) -> SparsePolynomial:
     if n > 16:
         raise ResourceLimitError(f"exact interpolation enumerates 2^{n} points; cap is 2^16")
     X = cube_matrix(n)
-    if isinstance(f, (Disjunction, Conjunction, Majority, Halfspace, Dnf, Cnf)):
-        values = eval_concept_batch(f, X).astype(np.int64)
-    else:
-        values = np.array([eval_target(f, tuple(int(v) for v in row)) for row in X], dtype=np.int64)
+    values = target_values(f, X).astype(np.int64)
     terms: dict[Monomial, Coef] = {}
     denom = 2**n
     for mono in monomials_upto(n, n):

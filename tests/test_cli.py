@@ -158,6 +158,35 @@ def test_bench_parallel_jobs(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 2
 
 
+def test_bench_without_calibration_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({
+        "seed": 0, "concept": "MAJ 1 2 3", "noise": {"kind": "none"},
+        "learner": {"algo": "reliable_positive", "d": 1, "W": 2.0, "eps": 0.2},
+        "samples": {"train": 100, "heldout": 50},
+    }))
+    code, out, err = run_cli(capsys, "bench", str(path), "--root", str(tmp_path / "runs"))
+    assert code == 1
+    assert err.startswith("error:") and "calibration" in err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", ["bench", "replay"])
+def test_bench_and_replay_take_no_json_flag(tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path), "--json"])
+    assert exc.value.code == 2
+
+
+def test_learn_without_calib_is_a_domain_error(tmp_path, capsys):
+    maj = Majority(3, (1, 2, 3))
+    train_csv = tmp_path / "train.csv"
+    save_sample_csv(generate(maj, NoiseModel("none"), 50, seed=1, stream=1), train_csv)
+    code, _, err = run_cli(capsys, "learn", "--train", str(train_csv), "--algo", "fully-reliable")
+    assert code == 1
+    assert "calibration" in err
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "certify", "--poly", str(tmp_path / "missing.json"),
                            "--concept", "MAJ 1", "--eps", "0.1", "--mode", "positive")

@@ -3,10 +3,10 @@ import pytest
 
 from onesided.cube import (Cnf, Conjunction, CubePoint, Disjunction, Dnf, Halfspace,
                            LabeledSample, Majority, PartialHypothesis, constant_concept,
-                           cube_matrix, empirical_metrics, eval_concept,
-                           eval_concept_batch, format_concept, load_sample_csv,
+                           cube_matrix, dedup, empirical_metrics, eval_concept,
+                           eval_concept_batch, format_concept, is_concept, load_sample_csv,
                            majority_as_halfspace, make_sample, parse_concept,
-                           save_sample_csv)
+                           save_sample_csv, target_values)
 from onesided.errors import DimensionError, InputError
 
 
@@ -183,3 +183,23 @@ def test_sample_validation():
         make_sample([(1, 2)], [1], 2)
     with pytest.raises(InputError):
         LabeledSample(np.ones((2, 2), dtype=np.int8), np.array([1, 0], dtype=np.int8), 2)
+
+
+def test_is_concept_and_target_values():
+    maj = Majority(3, (1, 2, 3))
+    X = cube_matrix(3)
+    assert is_concept(maj) and is_concept(Dnf(2, ((1,),)))
+    assert not is_concept(lambda bits: 1)
+    from_concept = target_values(maj, X)
+    from_callable = target_values(lambda bits: eval_concept(maj, bits), X)
+    assert from_concept.dtype == from_callable.dtype == np.int8
+    np.testing.assert_array_equal(from_concept, from_callable)
+
+
+def test_dedup_counts_labels_per_distinct_point():
+    points = np.array([[1, 1], [-1, 1], [1, 1], [1, 1]], dtype=np.int8)
+    labels = np.array([1, -1, -1, 1], dtype=np.int8)
+    distinct, pos, neg = dedup(points, labels)
+    assert distinct.tolist() == [[-1, 1], [1, 1]]
+    assert pos.tolist() == [0, 2]
+    assert neg.tolist() == [1, 1]

@@ -230,6 +230,22 @@ def test_run_experiment_records_stage_errors(tmp_path):
     assert manifest.results["error"]["stage"] == "learn"
 
 
+@pytest.mark.parametrize("algo", ["reliable_positive", "reliable_negative", "fully_reliable", "agnostic_l1"])
+def test_run_experiment_without_calibration_is_an_input_error(tmp_path, algo):
+    manifest = RunManifest(
+        seed=0,
+        concept="MAJ 1 2 3",
+        noise=NoiseModel("none"),
+        learner={"algo": algo, "d": 1, "W": 2.0, "eps": 0.2},
+        samples={"train": 100, "heldout": 50},
+    )
+    with pytest.raises(InputError, match="calibration"):
+        run_experiment(manifest, root=str(tmp_path))
+    assert manifest.results["error"]["stage"] == "learn"
+    stored = json.loads((tmp_path / manifest.hash / "result.json").read_text())
+    assert stored["results"]["error"]["stage"] == "learn"
+
+
 def test_manifest_hash_stability():
     a, b = manifest_for_test(), manifest_for_test()
     assert a.hash == b.hash == manifest_hash(a.inputs_json())

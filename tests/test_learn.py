@@ -262,8 +262,8 @@ def test_fully_reliable_noiseless_majority_full_cube():
 
 
 def test_agreement_hypothesis_rules():
-    always_pos = ReliableHypothesis(SparsePolynomial(2, {(): 5.0}), "positive", "thresholded", 0.0)
-    always_neg = ReliableHypothesis(SparsePolynomial(2, {(): -5.0}), "negative", "thresholded", 0.0)
+    always_pos = ReliableHypothesis(SparsePolynomial(2, {(): 5.0}), "positive", 0.0)
+    always_neg = ReliableHypothesis(SparsePolynomial(2, {(): -5.0}), "negative", 0.0)
     both = agreement_hypothesis(always_pos, always_pos, 2)
     assert both.decide((1, 1)) == 1
     conflicted = agreement_hypothesis(always_pos, always_neg, 2)

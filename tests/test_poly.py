@@ -7,7 +7,7 @@ import pytest
 from onesided.cube import Majority, cube_matrix, eval_concept
 from onesided.errors import DimensionError, ResourceLimitError
 from onesided.poly import (AffineForm, SparseForm, SparsePolynomial, SumForm, UniPoly,
-                           chebyshev, eval_exact, eval_on_cube, exact_multilinear, expand,
+                           characters, chebyshev, eval_exact, eval_on_cube, exact_multilinear, expand,
                            monomials_upto, negate_onesided, sparse_eval_batch,
                            sparse_from_json, sparse_to_json, structured_from_json,
                            structured_to_json, weight_and_degree)
@@ -175,3 +175,26 @@ def test_json_roundtrip():
     for bits in cube_matrix(3):
         t = tuple(int(b) for b in bits)
         assert eval_exact(back, t) == eval_exact(structured, t)
+
+
+def test_characters_are_monomial_values():
+    X = cube_matrix(3)
+    monos = monomials_upto(3, 3)
+    chi = characters(X, monos)
+    assert chi.dtype == np.int8 and chi.shape == (8, 8)
+    for i, row in enumerate(X):
+        for j, mono in enumerate(monos):
+            assert chi[i, j] == np.prod([row[v - 1] for v in mono], dtype=np.int64)
+
+
+def test_sparse_eval_batch_is_the_sequential_term_sum():
+    # reference: terms summed in dict order, each monomial a product along the row
+    rng = np.random.default_rng(11)
+    monos = monomials_upto(6, 6)
+    for X in (cube_matrix(6), rng.uniform(-2, 2, size=(50, 6))):
+        picks = rng.choice(len(monos), size=20, replace=False)
+        p = SparsePolynomial(6, {monos[i]: float(c) for i, c in zip(picks, rng.normal(size=20))})
+        want = np.zeros(X.shape[0])
+        for mono, coef in p.terms.items():
+            want += float(coef) * (X[:, [v - 1 for v in mono]].prod(axis=1) if mono else 1.0)
+        assert np.array_equal(sparse_eval_batch(p, X), want)
