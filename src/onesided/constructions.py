@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certify import CUBE_CAP, CertReport, verify_onesided, verify_twosided
-from .cube import NEGATIVE, POSITIVE, TWOSIDED, Concept, Conjunction, Cnf, Dnf, Halfspace
+from .cube import NEGATIVE, POSITIVE, TWOSIDED, Concept, Conjunction, Cnf, Dnf, Halfspace, cube_matrix
 from .errors import InputError, ParameterError, ResourceLimitError
-from .poly import (AffineForm, SparseForm, SparsePolynomial, StructuredPolynomial,
-                   SumForm, UniPoly, chebyshev, negate_onesided, sparse_constant,
+from .poly import (EXPANSION_CAP, AffineForm, SparseForm, SparsePolynomial, StructuredPolynomial,
+                   SumForm, UniPoly, chebyshev, interpolate, negate_onesided, sparse_constant,
                    weight_and_degree)
 
 
@@ -299,16 +299,16 @@ def and_twosided_tradeoff(
     d: int,
     eps: float,
     cube_cap: int = CUBE_CAP,
-    expansion_cap: int = 20,
+    expansion_cap: int = EXPANSION_CAP,
 ) -> ConstructionResult:
     """Two-sided eps-approximation of AND_n trading degree for weight.
 
     Splits the input into t blocks (t the largest divisor of n with
-    t/log2(t) <= n^2 log2(1/eps)/d^2), computes each block's AND exactly by
-    the product form, and wraps the count of true blocks with a step
-    polynomial: p = 2*S(#true blocks) - 1, S built at W = t with the doubling
-    schedule.  The result is expanded to a sparse multilinear form, so n must
-    stay within ``expansion_cap``.
+    t/log2(t) <= n^2 log2(1/eps)/d^2), counts the true blocks at every cube
+    point, and wraps that count with a step polynomial, p = 2*S(count) - 1,
+    S built at W = t with the doubling schedule.  p is interpolated from its
+    cube values to a sparse multilinear form, so n must stay within
+    ``expansion_cap``; t = 1 is the exact product form of AND_n.
     """
     if n < 1:
         raise InputError("and_twosided_tradeoff needs n >= 1")
@@ -319,21 +319,15 @@ def and_twosided_tradeoff(
     target = Conjunction(n, tuple(range(1, n + 1)))
     ratio_cap = n * n * math.log2(1 / eps) / (d * d)
     for t in _block_count_candidates(n, ratio_cap):
-        block_size = n // t
-        blocks = [tuple(range(i * block_size + 1, (i + 1) * block_size + 1)) for i in range(t)]
-
         if t == 1:
-            q = exact_and_sparse(n, blocks[0])
+            q = exact_and_sparse(n, target.literals)
             poly = SparseForm(q)
             claim = OneSidedSpec(target, TWOSIDED, eps, max(q.degree, 1), float(q.weight))
             cert = verify_twosided(poly, target, eps, cap=cube_cap)
             return ConstructionResult(poly, claim, cert, None)
 
-        qs = [exact_and_sparse(n, blk) for blk in blocks]
-        count = sparse_constant(n, Fraction(t, 2))  # s = (t + sum_i q_i) / 2
-        for q in qs:
-            count = count + q.scale(Fraction(1, 2))
-
+        # blocks are the consecutive runs of n // t variables, i.e. of cube_matrix columns
+        true_blocks = (cube_matrix(n).reshape(-1, t, n // t) == 1).all(axis=2).sum(axis=1)
         k0 = math.ceil(math.sqrt(t * math.log2(t) * math.log(2 / eps)))
         last: ConstructionResult | None = None
         for k in _doubling_schedule(k0, 4 * t):
@@ -341,10 +335,8 @@ def and_twosided_tradeoff(
                 S = step_poly(default_step_params(t, k))
             except ParameterError:
                 continue
-            acc = sparse_constant(n, 0)
-            for c in reversed(S.coeffs):
-                acc = acc * count + sparse_constant(n, c)
-            p_sparse = acc.scale(2) + sparse_constant(n, -1)
+            by_count = [2 * S(c) - 1 for c in range(t + 1)]
+            p_sparse = interpolate(n, [by_count[c] for c in true_blocks.tolist()])
             poly = SparseForm(p_sparse)
             claim = OneSidedSpec(target, TWOSIDED, eps, max(p_sparse.degree, 1), float(p_sparse.weight))
             cert = verify_twosided(poly, target, eps, cap=cube_cap)

@@ -10,6 +10,11 @@ Three carriers:
 * Structured forms (:class:`SparseForm`, :class:`AffineForm`,
   :class:`SumForm`) — the unexpanded carriers of constructed approximants.
 
+Cube values (in ``cube_matrix`` row order) and multilinear coefficients
+convert through one exact Walsh-Hadamard transform, O(n 2^n).  Variable j is
+bit ``1 << (n - j)`` of a monomial's mask, so values = walsh(coefficients by
+mask) reversed, and coefficients = walsh(values reversed) / 2^n.
+
 Construction-time arithmetic is exact rational; floating point appears only
 when a caller asks for a float evaluation or when coefficients were produced
 by a floating-point LP solve.
@@ -18,6 +23,7 @@ by a floating-point LP solve.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -181,10 +187,6 @@ class SparsePolynomial:
             out[k] = out.get(k, Fraction(0)) + v
         return SparsePolynomial(self.n, out)
 
-    def scale(self, c) -> "SparsePolynomial":
-        c = _as_coef(c)
-        return SparsePolynomial(self.n, {k: v * c for k, v in self.terms.items()})
-
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         """Product with multilinear reduction (x_i^2 = 1)."""
         if self.n != other.n:
@@ -331,34 +333,28 @@ def eval_on_cube(p: StructuredPolynomial, n: int | None = None) -> list[Coef]:
 
     Affine forms are evaluated once per distinct value of the integer linear
     form, which keeps full-cube certification cheap even at n around 20.
+    Sparse forms take one exact Walsh-Hadamard transform of their coefficients
+    by mask; float coefficients enter as their exact Fraction.
     """
     n = p.n if n is None else n
     if n != p.n:
         raise DimensionError(f"polynomial has n={p.n}, asked to enumerate n={n}")
-    X = cube_matrix(n)
-    return _values_on(p, X)
+    return _values_on(p)
 
 
-def _values_on(p: StructuredPolynomial, X: np.ndarray) -> list[Coef]:
+def _values_on(p: StructuredPolynomial) -> list[Coef]:
     if isinstance(p, AffineForm):
-        ts = (X.astype(np.int64) @ np.asarray(p.w, dtype=np.int64)) + p.w0
+        ts = (cube_matrix(p.n).astype(np.int64) @ np.asarray(p.w, dtype=np.int64)) + p.w0
         cache = {int(t): p.outer(int(t)) for t in np.unique(ts)}
         return [cache[int(t)] for t in ts]
     if isinstance(p, SparseForm):
-        vals: list[Coef] = []
-        monos = list(p.poly.terms.items())
-        if not monos:
-            return [Fraction(0)] * X.shape[0]
-        signs = characters(X, [mono for mono, _ in monos])
-        for i in range(X.shape[0]):
-            acc = Fraction(0)
-            row = signs[i]
-            for j, (_, coef) in enumerate(monos):
-                acc = acc + (coef if row[j] > 0 else -coef)
-            vals.append(acc)
-        return vals
+        by_mask = [0] * 2**p.n
+        for mono, coef in p.poly.terms.items():
+            by_mask[sum(1 << (p.n - j) for j in mono)] = Fraction(coef)
+        values, denom = _walsh(by_mask)
+        return [Fraction(v, denom) for v in values[::-1]]
     if isinstance(p, SumForm):
-        parts = [_values_on(part, X) for part in p.parts]
+        parts = [_values_on(part) for part in p.parts]
         return [sum(col, start=p.offset) for col in zip(*parts)]
     raise TypeError(f"not a structured polynomial: {p!r}")
 
@@ -393,11 +389,7 @@ def expand(p: StructuredPolynomial, cap: int = EXPANSION_CAP) -> SparsePolynomia
             raise ResourceLimitError(f"expansion cap: {p.n} variables > cap {cap}")
         if p.outer.degree > cap:
             raise ResourceLimitError(f"expansion cap: outer degree {p.outer.degree} > cap {cap}")
-        linear = SparsePolynomial(p.n, {(): Fraction(p.w0), **{(j,): Fraction(wj) for j, wj in enumerate(p.w, start=1) if wj}})
-        acc = sparse_constant(p.n, 0)
-        for c in reversed(p.outer.coeffs):
-            acc = acc * linear + sparse_constant(p.n, c)
-        return acc
+        return interpolate(p.n, _values_on(p))
     if isinstance(p, SumForm):
         acc = sparse_constant(p.n, p.offset)
         for part in p.parts:
@@ -438,29 +430,45 @@ def _analytic_bounds(p: StructuredPolynomial) -> tuple[Coef, int, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Exact multilinear interpolation of Boolean functions
+# Exact Walsh-Hadamard transform between cube values and coefficients
+
+
+def _walsh(values) -> tuple[np.ndarray, int]:
+    """(t, D) with t[y] / D = sum_m values[m] * (-1)^popcount(y & m), for 2^n ints or Fractions;
+    the butterflies run in place on their numerators over one denominator, in an object array."""
+    denom = math.lcm(*{v.denominator for v in values})
+    a = np.array([v.numerator * (denom // v.denominator) for v in values], dtype=object)
+    h = 1
+    while h < a.size:
+        low, high = a.reshape(-1, 2, h).swapaxes(0, 1)  # views, since a is C-contiguous
+        low[...], high[...] = low + high, low - high
+        h *= 2
+    return a, denom
+
+
+def interpolate(n: int, values: Sequence) -> SparsePolynomial:
+    """The unique multilinear polynomial taking ``values`` on the cube, exactly:
+    one int or Fraction per ``cube_matrix`` row, in row order."""
+    if len(values) != 2**n:
+        raise DimensionError(f"interpolation on n={n} needs {2**n} values, got {len(values)}")
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        raise InputError("interpolation needs exact values: Python ints or Fractions")
+    coeffs, denom = _walsh(values[::-1])
+    terms = {}
+    for mask in np.flatnonzero(coeffs).tolist():
+        terms[tuple(j for j in range(1, n + 1) if mask >> (n - j) & 1)] = Fraction(coeffs[mask], denom << n)
+    return SparsePolynomial(n, terms)
 
 
 def exact_multilinear(f: BoolFunc, n: int) -> SparsePolynomial:
     """The unique multilinear polynomial agreeing with f on the whole cube.
 
-    Coefficients are exact rationals, computed by character sums over the full
-    cube; usable for n up to around 14.
+    Coefficients are exact rationals, one :func:`interpolate` of the target's
+    +-1 values; the cap is n = 16.
     """
     if n > 16:
         raise ResourceLimitError(f"exact interpolation enumerates 2^{n} points; cap is 2^16")
-    X = cube_matrix(n)
-    values = target_values(f, X).astype(np.int64)
-    terms: dict[Monomial, Coef] = {}
-    denom = 2**n
-    for mono in monomials_upto(n, n):
-        chi = np.ones(X.shape[0], dtype=np.int64)
-        for v in mono:
-            chi *= X[:, v - 1]
-        dot = int(chi @ values)
-        if dot:
-            terms[mono] = Fraction(dot, denom)
-    return SparsePolynomial(n, terms)
+    return interpolate(n, target_values(f, cube_matrix(n)).tolist())
 
 
 # ---------------------------------------------------------------------------

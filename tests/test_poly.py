@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from onesided.cube import Majority, cube_matrix, eval_concept
-from onesided.errors import DimensionError, ResourceLimitError
+from onesided.cube import Halfspace, Majority, cube_matrix, eval_concept
+from onesided.errors import DimensionError, InputError, ResourceLimitError
 from onesided.poly import (AffineForm, SparseForm, SparsePolynomial, SumForm, UniPoly,
                            characters, chebyshev, eval_exact, eval_on_cube, exact_multilinear, expand,
-                           monomials_upto, negate_onesided, sparse_eval_batch,
+                           interpolate, monomials_upto, negate_onesided, sparse_eval_batch,
                            sparse_from_json, sparse_to_json, structured_from_json,
                            structured_to_json, weight_and_degree)
 from onesided.poly import eval as eval_float
@@ -98,6 +98,38 @@ def test_maj3_exact_form():
         assert v in (Fraction(1), Fraction(-1))
     assert p.weight == 2
     assert p.degree == 3
+
+
+def test_exact_multilinear_reaches_its_cap():
+    # n = 16 is the declared cap; a halfspace with distinct weights has a dense interpolant
+    h = Halfspace(16, 1, tuple((-1) ** j * (j % 5 + 1) for j in range(16)))
+    p = exact_multilinear(h, 16)
+    assert len(p.terms) > 2**14
+    assert sum((c * c for c in p.terms.values()), start=Fraction(0)) == 1  # Parseval
+    rng = np.random.default_rng(16)
+    for bits in rng.choice([-1, 1], size=(5, 16)):
+        t = tuple(int(b) for b in bits)
+        assert p.eval(t) == eval_concept(h, t)
+    with pytest.raises(ResourceLimitError):
+        exact_multilinear(Majority(17, tuple(range(1, 18))), 17)
+
+
+def test_interpolate_rejects_wrong_length_and_inexact_values():
+    with pytest.raises(DimensionError):
+        interpolate(2, [1, -1, 1])
+    with pytest.raises(InputError):
+        interpolate(1, [1, 0.5])
+    with pytest.raises(InputError):
+        interpolate(1, list(np.array([1, -1], dtype=np.int8)))  # numpy ints could wrap
+
+
+def test_eval_on_cube_takes_float_coefficients_exactly():
+    floats = SparsePolynomial(3, {(): 0.1, (1, 2): -0.2, (3,): 1e-17})
+    exact = SparsePolynomial(3, {mono: Fraction(c) for mono, c in floats.terms.items()})
+    values = eval_on_cube(SparseForm(floats))
+    assert all(isinstance(v, Fraction) for v in values)
+    assert values == eval_on_cube(SparseForm(exact))
+    assert values == [exact.eval(tuple(int(b) for b in row)) for row in cube_matrix(3)]
 
 
 def test_weight_and_degree_examples():
