@@ -8,8 +8,10 @@ Two routes, kept deliberately independent of the construction code:
   error at a fixed degree, which is the designated independent source for
   every frozen epsilon value in the test suite.
 
-Certification slack is 1e-9 on exact-rational evaluations and 1e-7 when
-checking floating-point LP witnesses.
+The exhaustive checks apply one slack rule, max((1 - eps) - f p, f p - (1 + eps))
+with the second term only where the mode bounds p on both sides, to the integer
+cube numerators of p scaled by the denominator of ``Fraction(eps)``.  Tolerance is
+1e-9 on exact-rational evaluations and 1e-7 on floating-point LP witnesses.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from scipy import sparse
 from . import lp as lpmod
 from .cube import NEGATIVE, POSITIVE, TWOSIDED, BoolFunc, cube_matrix, target_values
 from .errors import InputError, ResourceLimitError, SolverError
-from .poly import (SparsePolynomial, StructuredPolynomial, characters, eval_on_cube,
-                   monomials_upto)
+from .poly import SparsePolynomial, StructuredPolynomial, characters, cube_numerators, monomials_upto
 
 EXACT_TOL = 1e-9
 LP_WITNESS_TOL = 1e-7
@@ -63,13 +64,9 @@ class CertReport:
         }
 
 
-def _dim_of(p: StructuredPolynomial, f: BoolFunc) -> int:
-    n = getattr(f, "n", None)
-    if n is None:
-        return p.n
-    if n != p.n:
-        raise InputError(f"polynomial dimension {p.n} != target dimension {n}")
-    return n
+def _both_sides(fvals: np.ndarray, mode: str) -> np.ndarray:
+    """True where the mode bounds p(x) on both sides, |p(x) - f(x)| <= eps, not only f(x) p(x) >= 1 - eps."""
+    return np.where(fvals == 1, mode != POSITIVE, mode != NEGATIVE)
 
 
 def _scan(
@@ -80,47 +77,28 @@ def _scan(
     cap: int,
     tol: float,
 ) -> CertReport:
-    n = _dim_of(p, f)
+    n = p.n
+    if getattr(f, "n", None) not in (None, n):
+        raise InputError(f"polynomial dimension {n} != target dimension {f.n}")
     if n > cap:
         raise ResourceLimitError(f"exhaustive check enumerates 2^{n} points; cap is 2^{cap}")
     X = cube_matrix(n)
     fvals = target_values(f, X)
-    pvals = eval_on_cube(p)
-    eps_f = Fraction(eps)
-    one = Fraction(1)
+    nums, denom = cube_numerators(p)
+    e, k = Fraction(eps).as_integer_ratio()
 
-    worst_pos = None  # worst slack over f^{-1}(+1)
-    worst_neg = None  # worst slack over f^{-1}(-1)
-    witness = None
-    witness_v = None
-    for i in range(X.shape[0]):
-        v = pvals[i]
-        if fvals[i] == 1:
-            if sign == POSITIVE:
-                slack = (one - eps_f) - v          # need p >= 1 - eps
-            elif sign == NEGATIVE:
-                slack = abs(v - one) - eps_f       # need |p - 1| <= eps
-            else:
-                slack = abs(v - one) - eps_f
-            if worst_pos is None or slack > worst_pos:
-                worst_pos = slack
-                if slack > tol and (witness_v is None or slack > witness_v):
-                    witness, witness_v = i, slack
-        else:
-            if sign == POSITIVE:
-                slack = abs(v + one) - eps_f       # need |p + 1| <= eps
-            elif sign == NEGATIVE:
-                slack = v - (-one + eps_f)         # need p <= -1 + eps
-            else:
-                slack = abs(v + one) - eps_f
-            if worst_neg is None or slack > worst_neg:
-                worst_neg = slack
-                if slack > tol and (witness_v is None or slack > witness_v):
-                    witness, witness_v = i, slack
-    wp = float(worst_pos) if worst_pos is not None else float("-inf")
-    wn = float(worst_neg) if worst_neg is not None else float("-inf")
+    # slack = max((1 - eps) - f p, f p - (1 + eps)), the second term only where the
+    # mode bounds p on both sides; every term is an integer over scale = denom * k
+    scale = denom * k
+    fp = np.where(fvals == 1, nums, -nums) * k
+    slack = denom * (k - e) - fp
+    slack = np.where(_both_sides(fvals, sign), np.maximum(slack, fp - denom * (k + e)), slack)
+
+    wp, wn = (float(Fraction(side.max(), scale)) if side.size else float("-inf")
+              for side in (slack[fvals == 1], slack[fvals != 1]))
     ok = wp <= tol and wn <= tol
-    wit = tuple(int(v) for v in X[witness]) if witness is not None else None
+    i = int(np.argmax(slack))  # the earliest worst point
+    wit = tuple(int(v) for v in X[i]) if Fraction(slack[i], scale) > tol else None
     return CertReport(ok, float(eps), wp, wn, int(X.shape[0]), wit)
 
 
@@ -187,8 +165,7 @@ def min_eps(
     # -f(x) p(x) - eps <= -1 (p gets within eps of f(x)), followed, where the
     # mode bounds both sides at x, by f(x) p(x) - eps <= 1 (p overshoots f(x)
     # by at most eps).
-    two_rows = np.where(fvals == 1, mode != POSITIVE, mode != NEGATIVE)
-    point = np.repeat(np.arange(X.shape[0]), 1 + two_rows)
+    point = np.repeat(np.arange(X.shape[0]), 1 + _both_sides(fvals, mode))
     second = np.zeros(point.size, dtype=bool)
     second[1:] = point[1:] == point[:-1]
     side = np.where(second, fvals[point], -fvals[point]).astype(np.int8)

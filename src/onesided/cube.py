@@ -60,9 +60,11 @@ def cube_matrix(n: int) -> np.ndarray:
     """
     if n < 0:
         raise InputError("dimension must be nonnegative")
-    idx = np.arange(2**n, dtype=np.int64)
-    cols = [(idx >> (n - j)) & 1 for j in range(1, n + 1)]
-    return (np.stack(cols, axis=1).astype(np.int8) * 2 - 1) if n else np.zeros((1, 0), np.int8)
+    X = np.empty((2**n, n), dtype=np.int8)
+    for j in range(n):
+        runs = X[:, j].reshape(-1, 2, 2 ** (n - 1 - j))  # a view: column j alternates runs of -1 and +1
+        runs[:, 0], runs[:, 1] = -1, 1
+    return X
 
 
 # ---------------------------------------------------------------------------

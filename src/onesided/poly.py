@@ -10,10 +10,13 @@ Three carriers:
 * Structured forms (:class:`SparseForm`, :class:`AffineForm`,
   :class:`SumForm`) — the unexpanded carriers of constructed approximants.
 
-Cube values (in ``cube_matrix`` row order) and multilinear coefficients
-convert through one exact Walsh-Hadamard transform, O(n 2^n).  Variable j is
-bit ``1 << (n - j)`` of a monomial's mask, so values = walsh(coefficients by
-mask) reversed, and coefficients = walsh(values reversed) / 2^n.
+Exact cube values (in ``cube_matrix`` row order) have one format: integer
+numerators in a numpy object array over one common denominator
+(:func:`cube_numerators`).  Values and multilinear coefficients convert
+through one exact Walsh-Hadamard transform of such numerators, O(n 2^n).
+Variable j is bit ``1 << (n - j)`` of a monomial's mask, so values =
+walsh(coefficients by mask) reversed, and coefficients = walsh(values
+reversed) / 2^n.
 
 Construction-time arithmetic is exact rational; floating point appears only
 when a caller asks for a float evaluation or when coefficients were produced
@@ -328,34 +331,37 @@ def eval(p: StructuredPolynomial, x) -> float:  # noqa: A001 - deliberate builti
     return float(eval_exact(p, x))
 
 
-def eval_on_cube(p: StructuredPolynomial, n: int | None = None) -> list[Coef]:
-    """Exact values of p at every point of the cube, in lexicographic order.
+def eval_on_cube(p: StructuredPolynomial) -> list[Coef]:
+    """Exact values of p at every point of the cube, in lexicographic order (see :func:`cube_numerators`)."""
+    nums, denom = cube_numerators(p)
+    return [Fraction(v, denom) for v in nums.tolist()]
+
+
+def cube_numerators(p: StructuredPolynomial) -> tuple[np.ndarray, int]:
+    """(nums, D): the exact values of p on the cube are nums / D, with nums an object array of
+    Python ints in ``cube_matrix`` row order and D > 0 one common denominator.
 
     Affine forms are evaluated once per distinct value of the integer linear
     form, which keeps full-cube certification cheap even at n around 20.
     Sparse forms take one exact Walsh-Hadamard transform of their coefficients
-    by mask; float coefficients enter as their exact Fraction.
+    by mask; float coefficients enter as their exact Fraction.  Sum forms add
+    their parts' numerators over the lcm of their denominators.
     """
-    n = p.n if n is None else n
-    if n != p.n:
-        raise DimensionError(f"polynomial has n={p.n}, asked to enumerate n={n}")
-    return _values_on(p)
-
-
-def _values_on(p: StructuredPolynomial) -> list[Coef]:
     if isinstance(p, AffineForm):
         ts = (cube_matrix(p.n).astype(np.int64) @ np.asarray(p.w, dtype=np.int64)) + p.w0
-        cache = {int(t): p.outer(int(t)) for t in np.unique(ts)}
-        return [cache[int(t)] for t in ts]
+        ts, inverse = np.unique(ts, return_inverse=True)
+        table, denom = _over_common_denominator([p.outer(int(t)) for t in ts])
+        return table[inverse], denom
     if isinstance(p, SparseForm):
         by_mask = [0] * 2**p.n
         for mono, coef in p.poly.terms.items():
             by_mask[sum(1 << (p.n - j) for j in mono)] = Fraction(coef)
-        values, denom = _walsh(by_mask)
-        return [Fraction(v, denom) for v in values[::-1]]
+        nums, denom = _over_common_denominator(by_mask)
+        return _walsh(nums)[::-1], denom
     if isinstance(p, SumForm):
-        parts = [_values_on(part) for part in p.parts]
-        return [sum(col, start=p.offset) for col in zip(*parts)]
+        parts = [cube_numerators(part) for part in p.parts] + [p.offset.as_integer_ratio()]
+        denom = math.lcm(*(d for _, d in parts))
+        return sum(nums * (denom // d) for nums, d in parts), denom
     raise TypeError(f"not a structured polynomial: {p!r}")
 
 
@@ -389,7 +395,7 @@ def expand(p: StructuredPolynomial, cap: int = EXPANSION_CAP) -> SparsePolynomia
             raise ResourceLimitError(f"expansion cap: {p.n} variables > cap {cap}")
         if p.outer.degree > cap:
             raise ResourceLimitError(f"expansion cap: outer degree {p.outer.degree} > cap {cap}")
-        return interpolate(p.n, _values_on(p))
+        return _from_cube_numerators(p.n, *cube_numerators(p))
     if isinstance(p, SumForm):
         acc = sparse_constant(p.n, p.offset)
         for part in p.parts:
@@ -433,17 +439,21 @@ def _analytic_bounds(p: StructuredPolynomial) -> tuple[Coef, int, bool]:
 # Exact Walsh-Hadamard transform between cube values and coefficients
 
 
-def _walsh(values) -> tuple[np.ndarray, int]:
-    """(t, D) with t[y] / D = sum_m values[m] * (-1)^popcount(y & m), for 2^n ints or Fractions;
-    the butterflies run in place on their numerators over one denominator, in an object array."""
+def _over_common_denominator(values) -> tuple[np.ndarray, int]:
+    """(nums, D): ints or Fractions as numerators in an object array over D, the lcm of their denominators."""
     denom = math.lcm(*{v.denominator for v in values})
-    a = np.array([v.numerator * (denom // v.denominator) for v in values], dtype=object)
+    return np.array([v.numerator * (denom // v.denominator) for v in values], dtype=object), denom
+
+
+def _walsh(a: np.ndarray) -> np.ndarray:
+    """t[y] = sum_m a[m] * (-1)^popcount(y & m) for a C-contiguous object array of 2^n ints;
+    the butterflies run in place on a, which is returned."""
     h = 1
     while h < a.size:
         low, high = a.reshape(-1, 2, h).swapaxes(0, 1)  # views, since a is C-contiguous
         low[...], high[...] = low + high, low - high
         h *= 2
-    return a, denom
+    return a
 
 
 def interpolate(n: int, values: Sequence) -> SparsePolynomial:
@@ -453,7 +463,12 @@ def interpolate(n: int, values: Sequence) -> SparsePolynomial:
         raise DimensionError(f"interpolation on n={n} needs {2**n} values, got {len(values)}")
     if not all(isinstance(v, (int, Fraction)) for v in values):
         raise InputError("interpolation needs exact values: Python ints or Fractions")
-    coeffs, denom = _walsh(values[::-1])
+    return _from_cube_numerators(n, *_over_common_denominator(values))
+
+
+def _from_cube_numerators(n: int, nums: np.ndarray, denom: int) -> SparsePolynomial:
+    """The multilinear polynomial whose cube values are nums / denom, in ``cube_matrix`` row order."""
+    coeffs = _walsh(nums[::-1].copy())
     terms = {}
     for mask in np.flatnonzero(coeffs).tolist():
         terms[tuple(j for j in range(1, n + 1) if mask >> (n - j) & 1)] = Fraction(coeffs[mask], denom << n)

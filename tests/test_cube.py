@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,20 @@ def test_cube_point_validation():
 def test_cube_matrix_order():
     X = cube_matrix(2)
     assert X.tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+    X = cube_matrix(5)
+    assert X.dtype == np.int8 and X.flags.c_contiguous
+    assert X.tolist() == [list(x) for x in itertools.product((-1, 1), repeat=5)]
+    assert cube_matrix(0).shape == (1, 0)
+
+
+def test_cube_matrix_transient_memory_stays_near_its_result():
+    tracemalloc.start()
+    try:
+        X = cube_matrix(18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * X.nbytes
 
 
 def test_eval_concept_examples():

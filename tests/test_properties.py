@@ -1,18 +1,21 @@
 """Property tests; they need the optional ``hypothesis`` package (the ``test`` extra)."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from onesided.cube import Majority, constant_concept, cube_matrix, dedup, eval_concept_batch, format_concept
+from onesided.certify import verify_onesided, verify_twosided
+from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Majority, constant_concept, cube_matrix, dedup,
+                           eval_concept_batch, format_concept)
 from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
                               monotone_disjunction_bank)
 from onesided.lp import FEASIBILITY_TOL, LinearProgram, check_feasible, solve
-from onesided.poly import (AffineForm, SparseForm, SparsePolynomial, UniPoly,
-                           eval_exact, eval_on_cube, exact_multilinear, expand)
+from onesided.poly import (AffineForm, SparseForm, SparsePolynomial, SumForm, UniPoly,
+                           eval_exact, eval_on_cube, exact_multilinear, expand, interpolate)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -36,7 +39,7 @@ def feasible_programs(draw):
     return LinearProgram(c, sparse.csr_array(A), b, bounds=tuple((0.0, 5.0) for _ in range(cols)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(feasible_programs())
 def test_solution_is_feasible_property(program):
     sol = solve(program)
@@ -70,7 +73,7 @@ def _fully_opt_by_masked_sums(s, bank):
     return best
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(n=st.integers(1, 4), m=st.integers(1, 60), seed=st.integers(0, 2**31), eta=st.sampled_from([0.0, 0.1, 0.3]))
 def test_brute_opt_fully_matches_masked_sums(n, m, seed, eta):
     s = generate(Majority(n, tuple(range(1, n + 1))), NoiseModel("symmetric", eta), m, seed=seed)
@@ -88,28 +91,33 @@ def test_brute_opt_fully_matches_masked_sums(n, m, seed, eta):
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=50)
 
 
-@st.composite
-def exact_sparse_forms(draw):
-    n = draw(st.integers(0, 7))
+def sparse_forms(n, coefs=fractions):
     monomial = st.sets(st.integers(1, n), max_size=n).map(lambda s: tuple(sorted(s))) if n else st.just(())
-    return SparseForm(SparsePolynomial(n, draw(st.dictionaries(monomial, fractions, max_size=20))))
+    return st.dictionaries(monomial, coefs, max_size=20).map(lambda terms: SparseForm(SparsePolynomial(n, terms)))
 
 
-@settings(max_examples=80, deadline=None)
-@given(exact_sparse_forms())
+def affine_forms(n):
+    return st.builds(lambda outer, w0, w: AffineForm(UniPoly(tuple(outer)), w0, tuple(w)),
+                     st.lists(fractions, max_size=10), st.integers(-3, 3),
+                     st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+
+
+def structured_forms(n, coefs=fractions):
+    """Sparse and affine forms over n variables, and sums of them with an offset."""
+    part = st.one_of(sparse_forms(n, coefs), affine_forms(n))
+    sums = st.builds(lambda parts, offset: SumForm(tuple(parts), offset),
+                     st.lists(part, min_size=1, max_size=3), fractions)
+    return st.one_of(part, sums)
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 7).flatmap(structured_forms))
 def test_eval_on_cube_matches_pointwise_eval(p):
-    assert eval_on_cube(p) == [p.poly.eval(tuple(int(b) for b in row)) for row in cube_matrix(p.n)]
+    assert eval_on_cube(p) == [eval_exact(p, tuple(int(b) for b in row)) for row in cube_matrix(p.n)]
 
 
-@st.composite
-def affine_forms(draw):
-    n = draw(st.integers(1, 8))  # n and the outer degree (at most 9) stay inside EXPANSION_CAP
-    outer = UniPoly(tuple(draw(st.lists(fractions, max_size=10))))
-    return AffineForm(outer, draw(st.integers(-3, 3)), tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
-
-
-@settings(max_examples=60, deadline=None)
-@given(affine_forms())
+@settings(max_examples=60)
+@given(st.integers(1, 8).flatmap(affine_forms))  # n and the outer degree (at most 9) stay inside EXPANSION_CAP
 def test_expand_matches_eval_exact(p):
     q = expand(p)
     for row in cube_matrix(p.n):
@@ -117,7 +125,7 @@ def test_expand_matches_eval_exact(p):
         assert q.eval(bits) == eval_exact(p, bits)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 6).flatmap(lambda n: st.lists(st.sampled_from([-1, 1]), min_size=2**n, max_size=2**n)))
 def test_exact_multilinear_matches_character_sums(table):
     n = len(table).bit_length() - 1
@@ -130,3 +138,53 @@ def test_exact_multilinear_matches_character_sums(table):
             if total:
                 want[mono] = Fraction(total, 2**n)
     assert exact_multilinear(f.__getitem__, n).terms == want
+
+
+# ---------------------------------------------------------------------------
+# Certification against a per-point scan
+
+
+def _exact_value(p, x):
+    """p(x) with every coefficient taken as its exact Fraction, as certification takes it."""
+    if isinstance(p, SparseForm):
+        return sum((Fraction(c) * math.prod(x[v - 1] for v in mono) for mono, c in p.poly.terms.items()), Fraction(0))
+    if isinstance(p, SumForm):
+        return sum((_exact_value(part, x) for part in p.parts), p.offset)
+    return eval_exact(p, x)
+
+
+def _pointwise_report(p, f, eps, mode, tol):
+    """CertReport JSON of a point-by-point Fraction scan: the worst slack on each side of f, and
+    the earliest point of the largest slack as witness when that slack exceeds tol."""
+    eps_q, worst, witness, witness_slack = Fraction(eps), {1: None, -1: None}, None, None
+    for row in cube_matrix(p.n):
+        x = tuple(int(b) for b in row)
+        v, fx = _exact_value(p, x), f(x)
+        if fx == 1:
+            slack = (1 - eps_q) - v if mode == POSITIVE else abs(v - 1) - eps_q
+        else:
+            slack = v - (eps_q - 1) if mode == NEGATIVE else abs(v + 1) - eps_q
+        if worst[fx] is None or slack > worst[fx]:
+            worst[fx] = slack
+        if slack > tol and (witness_slack is None or slack > witness_slack):
+            witness, witness_slack = list(x), slack
+    wp, wn = (float(worst[s]) if worst[s] is not None else float("-inf") for s in (1, -1))
+    return {"ok": wp <= tol and wn <= tol, "eps": float(eps), "worst_pos": wp, "worst_neg": wn,
+            "points": 2**p.n, "witness": witness}
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(0, 6),
+       eps=st.one_of(st.sampled_from([0, 0.1, 0.25]), st.floats(0, 2)), tol=st.sampled_from([0, 1e-9, 1e-7]))
+def test_certification_matches_pointwise_scan(data, n, eps, tol):
+    table = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=2**n, max_size=2**n))
+    f = dict(zip(itertools.product((-1, 1), repeat=n), table)).__getitem__  # cube_matrix row order
+    # forms that track f put many slacks near 0 and tie them
+    tracking = st.builds(lambda s, c: SumForm((SparseForm(interpolate(n, [s * t for t in table])),), c),
+                         st.sampled_from([1, Fraction(3, 4), Fraction(9, 10), Fraction(11, 10)]),
+                         st.fractions(-Fraction(1, 4), Fraction(1, 4), max_denominator=20))
+    floats = st.floats(-20, 20)
+    p = data.draw(st.one_of(structured_forms(n, st.one_of(fractions, floats)), tracking))
+    for sign in (POSITIVE, NEGATIVE):
+        assert verify_onesided(p, f, eps, sign, tol=tol).to_json() == _pointwise_report(p, f, eps, sign, tol)
+    assert verify_twosided(p, f, eps, tol=tol).to_json() == _pointwise_report(p, f, eps, TWOSIDED, tol)
