@@ -29,10 +29,10 @@ from .poly import SparsePolynomial, StructuredPolynomial, characters, cube_numer
 EXACT_TOL = 1e-9
 LP_WITNESS_TOL = 1e-7
 
-#: Default cap on cube enumeration (2^24 points).
+#: Cap on cube enumeration (2^24 points).
 CUBE_CAP = 24
 
-#: Default cap on the number of monomial columns in the LP oracle.
+#: Cap on the number of monomial columns in the LP oracle.
 LP_MONOMIAL_CAP = 4096
 
 
@@ -74,14 +74,13 @@ def _scan(
     f: BoolFunc,
     eps: float,
     sign: str,
-    cap: int,
     tol: float,
 ) -> CertReport:
     n = p.n
     if getattr(f, "n", None) not in (None, n):
         raise InputError(f"polynomial dimension {n} != target dimension {f.n}")
-    if n > cap:
-        raise ResourceLimitError(f"exhaustive check enumerates 2^{n} points; cap is 2^{cap}")
+    if n > CUBE_CAP:
+        raise ResourceLimitError(f"exhaustive check enumerates 2^{n} points; cap is 2^{CUBE_CAP}")
     X = cube_matrix(n)
     fvals = target_values(f, X)
     nums, denom = cube_numerators(p)
@@ -107,7 +106,6 @@ def verify_onesided(
     f: BoolFunc,
     eps: float,
     sign: str = POSITIVE,
-    cap: int = CUBE_CAP,
     tol: float = EXACT_TOL,
 ) -> CertReport:
     """Exhaustively check the one-sided approximation conditions.
@@ -119,18 +117,17 @@ def verify_onesided(
     """
     if sign not in (POSITIVE, NEGATIVE):
         raise InputError(f"sign must be positive or negative, got {sign!r}")
-    return _scan(p, f, eps, sign, cap, tol)
+    return _scan(p, f, eps, sign, tol)
 
 
 def verify_twosided(
     p: StructuredPolynomial,
     f: BoolFunc,
     eps: float,
-    cap: int = CUBE_CAP,
     tol: float = EXACT_TOL,
 ) -> CertReport:
     """Exhaustively check |p(x) - f(x)| <= eps over the full cube."""
-    return _scan(p, f, eps, TWOSIDED, cap, tol)
+    return _scan(p, f, eps, TWOSIDED, tol)
 
 
 def min_eps(
@@ -138,7 +135,6 @@ def min_eps(
     d: int,
     mode: str,
     n: int | None = None,
-    monomial_cap: int = LP_MONOMIAL_CAP,
 ) -> tuple[float, SparsePolynomial]:
     """Exact minimal eps achievable at degree <= d, with an optimal witness.
 
@@ -155,8 +151,8 @@ def min_eps(
     if n > 14:
         raise ResourceLimitError(f"LP oracle caps at n=14, got n={n}")
     monos = monomials_upto(n, d)
-    if len(monos) > monomial_cap:
-        raise ResourceLimitError(f"LP oracle monomial count {len(monos)} exceeds cap {monomial_cap}")
+    if len(monos) > LP_MONOMIAL_CAP:
+        raise ResourceLimitError(f"LP oracle monomial count {len(monos)} exceeds cap {LP_MONOMIAL_CAP}")
     X = cube_matrix(n)
     fvals = target_values(f, X)
     chi = characters(X, monos)

@@ -19,7 +19,7 @@ from . import harness, learn
 from .cube import (Halfspace, Majority, empirical_metrics, format_concept, load_sample_csv,
                    majority_as_halfspace, parse_concept)
 from .errors import InputError
-from .poly import structured_from_json, structured_to_json, weight_and_degree
+from .poly import analytic_bounds, structured_from_json, structured_to_json
 
 
 def _print(obj, as_json: bool, human: str) -> None:
@@ -38,24 +38,22 @@ def _cmd_construct(args) -> int:
     concept = parse_concept(args.concept, args.n)
     if args.kind == "quarter":
         poly = cons.halfspace_quarter(_as_halfspace(concept))
-        cert = certify_mod.verify_onesided(poly, concept, 0.25, "positive") if concept.n <= args.cube_cap else None
-        result = cons.ConstructionResult(
-            poly,
-            cons.OneSidedSpec(concept, "positive", 0.25, *_bounds(poly)),
-            cert,
-        )
+        wb, db, _ = analytic_bounds(poly)
+        claim = cons.OneSidedSpec(concept, "positive", 0.25, max(db, 1), float(wb))
+        cert = certify_mod.verify_onesided(poly, concept, 0.25, "positive") if concept.n <= certify_mod.CUBE_CAP else None
+        result = cons.ConstructionResult(poly, claim, cert)
     elif args.kind == "onesided":
-        result = cons.halfspace_onesided(_as_halfspace(concept), args.sign, args.eps, cube_cap=args.cube_cap)
+        result = cons.halfspace_onesided(_as_halfspace(concept), args.sign, args.eps)
     elif args.kind == "and-tradeoff":
         from onesided.cube import Conjunction
 
         if not isinstance(concept, Conjunction) or set(concept.literals) != set(range(1, concept.n + 1)):
             raise InputError("and-tradeoff targets the full positive conjunction, e.g. CONJ +1 +2 ... +n")
-        result = cons.and_twosided_tradeoff(concept.n, args.d, args.eps, cube_cap=args.cube_cap)
+        result = cons.and_twosided_tradeoff(concept.n, args.d, args.eps)
     elif args.kind == "dnf":
-        result = cons.dnf_positive_onesided(concept, args.d, args.eps, cube_cap=args.cube_cap)
+        result = cons.dnf_positive_onesided(concept, args.d, args.eps)
     else:  # cnf
-        result = cons.cnf_negative_onesided(concept, args.d, args.eps, cube_cap=args.cube_cap)
+        result = cons.cnf_negative_onesided(concept, args.d, args.eps)
     out = {
         "construction": args.kind,
         "sign": result.claim.sign,
@@ -75,11 +73,6 @@ def _cmd_construct(args) -> int:
     )
     _print(out, args.json, human)
     return 0
-
-
-def _bounds(poly):
-    wb, db, _ = weight_and_degree(poly, cap=0)
-    return max(db, 1), float(wb)
 
 
 def _cmd_certify(args) -> int:
@@ -203,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign", choices=["positive", "negative"], default="positive")
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--cube-cap", type=int, default=certify_mod.CUBE_CAP)
     p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=_cmd_construct)

@@ -27,8 +27,8 @@ from .certify import CUBE_CAP, CertReport, verify_onesided, verify_twosided
 from .cube import NEGATIVE, POSITIVE, TWOSIDED, Concept, Conjunction, Cnf, Dnf, Halfspace, cube_matrix
 from .errors import InputError, ParameterError, ResourceLimitError
 from .poly import (EXPANSION_CAP, AffineForm, SparseForm, SparsePolynomial, StructuredPolynomial,
-                   SumForm, UniPoly, chebyshev, interpolate, negate_onesided, sparse_constant,
-                   weight_and_degree)
+                   SumForm, UniPoly, analytic_bounds, chebyshev, interpolate, negate_onesided,
+                   sparse_constant, weight_and_degree)
 
 
 @dataclass(frozen=True)
@@ -195,19 +195,14 @@ def reflect_halfspace(h: Halfspace) -> Halfspace:
     return Halfspace(h.n, 1 - h.w0, h.w)
 
 
-def halfspace_onesided(
-    h: Halfspace,
-    sign: str,
-    eps: float,
-    cube_cap: int = CUBE_CAP,
-) -> ConstructionResult:
+def halfspace_onesided(h: Halfspace, sign: str, eps: float) -> ConstructionResult:
     """One-sided eps-approximation of an integer-weight halfspace.
 
     The step-polynomial degree budget k starts at
     ceil(sqrt(W' log2(W') ln(2/eps))) and doubles until exhaustive
     certification passes or the schedule exhausts at 4*W'.  The negative
     side is the reflection -p(-x) of the positive construction for the
-    reflected halfspace.  When n exceeds ``cube_cap`` the analytic-k
+    reflected halfspace.  When n exceeds ``CUBE_CAP`` the analytic-k
     polynomial is returned with ``certificate=None``.
     """
     if sign not in (POSITIVE, NEGATIVE):
@@ -224,11 +219,11 @@ def halfspace_onesided(
         except ParameterError:
             continue
         poly = form if sign == POSITIVE else negate_onesided(form)
-        wb, db, _ = weight_and_degree(poly, cap=0)
+        wb, db, _ = analytic_bounds(poly)
         claim = OneSidedSpec(h, sign, eps, max(db, 1), float(wb))
-        if h.n > cube_cap:
+        if h.n > CUBE_CAP:
             return ConstructionResult(poly, claim, None, k)
-        cert = verify_onesided(poly, h, eps, sign, cap=cube_cap)
+        cert = verify_onesided(poly, h, eps, sign)
         last = ConstructionResult(poly, claim, cert, k)
         if cert.ok:
             return last
@@ -294,13 +289,7 @@ def _block_count_candidates(n: int, ratio_cap: float) -> list[int]:
     ]
 
 
-def and_twosided_tradeoff(
-    n: int,
-    d: int,
-    eps: float,
-    cube_cap: int = CUBE_CAP,
-    expansion_cap: int = EXPANSION_CAP,
-) -> ConstructionResult:
+def and_twosided_tradeoff(n: int, d: int, eps: float) -> ConstructionResult:
     """Two-sided eps-approximation of AND_n trading degree for weight.
 
     Splits the input into t blocks (t the largest divisor of n with
@@ -308,14 +297,16 @@ def and_twosided_tradeoff(
     point, and wraps that count with a step polynomial, p = 2*S(count) - 1,
     S built at W = t with the doubling schedule.  p is interpolated from its
     cube values to a sparse multilinear form, so n must stay within
-    ``expansion_cap``; t = 1 is the exact product form of AND_n.
+    ``EXPANSION_CAP``; t = 1 is the exact product form of AND_n.
     """
     if n < 1:
         raise InputError("and_twosided_tradeoff needs n >= 1")
+    if d < 1:
+        raise InputError(f"and_twosided_tradeoff needs degree d >= 1, got {d}")
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
-    if n > expansion_cap:
-        raise ResourceLimitError(f"tradeoff construction expands; n={n} exceeds cap {expansion_cap}")
+    if n > EXPANSION_CAP:
+        raise ResourceLimitError(f"tradeoff construction expands; n={n} exceeds cap {EXPANSION_CAP}")
     target = Conjunction(n, tuple(range(1, n + 1)))
     ratio_cap = n * n * math.log2(1 / eps) / (d * d)
     for t in _block_count_candidates(n, ratio_cap):
@@ -323,7 +314,7 @@ def and_twosided_tradeoff(
             q = exact_and_sparse(n, target.literals)
             poly = SparseForm(q)
             claim = OneSidedSpec(target, TWOSIDED, eps, max(q.degree, 1), float(q.weight))
-            cert = verify_twosided(poly, target, eps, cap=cube_cap)
+            cert = verify_twosided(poly, target, eps)
             return ConstructionResult(poly, claim, cert, None)
 
         # blocks are the consecutive runs of n // t variables, i.e. of cube_matrix columns
@@ -339,7 +330,7 @@ def and_twosided_tradeoff(
             p_sparse = interpolate(n, [by_count[c] for c in true_blocks.tolist()])
             poly = SparseForm(p_sparse)
             claim = OneSidedSpec(target, TWOSIDED, eps, max(p_sparse.degree, 1), float(p_sparse.weight))
-            cert = verify_twosided(poly, target, eps, cap=cube_cap)
+            cert = verify_twosided(poly, target, eps)
             last = ConstructionResult(poly, claim, cert, k)
             if cert.ok:
                 return last
@@ -361,7 +352,24 @@ def _clause_twosided(n: int, clause: tuple[int, ...], d: int, eps: float) -> Spa
     return SparseForm(inner.poly.poly.substitute_literals(n, clause))
 
 
-def dnf_positive_onesided(F: Dnf, d: int, eps: float, cube_cap: int = CUBE_CAP) -> ConstructionResult:
+def _dnf_form(F: Dnf, d: int, eps: float) -> StructuredPolynomial:
+    """Positive one-sided eps-approximation of a DNF, uncertified."""
+    if not 0 < eps < 1:
+        raise InputError(f"eps must lie in (0, 1), got {eps}")
+    m = len(F.clauses)
+    if m == 0:
+        return SparseForm(sparse_constant(F.n, -1))
+    return or_compose([_clause_twosided(F.n, cl, d, eps / m) for cl in F.clauses])
+
+
+def _with_certificate(poly: StructuredPolynomial, F: Concept, sign: str, eps: float) -> ConstructionResult:
+    wb, db, _ = weight_and_degree(poly)
+    claim = OneSidedSpec(F, sign, eps, max(db, 1), float(wb))
+    cert = verify_onesided(poly, F, eps, sign) if F.n <= CUBE_CAP else None
+    return ConstructionResult(poly, claim, cert, None)
+
+
+def dnf_positive_onesided(F: Dnf, d: int, eps: float) -> ConstructionResult:
     """Positive one-sided eps-approximation of a DNF.
 
     Every clause receives a two-sided (eps/m)-approximation from the
@@ -369,31 +377,14 @@ def dnf_positive_onesided(F: Dnf, d: int, eps: float, cube_cap: int = CUBE_CAP) 
     the clause polynomial); the clause polynomials are then combined with
     :func:`or_compose`.
     """
-    if not 0 < eps < 1:
-        raise InputError(f"eps must lie in (0, 1), got {eps}")
-    m = len(F.clauses)
-    if m == 0:
-        poly: StructuredPolynomial = SparseForm(sparse_constant(F.n, -1))
-    else:
-        parts = [_clause_twosided(F.n, cl, d, eps / m) for cl in F.clauses]
-        poly = or_compose(parts)
-    wb, db, _ = weight_and_degree(poly)
-    claim = OneSidedSpec(F, POSITIVE, eps, max(db, 1), float(wb))
-    cert = verify_onesided(poly, F, eps, POSITIVE, cap=cube_cap) if F.n <= cube_cap else None
-    return ConstructionResult(poly, claim, cert, None)
+    return _with_certificate(_dnf_form(F, d, eps), F, POSITIVE, eps)
 
 
-def cnf_negative_onesided(F: Cnf, d: int, eps: float, cube_cap: int = CUBE_CAP) -> ConstructionResult:
+def cnf_negative_onesided(F: Cnf, d: int, eps: float) -> ConstructionResult:
     """Negative one-sided eps-approximation of a CNF, by reflection.
 
     -F(-x) is the DNF with the same signed clauses, so the negative
     approximation of F is -p(-x) for p the positive approximation of that
-    DNF; the certificate is recomputed against F directly.
+    DNF; only the reflected polynomial is certified, against F directly.
     """
-    mirror = Dnf(F.n, F.clauses)
-    pos = dnf_positive_onesided(mirror, d, eps, cube_cap=cube_cap)
-    poly = negate_onesided(pos.poly)
-    wb, db, _ = weight_and_degree(poly)
-    claim = OneSidedSpec(F, NEGATIVE, eps, max(db, 1), float(wb))
-    cert = verify_onesided(poly, F, eps, NEGATIVE, cap=cube_cap) if F.n <= cube_cap else None
-    return ConstructionResult(poly, claim, cert, pos.step_degree)
+    return _with_certificate(negate_onesided(_dnf_form(Dnf(F.n, F.clauses), d, eps)), F, NEGATIVE, eps)

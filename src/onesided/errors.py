@@ -14,7 +14,7 @@ class ParameterError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configured size cap (expansion, cube enumeration, LP size) was exceeded."""
+    """A size cap (expansion, cube enumeration, LP size) was exceeded."""
 
 
 class SolverError(RuntimeError):

@@ -115,11 +115,11 @@ def generate(c: Concept, noise: NoiseModel, m: int, seed: int, stream: int = TRA
 # Concept banks and brute-force optima
 
 
-def majority_bank(n: int, cap: int = 14) -> list[Concept]:
+def majority_bank(n: int) -> list[Concept]:
     """Majorities over every variable subset (2^n concepts, incl. the empty
-    subset, which is the constant -1)."""
-    if n > cap:
-        raise ResourceLimitError(f"majority bank enumerates 2^{n} concepts; cap is n={cap}")
+    subset, which is the constant -1); the cap is n = 14."""
+    if n > 14:
+        raise ResourceLimitError(f"majority bank enumerates 2^{n} concepts; cap is n=14")
     bank: list[Concept] = []
     for mask in range(2**n):
         vars_ = tuple(j + 1 for j in range(n) if (mask >> j) & 1)
@@ -127,10 +127,10 @@ def majority_bank(n: int, cap: int = 14) -> list[Concept]:
     return bank
 
 
-def monotone_disjunction_bank(n: int, cap: int = 20) -> list[Concept]:
-    """Monotone disjunctions over every variable subset (2^n concepts)."""
-    if n > cap:
-        raise ResourceLimitError(f"disjunction bank enumerates 2^{n} concepts; cap is n={cap}")
+def monotone_disjunction_bank(n: int) -> list[Concept]:
+    """Monotone disjunctions over every variable subset (2^n concepts); the cap is n = 20."""
+    if n > 20:
+        raise ResourceLimitError(f"disjunction bank enumerates 2^{n} concepts; cap is n=20")
     from .cube import Disjunction
 
     return [
@@ -318,7 +318,7 @@ class RunManifest:
         return manifest_hash(self.inputs_json())
 
 
-def run_experiment(manifest: RunManifest | dict, root: str | None = None, persist: bool = True) -> RunManifest:
+def run_experiment(manifest: RunManifest | dict, root: str | None = None) -> RunManifest:
     """Generate data, train the requested learner, evaluate held out, persist.
 
     The run directory is content-addressed by the hash of the input manifest;
@@ -365,11 +365,9 @@ def run_experiment(manifest: RunManifest | dict, root: str | None = None, persis
     except Exception as exc:
         manifest.results = dict(manifest.results or {})
         manifest.results["error"] = {"stage": stage, "message": str(exc)}
-        if persist:
-            _persist(manifest, None, None, root)
+        _persist(manifest, None, None, root)
         raise
-    if persist:
-        _persist(manifest, hyp_json, train, root)
+    _persist(manifest, hyp_json, train, root)
     return manifest
 
 
@@ -391,7 +389,7 @@ def _persist(manifest: RunManifest, hyp_json: dict | None, train: LabeledSample 
     (run_dir / "result.json").write_text(canonical_json(result) + "\n")
 
 
-def replay_run(run_dir: str | Path, root: str | None = None) -> tuple[bool, RunManifest]:
+def replay_run(run_dir: str | Path) -> tuple[bool, RunManifest]:
     """Re-execute a stored manifest and compare result.json byte-for-byte."""
     run_dir = Path(run_dir)
     manifest = RunManifest.from_json(json.loads((run_dir / "manifest.json").read_text()))

@@ -38,7 +38,7 @@ from .poly import SparsePolynomial, characters, monomials_upto, sparse_eval_batc
 #: Calibration sample must have at least CALIBRATION_FACTOR / eps^2 examples.
 CALIBRATION_FACTOR = 2.0
 
-#: Default cap on the number of monomial features in a fit.
+#: Cap on the number of monomial features in a fit.
 FEATURE_CAP = 8192
 
 
@@ -186,7 +186,6 @@ def reliable_fit(
     W: float,
     eps: float,
     sign: str = POSITIVE,
-    feature_cap: int = FEATURE_CAP,
 ) -> tuple[SparsePolynomial, FitReport]:
     """Solve the hinge-loss LP with hard constraints on the protected side."""
     if sign not in (POSITIVE, NEGATIVE):
@@ -196,8 +195,8 @@ def reliable_fit(
     if s.m < 1:
         raise InputError("cannot fit an empty sample")
     monos = monomials_upto(s.n, d)
-    if len(monos) > feature_cap:
-        raise ResourceLimitError(f"{len(monos)} monomial features exceed cap {feature_cap}")
+    if len(monos) > FEATURE_CAP:
+        raise ResourceLimitError(f"{len(monos)} monomial features exceed cap {FEATURE_CAP}")
     distinct, pos, negc = dedup(s.points, s.labels)
     phi = characters(distinct, monos)
     M = len(monos)
@@ -226,21 +225,18 @@ def reliable_fit(
     return poly, report
 
 
-def agnostic_l1_fit(
-    s: LabeledSample,
-    d: int,
-    W: float,
-    feature_cap: int = FEATURE_CAP,
-) -> tuple[SparsePolynomial, FitReport]:
+def agnostic_l1_fit(s: LabeledSample, d: int, W: float) -> tuple[SparsePolynomial, FitReport]:
     """Minimize sum_i |p(x_i) - y_i| subject to weight(p) <= W."""
     if s.m < 1:
         raise InputError("cannot fit an empty sample")
     monos = monomials_upto(s.n, d)
-    if len(monos) > feature_cap:
-        raise ResourceLimitError(f"{len(monos)} monomial features exceed cap {feature_cap}")
-    rows = np.hstack([s.points, s.labels[:, None]])
-    distinct, counts = np.unique(rows, axis=0, return_counts=True)
-    X, y = distinct[:, :-1], distinct[:, -1].astype(np.float64)
+    if len(monos) > FEATURE_CAP:
+        raise ResourceLimitError(f"{len(monos)} monomial features exceed cap {FEATURE_CAP}")
+    distinct, pos, negc = dedup(s.points, s.labels)
+    # the distinct labeled points: per distinct x in turn, (x, -1) then (x, +1) where seen
+    counts = np.stack([negc, pos], axis=1).ravel()
+    seen = np.flatnonzero(counts)
+    X, y, counts = distinct[seen // 2], np.where(seen % 2, 1.0, -1.0), counts[seen]
     M, k = len(monos), X.shape[0]
     # per distinct (x_j, y_j) in turn: p(x_j) - e_j <= y_j, then -p(x_j) - e_j <= -y_j
     up_down = np.array([[1.0], [-1.0]])

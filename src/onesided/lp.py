@@ -97,8 +97,8 @@ def solve(lp: LinearProgram) -> LpSolution:
     raise SolverError(f"LP backend failed (status {res.status}): {res.message}; iterations={getattr(res, 'nit', '?')}")
 
 
-def check_feasible(lp: LinearProgram, x: Sequence[float], tol: float = FEASIBILITY_TOL) -> float:
-    """Worst constraint violation of an assignment (<= tol means feasible)."""
+def check_feasible(lp: LinearProgram, x: Sequence[float]) -> float:
+    """Worst constraint violation of an assignment (<= ``FEASIBILITY_TOL`` means feasible)."""
     x = np.asarray(x, dtype=np.float64)
     worst = [0.0]
     if lp.A_ub is not None:

@@ -39,7 +39,7 @@ from .errors import DimensionError, InputError, ResourceLimitError
 
 Coef = Union[Fraction, float]
 
-#: Default cap on variables/degree for multilinear expansion.
+#: Cap on variables/degree for multilinear expansion.
 EXPANSION_CAP = 20
 
 
@@ -382,43 +382,43 @@ def negate_onesided(p: StructuredPolynomial) -> StructuredPolynomial:
     raise TypeError(f"not a structured polynomial: {p!r}")
 
 
-def expand(p: StructuredPolynomial, cap: int = EXPANSION_CAP) -> SparsePolynomial:
+def expand(p: StructuredPolynomial) -> SparsePolynomial:
     """Multilinear expansion of a structured form (x_i^2 = 1 applied).
 
     Exponential in the worst case; refuses when the variable count or the
-    outer degree exceeds ``cap``.
+    outer degree exceeds ``EXPANSION_CAP``.
     """
     if isinstance(p, SparseForm):
         return p.poly
     if isinstance(p, AffineForm):
-        if p.n > cap:
-            raise ResourceLimitError(f"expansion cap: {p.n} variables > cap {cap}")
-        if p.outer.degree > cap:
-            raise ResourceLimitError(f"expansion cap: outer degree {p.outer.degree} > cap {cap}")
+        if p.n > EXPANSION_CAP:
+            raise ResourceLimitError(f"expansion cap: {p.n} variables > cap {EXPANSION_CAP}")
+        if p.outer.degree > EXPANSION_CAP:
+            raise ResourceLimitError(f"expansion cap: outer degree {p.outer.degree} > cap {EXPANSION_CAP}")
         return _from_cube_numerators(p.n, *cube_numerators(p))
     if isinstance(p, SumForm):
         acc = sparse_constant(p.n, p.offset)
         for part in p.parts:
-            acc = acc + expand(part, cap)
+            acc = acc + expand(part)
         return acc
     raise TypeError(f"not a structured polynomial: {p!r}")
 
 
-def weight_and_degree(p: StructuredPolynomial, cap: int = EXPANSION_CAP) -> tuple[Coef, int, bool]:
+def weight_and_degree(p: StructuredPolynomial) -> tuple[Coef, int, bool]:
     """(weight, degree, exact) of a structured polynomial.
 
     Within the expansion cap the weight and degree of the expanded multilinear
-    form are exact; beyond it, the construction's analytic upper bounds are
-    returned with ``exact=False``.
+    form are exact; beyond it, :func:`analytic_bounds` are returned.
     """
     try:
-        q = expand(p, cap)
+        q = expand(p)
         return q.weight, q.degree, True
     except ResourceLimitError:
-        return _analytic_bounds(p)
+        return analytic_bounds(p)
 
 
-def _analytic_bounds(p: StructuredPolynomial) -> tuple[Coef, int, bool]:
+def analytic_bounds(p: StructuredPolynomial) -> tuple[Coef, int, bool]:
+    """(weight, degree, exact) upper bounds read off the structure, without expanding."""
     if isinstance(p, SparseForm):
         return p.poly.weight, p.poly.degree, True
     if isinstance(p, AffineForm):
@@ -428,7 +428,7 @@ def _analytic_bounds(p: StructuredPolynomial) -> tuple[Coef, int, bool]:
     if isinstance(p, SumForm):
         weights, degrees = [], []
         for part in p.parts:
-            wgt, deg, _ = _analytic_bounds(part)
+            wgt, deg, _ = analytic_bounds(part)
             weights.append(wgt)
             degrees.append(deg)
         return sum(weights, start=abs(p.offset)), max(degrees), False

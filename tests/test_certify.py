@@ -70,7 +70,7 @@ def test_verify_accepts_callable_targets():
 def test_verify_cap():
     p = const_poly(30, -1)
     with pytest.raises(ResourceLimitError):
-        verify_onesided(p, Disjunction(30, ()), 0.1, "positive", cap=24)
+        verify_onesided(p, Disjunction(30, ()), 0.1, "positive")
 
 
 def test_verify_rejects_unknown_sign():
@@ -152,4 +152,5 @@ def test_min_eps_witness_verifies(mode):
 
 def test_min_eps_caps():
     with pytest.raises(ResourceLimitError):
-        min_eps(Majority(4, (1, 2, 3)), 4, "positive", monomial_cap=3)
+        # 9,908 monomials of degree <= 7 in 14 variables exceed LP_MONOMIAL_CAP = 4096
+        min_eps(Majority(14, tuple(range(1, 15))), 7, "positive")

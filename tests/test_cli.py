@@ -71,6 +71,14 @@ def test_construct_quarter_and_tradeoff(capsys):
     assert json.loads(out)["certificate"]["ok"] is True
 
 
+@pytest.mark.parametrize("kind,concept", [("and-tradeoff", "CONJ +1 +2 +3"), ("dnf", "DNF (+1 +2 +3)")])
+def test_construct_degree_zero_is_a_domain_error(capsys, kind, concept):
+    code, _, err = run_cli(capsys, "construct", "--concept", concept, "--kind", kind,
+                           "--d", "0", "--eps", "0.1")
+    assert code == 1
+    assert "error:" in err
+
+
 def test_learn_disjunction_from_csv(tmp_path, capsys):
     from onesided.cube import Disjunction
 

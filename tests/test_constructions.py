@@ -156,7 +156,7 @@ def test_halfspace_onesided_negative_is_reflection():
 
 def test_halfspace_onesided_uncertified_beyond_cap():
     h = Halfspace(30, 0, tuple([1] * 30))
-    res = halfspace_onesided(h, "positive", 0.25, cube_cap=10)
+    res = halfspace_onesided(h, "positive", 0.25)  # n = 30 exceeds CUBE_CAP
     assert res.certificate is None
     assert not res.certified
     assert res.claim.degree_bound >= 1
@@ -276,6 +276,14 @@ def test_tradeoff_caps_variables():
         and_twosided_tradeoff(24, 10, 0.25)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_tradeoff_rejects_degree_below_one(d):
+    with pytest.raises(InputError):
+        and_twosided_tradeoff(3, d, 0.1)
+    with pytest.raises(InputError):
+        dnf_positive_onesided(Dnf(3, ((1, 2, 3),)), d, 0.1)
+
+
 def test_dnf_single_clause_matches_and_case():
     F = Dnf(3, ((1, 2, 3),))
     res = dnf_positive_onesided(F, 3, 0.25)
@@ -321,3 +329,18 @@ def test_cnf_negative_by_reflection():
     res = cnf_negative_onesided(F, 3, 0.25)
     assert res.certified
     assert verify_onesided(res.poly, F, 0.25, "negative").ok
+
+
+def test_cnf_is_certified_once(monkeypatch):
+    import onesided.constructions as cons
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return verify_onesided(*args, **kwargs)
+
+    monkeypatch.setattr(cons, "verify_onesided", counting)
+    F = Cnf(4, ((1, -2), (3, 4)))
+    assert cnf_negative_onesided(F, 2, 0.25).certified
+    assert calls == [F]

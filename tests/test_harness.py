@@ -104,6 +104,8 @@ def test_monotone_disjunction_bank():
     bank = monotone_disjunction_bank(3)
     assert len(bank) == 8
     assert Disjunction(3, ()) in bank
+    with pytest.raises(ResourceLimitError):
+        monotone_disjunction_bank(21)
 
 
 def test_brute_opt_noiseless_plant_attains_zero():

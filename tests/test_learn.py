@@ -7,7 +7,7 @@ import pytest
 from onesided.cube import (Disjunction, LabeledSample, Majority, cube_matrix,
                            empirical_metrics, eval_concept, eval_concept_batch,
                            make_sample)
-from onesided.errors import InfeasibleError, InputError
+from onesided.errors import InfeasibleError, InputError, ResourceLimitError
 from onesided.learn import (CALIBRATION_FACTOR, FitReport, ReliableHypothesis,
                             agnostic_l1_fit, agreement_hypothesis, chop,
                             choose_error_threshold, derandomize, learn_agnostic_l1,
@@ -269,6 +269,21 @@ def test_agreement_hypothesis_rules():
     conflicted = agreement_hypothesis(always_pos, always_neg, 2)
     assert conflicted.decide((1, 1)) == 0
     assert (conflicted.decide_batch(cube_matrix(2)) == 0).all()
+
+
+@pytest.mark.parametrize("fit", [
+    lambda s: reliable_fit(s, 5, 1.0, 0.1, "positive"),
+    lambda s: reliable_fit(s, 5, 1.0, 0.1, "negative"),
+    lambda s: agnostic_l1_fit(s, 5, 1.0),
+], ids=["reliable-positive", "reliable-negative", "agnostic-l1"])
+def test_fits_refuse_feature_count_beyond_cap(monkeypatch, fit):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no LP may be solved beyond FEATURE_CAP")
+
+    monkeypatch.setattr("onesided.lp.linprog", no_solve)
+    s = rand_sample(np.random.default_rng(0), 10, 20)
+    with pytest.raises(ResourceLimitError):  # 21,700 monomials of degree <= 5 in 20 variables
+        fit(s)
 
 
 # ---------------------------------------------------------------------------
