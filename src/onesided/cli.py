@@ -16,10 +16,10 @@ from pathlib import Path
 from . import certify as certify_mod
 from . import constructions as cons
 from . import harness, learn
-from .cube import (Halfspace, Majority, empirical_metrics, format_concept, load_sample_csv,
+from .cube import (Conjunction, Halfspace, Majority, empirical_metrics, format_concept, load_sample_csv,
                    majority_as_halfspace, parse_concept)
 from .errors import InputError
-from .poly import analytic_bounds, structured_from_json, structured_to_json
+from .poly import structured_from_json, structured_to_json
 
 
 def _print(obj, as_json: bool, human: str) -> None:
@@ -37,16 +37,10 @@ def _as_halfspace(concept) -> Halfspace:
 def _cmd_construct(args) -> int:
     concept = parse_concept(args.concept, args.n)
     if args.kind == "quarter":
-        poly = cons.halfspace_quarter(_as_halfspace(concept))
-        wb, db, _ = analytic_bounds(poly)
-        claim = cons.OneSidedSpec(concept, "positive", 0.25, max(db, 1), float(wb))
-        cert = certify_mod.verify_onesided(poly, concept, 0.25, "positive") if concept.n <= certify_mod.CUBE_CAP else None
-        result = cons.ConstructionResult(poly, claim, cert)
+        result = cons.certified(cons.halfspace_quarter(_as_halfspace(concept)), concept, "positive", 0.25, None)
     elif args.kind == "onesided":
         result = cons.halfspace_onesided(_as_halfspace(concept), args.sign, args.eps)
     elif args.kind == "and-tradeoff":
-        from onesided.cube import Conjunction
-
         if not isinstance(concept, Conjunction) or set(concept.literals) != set(range(1, concept.n + 1)):
             raise InputError("and-tradeoff targets the full positive conjunction, e.g. CONJ +1 +2 ... +n")
         result = cons.and_twosided_tradeoff(concept.n, args.d, args.eps)

@@ -3,9 +3,11 @@
 All constructions are built in exact rational arithmetic so the defining
 identities (normalization at the top endpoint, prescribed roots) hold
 bit-exactly.  Asymptotic parameter choices are replaced by fixed explicit
-constants plus a doubling schedule on the step-polynomial degree, with
-exhaustive certification as the acceptance gate at desk scale; results that
-could not be enumerated carry ``certificate=None``.
+constants plus one doubling schedule on the step-polynomial degree budget,
+shared by the halfspace and AND-tradeoff searches.  Every result is built by
+:func:`certified`: size bounds read off the form (analytic for an
+``AffineForm``, exact from the expansion otherwise) and an exhaustive
+certificate, None where the cube exceeds ``CUBE_CAP``.
 
 Two details carry the sgn(0) = -1 tie convention:
 
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import CUBE_CAP, CertReport, verify_onesided, verify_twosided
+from .certify import CertReport, verify_onesided, verify_twosided
 from .cube import NEGATIVE, POSITIVE, TWOSIDED, Concept, Conjunction, Cnf, Dnf, Halfspace, cube_matrix
 from .errors import InputError, ParameterError, ResourceLimitError
 from .poly import (EXPANSION_CAP, AffineForm, SparseForm, SparsePolynomial, StructuredPolynomial,
@@ -61,11 +63,27 @@ class ConstructionResult:
     poly: StructuredPolynomial
     claim: OneSidedSpec
     certificate: CertReport | None
-    step_degree: int | None = None  # chosen step-polynomial degree budget k
+    step_degree: int | None  # chosen step-polynomial degree budget k, None without a step polynomial
 
     @property
     def certified(self) -> bool:
         return self.certificate is not None and self.certificate.ok
+
+
+def certified(poly: StructuredPolynomial, target: Concept, sign: str, eps: float,
+              step_degree: int | None) -> ConstructionResult:
+    """``poly`` claimed as a ``sign`` eps-approximation of ``target``, with its certificate.
+
+    Expanding an ``AffineForm`` is exponential, so its bounds are analytic.
+    The certificate is None where the verifier refuses to enumerate the cube.
+    """
+    wb, db, _ = analytic_bounds(poly) if isinstance(poly, AffineForm) else weight_and_degree(poly)
+    claim = OneSidedSpec(target, sign, eps, max(db, 1), float(wb))
+    try:
+        cert = verify_twosided(poly, target, eps) if sign == TWOSIDED else verify_onesided(poly, target, eps, sign)
+    except ResourceLimitError:
+        cert = None
+    return ConstructionResult(poly, claim, cert, step_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -168,42 +186,47 @@ def step_poly(params: StepPolyParams) -> UniPoly:
     return poly * (Fraction(1) / c)
 
 
-def _doubling_schedule(k0: int, kmax: int) -> list[int]:
-    ks, k = [], max(3, k0)
-    while k < kmax:
-        ks.append(k)
+def _step_schedule(W: int, eps: float, attempt) -> ConstructionResult | None:
+    """``attempt(k)`` over the degree budgets k0 = max(3, ceil(sqrt(W log2(W) ln(2/eps)))), 2 k0, ... < 4W, 4W.
+
+    Skips budgets that raise ``ParameterError``; returns the first result that
+    is certified or has no certificate, else the last (None if none was valid).
+    """
+    k = max(3, math.ceil(math.sqrt(W * math.log2(W) * math.log(2 / eps))))
+    budgets = []
+    while k < 4 * W:
+        budgets.append(k)
         k *= 2
-    ks.append(max(3, kmax))
-    return sorted(set(ks))
+    last = None
+    for k in budgets + [4 * W]:
+        try:
+            last = attempt(k)
+        except ParameterError:
+            continue
+        if last.certificate is None or last.certificate.ok:
+            break
+    return last
 
 
 # ---------------------------------------------------------------------------
 # Subconstant-error halfspace construction
 
 
-def _step_form(base: Halfspace, k: int) -> tuple[AffineForm, StepPolyParams]:
-    """2*S(W' + t') - 1 over the shifted linear form t' = 2*linform - 1."""
-    W = base.weight
-    Wp = 2 * W + 1
-    params = default_step_params(Wp, k)
-    outer = (step_poly(params) * 2).shift(-1)
-    return AffineForm(outer, 2 * W + 2 * base.w0, tuple(2 * wi for wi in base.w)), params
-
-
 def reflect_halfspace(h: Halfspace) -> Halfspace:
     """The halfspace g with -g(-x) = h(x) under the sgn(0) = -1 convention."""
+    if h.w0 == 1 and not any(h.w):  # constant +1: reflect to the weight-1 constant -1
+        return Halfspace(h.n, -1, h.w)
     return Halfspace(h.n, 1 - h.w0, h.w)
 
 
 def halfspace_onesided(h: Halfspace, sign: str, eps: float) -> ConstructionResult:
     """One-sided eps-approximation of an integer-weight halfspace.
 
-    The step-polynomial degree budget k starts at
-    ceil(sqrt(W' log2(W') ln(2/eps))) and doubles until exhaustive
-    certification passes or the schedule exhausts at 4*W'.  The negative
-    side is the reflection -p(-x) of the positive construction for the
-    reflected halfspace.  When n exceeds ``CUBE_CAP`` the analytic-k
-    polynomial is returned with ``certificate=None``.
+    The step-polynomial degree budget follows :func:`_step_schedule` at
+    W' = 2W + 1, falling back to the largest valid budget when k0 lies above
+    all of them (small W').  The negative side is the reflection -p(-x) of the
+    positive construction for the reflected halfspace; past ``CUBE_CAP`` the
+    first valid budget's polynomial comes with ``certificate=None``.
     """
     if sign not in (POSITIVE, NEGATIVE):
         raise InputError(f"sign must be positive or negative, got {sign!r}")
@@ -211,25 +234,22 @@ def halfspace_onesided(h: Halfspace, sign: str, eps: float) -> ConstructionResul
         raise InputError(f"eps must lie in (0, 1/2], got {eps}")
     base = h if sign == POSITIVE else reflect_halfspace(h)
     Wp = 2 * base.weight + 1
-    k0 = math.ceil(math.sqrt(Wp * math.log2(Wp) * math.log(2 / eps)))
-    last: ConstructionResult | None = None
-    for k in _doubling_schedule(k0, 4 * Wp):
+
+    def attempt(k: int) -> ConstructionResult:
+        # 2*S(W' + t') - 1 over the shifted linear form t' = 2*linform - 1
+        outer = (step_poly(default_step_params(Wp, k)) * 2).shift(-1)
+        form = AffineForm(outer, Wp - 1 + 2 * base.w0, tuple(2 * wi for wi in base.w))
+        return certified(form if sign == POSITIVE else negate_onesided(form), h, sign, eps, k)
+
+    result = _step_schedule(Wp, eps, attempt)
+    if result is not None:
+        return result
+    for k in range(4 * Wp, 2, -1):  # valid budgets form one range, which here ends below k0
         try:
-            form, _ = _step_form(base, k)
+            return attempt(k)
         except ParameterError:
             continue
-        poly = form if sign == POSITIVE else negate_onesided(form)
-        wb, db, _ = analytic_bounds(poly)
-        claim = OneSidedSpec(h, sign, eps, max(db, 1), float(wb))
-        if h.n > CUBE_CAP:
-            return ConstructionResult(poly, claim, None, k)
-        cert = verify_onesided(poly, h, eps, sign)
-        last = ConstructionResult(poly, claim, cert, k)
-        if cert.ok:
-            return last
-    if last is None:
-        raise ParameterError(f"no valid step parameters for W'={Wp} in the doubling schedule")
-    return last
+    raise ParameterError(f"no valid step parameters for W'={Wp}")
 
 
 # ---------------------------------------------------------------------------
@@ -311,31 +331,19 @@ def and_twosided_tradeoff(n: int, d: int, eps: float) -> ConstructionResult:
     ratio_cap = n * n * math.log2(1 / eps) / (d * d)
     for t in _block_count_candidates(n, ratio_cap):
         if t == 1:
-            q = exact_and_sparse(n, target.literals)
-            poly = SparseForm(q)
-            claim = OneSidedSpec(target, TWOSIDED, eps, max(q.degree, 1), float(q.weight))
-            cert = verify_twosided(poly, target, eps)
-            return ConstructionResult(poly, claim, cert, None)
+            return certified(SparseForm(exact_and_sparse(n, target.literals)), target, TWOSIDED, eps, None)
 
         # blocks are the consecutive runs of n // t variables, i.e. of cube_matrix columns
-        true_blocks = (cube_matrix(n).reshape(-1, t, n // t) == 1).all(axis=2).sum(axis=1)
-        k0 = math.ceil(math.sqrt(t * math.log2(t) * math.log(2 / eps)))
-        last: ConstructionResult | None = None
-        for k in _doubling_schedule(k0, 4 * t):
-            try:
-                S = step_poly(default_step_params(t, k))
-            except ParameterError:
-                continue
+        true_blocks = (cube_matrix(n).reshape(-1, t, n // t) == 1).all(axis=2).sum(axis=1).tolist()
+
+        def attempt(k: int) -> ConstructionResult:
+            S = step_poly(default_step_params(t, k))
             by_count = [2 * S(c) - 1 for c in range(t + 1)]
-            p_sparse = interpolate(n, [by_count[c] for c in true_blocks.tolist()])
-            poly = SparseForm(p_sparse)
-            claim = OneSidedSpec(target, TWOSIDED, eps, max(p_sparse.degree, 1), float(p_sparse.weight))
-            cert = verify_twosided(poly, target, eps)
-            last = ConstructionResult(poly, claim, cert, k)
-            if cert.ok:
-                return last
-        if last is not None:
-            return last  # schedule exhausted at the chosen t; certificate records it
+            return certified(SparseForm(interpolate(n, [by_count[c] for c in true_blocks])), target, TWOSIDED, eps, k)
+
+        result = _step_schedule(t, eps, attempt)
+        if result is not None:
+            return result  # an uncertified result records the exhausted schedule in its certificate
         # the chosen block count admits no valid step parameters (tiny W=t);
         # fall through to the next smaller divisor, ending at the exact t=1 form
     raise ParameterError(f"no valid block count for n={n}")
@@ -362,13 +370,6 @@ def _dnf_form(F: Dnf, d: int, eps: float) -> StructuredPolynomial:
     return or_compose([_clause_twosided(F.n, cl, d, eps / m) for cl in F.clauses])
 
 
-def _with_certificate(poly: StructuredPolynomial, F: Concept, sign: str, eps: float) -> ConstructionResult:
-    wb, db, _ = weight_and_degree(poly)
-    claim = OneSidedSpec(F, sign, eps, max(db, 1), float(wb))
-    cert = verify_onesided(poly, F, eps, sign) if F.n <= CUBE_CAP else None
-    return ConstructionResult(poly, claim, cert, None)
-
-
 def dnf_positive_onesided(F: Dnf, d: int, eps: float) -> ConstructionResult:
     """Positive one-sided eps-approximation of a DNF.
 
@@ -377,7 +378,9 @@ def dnf_positive_onesided(F: Dnf, d: int, eps: float) -> ConstructionResult:
     the clause polynomial); the clause polynomials are then combined with
     :func:`or_compose`.
     """
-    return _with_certificate(_dnf_form(F, d, eps), F, POSITIVE, eps)
+    if not isinstance(F, Dnf):
+        raise InputError(f"dnf_positive_onesided needs a DNF, got {type(F).__name__}")
+    return certified(_dnf_form(F, d, eps), F, POSITIVE, eps, None)
 
 
 def cnf_negative_onesided(F: Cnf, d: int, eps: float) -> ConstructionResult:
@@ -387,4 +390,6 @@ def cnf_negative_onesided(F: Cnf, d: int, eps: float) -> ConstructionResult:
     approximation of F is -p(-x) for p the positive approximation of that
     DNF; only the reflected polynomial is certified, against F directly.
     """
-    return _with_certificate(negate_onesided(_dnf_form(Dnf(F.n, F.clauses), d, eps)), F, NEGATIVE, eps)
+    if not isinstance(F, Cnf):
+        raise InputError(f"cnf_negative_onesided needs a CNF, got {type(F).__name__}")
+    return certified(negate_onesided(_dnf_form(Dnf(F.n, F.clauses), d, eps)), F, NEGATIVE, eps, None)

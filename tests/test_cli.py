@@ -79,6 +79,37 @@ def test_construct_degree_zero_is_a_domain_error(capsys, kind, concept):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("kind,concept", [("dnf", "MAJ 1 2"), ("dnf", "CNF (+1 +2)(-3)"),
+                                          ("cnf", "MAJ 1 2"), ("cnf", "DNF (+1 +2)(-3)")])
+def test_construct_formula_kind_needs_its_formula(capsys, kind, concept):
+    code, out, err = run_cli(capsys, "construct", "--concept", concept, "--kind", kind, "--eps", "0.1")
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in out + err
+
+
+def test_construct_small_weight_onesided_at_small_eps(capsys):
+    code, out, _ = run_cli(capsys, "construct", "--concept", "MAJ 1", "--kind", "onesided", "--eps", "0.01")
+    assert code == 0
+    assert "certified=True" in out
+
+
+def test_construct_quarter_beyond_cube_cap_is_uncertified(capsys, monkeypatch):
+    import onesided.certify as certify
+
+    def no_enumeration(n):
+        raise AssertionError(f"enumerated the {n}-cube")
+
+    monkeypatch.setattr(certify, "cube_matrix", no_enumeration)  # what _scan enumerates with
+    n = certify.CUBE_CAP + 1
+    code, out, _ = run_cli(capsys, "construct", "--concept", "MAJ " + " ".join(map(str, range(1, n + 1))),
+                           "--kind", "quarter", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["certificate"] is None
+    assert payload["degree_bound"] == 20  # 4 * ceil(sqrt(25))
+
+
 def test_learn_disjunction_from_csv(tmp_path, capsys):
     from onesided.cube import Disjunction
 

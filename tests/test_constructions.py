@@ -144,20 +144,35 @@ def test_halfspace_onesided_dictator_two_point():
 
 
 def test_halfspace_onesided_negative_is_reflection():
-    h = majority_as_halfspace(maj(3))
-    res_neg = halfspace_onesided(h, "negative", 0.1)
-    assert res_neg.certified
-    res_pos = halfspace_onesided(reflect_halfspace(h), "positive", 0.1)
-    mirrored = negate_onesided(res_pos.poly)
-    for bits in cube_matrix(3):
-        t = tuple(int(b) for b in bits)
-        assert eval_exact(res_neg.poly, t) == eval_exact(mirrored, t)
+    for h in (majority_as_halfspace(maj(3)), Halfspace(3, 1, (0, 0, 0))):  # the second is constant +1
+        g = reflect_halfspace(h)
+        res_neg = halfspace_onesided(h, "negative", 0.1)
+        assert res_neg.certified
+        res_pos = halfspace_onesided(g, "positive", 0.1)
+        mirrored = negate_onesided(res_pos.poly)
+        for bits in cube_matrix(3):
+            t = tuple(int(b) for b in bits)
+            assert -eval_concept(g, tuple(-b for b in t)) == eval_concept(h, t)
+            assert eval_exact(res_neg.poly, t) == eval_exact(mirrored, t)
+
+
+@pytest.mark.parametrize("h,sign,eps,k", [
+    (Halfspace(1, 0, (1,)), "positive", 0.01, 4),  # W' = 3, k0 = 6; only k in {3, 4} is valid
+    (Halfspace(2, 0, (1, 1)), "positive", 0.001, 9),  # W' = 5, k0 = 10
+    (Halfspace(1, 0, (1,)), "negative", 1e-4, 9),  # reflected weight 2, W' = 5, k0 = 12
+    (Halfspace(2, 0, (1, -1)), "negative", 1e-7, 17),  # reflected weight 3, W' = 7, k0 = 19
+])
+def test_halfspace_onesided_small_weight_takes_largest_valid_budget(h, sign, eps, k):
+    res = halfspace_onesided(h, sign, eps)
+    assert res.certified
+    assert res.step_degree == k
 
 
 def test_halfspace_onesided_uncertified_beyond_cap():
     h = Halfspace(30, 0, tuple([1] * 30))
     res = halfspace_onesided(h, "positive", 0.25)  # n = 30 exceeds CUBE_CAP
     assert res.certificate is None
+    assert res.step_degree == 28  # k0 = ceil(sqrt(61 log2(61) ln 8)), the first budget tried
     assert not res.certified
     assert res.claim.degree_bound >= 1
 
@@ -322,6 +337,15 @@ def test_dnf_empty_is_constant_false():
     res = dnf_positive_onesided(Dnf(2, ()), 1, 0.25)
     assert res.certified
     assert eval_exact(res.poly, (1, 1)) == -1
+
+
+def test_dnf_and_cnf_reject_other_concepts():
+    for concept in (maj(3), Cnf(3, ((1, 2),))):
+        with pytest.raises(InputError):
+            dnf_positive_onesided(concept, 2, 0.25)
+    for concept in (maj(3), Dnf(3, ((1, 2),))):
+        with pytest.raises(InputError):
+            cnf_negative_onesided(concept, 2, 0.25)
 
 
 def test_cnf_negative_by_reflection():

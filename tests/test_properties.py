@@ -9,7 +9,8 @@ import pytest
 from scipy import sparse
 
 from onesided.certify import verify_onesided, verify_twosided
-from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Majority, constant_concept, cube_matrix, dedup,
+from onesided.constructions import halfspace_onesided
+from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Halfspace, Majority, constant_concept, cube_matrix, dedup,
                            eval_concept_batch, format_concept)
 from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
                               monotone_disjunction_bank)
@@ -188,3 +189,25 @@ def test_certification_matches_pointwise_scan(data, n, eps, tol):
     for sign in (POSITIVE, NEGATIVE):
         assert verify_onesided(p, f, eps, sign, tol=tol).to_json() == _pointwise_report(p, f, eps, sign, tol)
     assert verify_twosided(p, f, eps, tol=tol).to_json() == _pointwise_report(p, f, eps, TWOSIDED, tol)
+
+
+# ---------------------------------------------------------------------------
+# Halfspace constructions certify at every weight and eps
+
+
+@st.composite
+def small_halfspaces(draw):
+    n = draw(st.integers(1, 6))
+    w0 = draw(st.integers(-3, 3))
+    w = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    hypothesis.assume(abs(w0) + sum(map(abs, w)) >= 1)
+    return Halfspace(n, w0, tuple(w))
+
+
+@settings(max_examples=200)
+@given(h=small_halfspaces(), sign=st.sampled_from([POSITIVE, NEGATIVE]),
+       eps=st.sampled_from([0.5, 0.1, 0.01, 1e-3, 1e-6]))
+def test_halfspace_onesided_certifies(h, sign, eps):
+    res = halfspace_onesided(h, sign, eps)
+    assert res.certified
+    assert res.certificate == verify_onesided(res.poly, h, eps, sign)
