@@ -14,9 +14,12 @@ slacks]: a block of character rows of the sample with -I on the slacks,
 a block of hard rows, then the weight-cap block, which encodes the cap with
 split variables as the row pair c_S - u_S <= 0, -c_S - u_S <= 0 per
 monomial and one row sum u_S <= W, so the objective stays exactly the
-hinge sum.  The L1 learner uses the same layout with one absolute-error
-slack per distinct labeled point.  Duplicate sample points are merged into
-weighted rows before solving; the optimum is unchanged.
+hinge sum.  The L1 learner solves the least-absolute-deviation form over
+[c | u | e+ | e-]: one equality row p(x_j) - e+_j + e-_j = y_j per distinct
+labeled point, with both slacks >= 0 and weighted by the point's count,
+then the same weight-cap block.  Duplicate sample points are merged into
+weighted rows before solving; the optimum is unchanged.  Both fits run on
+HiGHS's default ``"highs"`` method (dual simplex on these LPs).
 
 Derandomization always uses a fresh calibration sample, never training data.
 """
@@ -165,13 +168,16 @@ def _weight_block(M: int, W: float, nslack: int):
     return A, b
 
 
-def _capped_program(A_fit, b_fit: np.ndarray, slack_weights: np.ndarray, M: int, W: float) -> lpmod.LinearProgram:
-    """Minimize the weighted slacks over [c | u | slacks]: the fit rows, then the weight cap."""
+def _capped_program(slack_weights: np.ndarray, M: int, W: float, A_ub=None, b_ub=None,
+                    A_eq=None, b_eq=None) -> lpmod.LinearProgram:
+    """Minimize the weighted slacks over [c | u | slacks]: the fit's <= rows, then the
+    weight cap; the fit's equality rows, if any, go to ``A_eq``."""
     A_cap, b_cap = _weight_block(M, W, len(slack_weights))
+    if A_ub is not None:
+        A_cap, b_cap = sparse.vstack([A_ub, A_cap], format="csr"), np.concatenate([b_ub, b_cap])
     return lpmod.LinearProgram(
         np.concatenate([np.zeros(2 * M), slack_weights.astype(np.float64)]),
-        sparse.vstack([A_fit, A_cap], format="csr"),
-        np.concatenate([b_fit, b_cap]),
+        A_cap, b_cap, A_eq, b_eq,
         bounds=tuple([(None, None)] * M + [(0.0, None)] * (M + len(slack_weights))),
     )
 
@@ -213,7 +219,7 @@ def reliable_fit(
         sparse.hstack([sparse.csr_array(side * phi[hard_idx]), sparse.csr_array((nhard, M + nh))]),
     ])
     b_fit = np.concatenate([np.full(nh, -1.0), np.full(nhard, -1.0 + eps)])
-    program = _capped_program(A_fit, b_fit, hinge_counts[hinge_idx], M, W)
+    program = _capped_program(hinge_counts[hinge_idx], M, W, A_fit, b_fit)
     sol = lpmod.solve(program)
     if sol.status == "infeasible":
         raise InfeasibleError(f"hinge LP infeasible (weight cap W={W} too small for eps={eps})")
@@ -238,12 +244,10 @@ def agnostic_l1_fit(s: LabeledSample, d: int, W: float) -> tuple[SparsePolynomia
     seen = np.flatnonzero(counts)
     X, y, counts = distinct[seen // 2], np.where(seen % 2, 1.0, -1.0), counts[seen]
     M, k = len(monos), X.shape[0]
-    # per distinct (x_j, y_j) in turn: p(x_j) - e_j <= y_j, then -p(x_j) - e_j <= -y_j
-    up_down = np.array([[1.0], [-1.0]])
-    A_fit = sparse.hstack([sparse.csr_array(np.kron(characters(X, monos), up_down)),
-                           sparse.csr_array((2 * k, M)),
-                           sparse.kron(sparse.identity(k, format="csr"), np.array([[-1.0], [-1.0]]))])
-    program = _capped_program(A_fit, np.kron(y, [1.0, -1.0]), counts, M, W)
+    # per distinct (x_j, y_j) in turn: p(x_j) - e+_j + e-_j = y_j, so |p(x_j) - y_j| = e+_j + e-_j at the optimum
+    eye = sparse.identity(k, format="csr")
+    A_eq = sparse.hstack([sparse.csr_array(characters(X, monos)), sparse.csr_array((k, M)), -eye, eye])
+    program = _capped_program(np.concatenate([counts, counts]), M, W, A_eq=A_eq, b_eq=y)
     sol = lpmod.solve(program)
     if sol.status == "infeasible":
         raise InfeasibleError("L1 LP infeasible")
@@ -313,14 +317,14 @@ def choose_error_threshold(values: np.ndarray, labels: np.ndarray) -> float:
     """Threshold minimizing empirical error of +1 iff value > t (ties: smaller t)."""
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
-    candidates = [-math.inf] + [float(v) for v in np.unique(values)] + [math.inf]
-    best_t, best_err = None, None
-    for t in candidates:
-        pred = np.where(values > t, 1, -1)
-        err = float(np.count_nonzero(pred != labels)) / labels.size
-        if best_err is None or err < best_err - 1e-15:
-            best_t, best_err = t, err
-    return best_t
+    candidates = np.concatenate([[-math.inf], np.unique(values), [math.inf]])
+    order = np.argsort(values)
+    below = np.searchsorted(values[order], candidates, side="right")  # points answered -1 at each t
+    # errors at t: non-(-1) labels among the points <= t, plus non-(+1) labels among those > t
+    miss_low = np.concatenate([[0], np.cumsum(labels[order] != -1)])
+    miss_high = np.concatenate([[0], np.cumsum(labels[order] != 1)])
+    errors = miss_low[below] + miss_high[-1] - miss_high[below]
+    return float(candidates[np.argmin(errors)])  # argmin takes the earliest, i.e. smallest, t
 
 
 # ---------------------------------------------------------------------------

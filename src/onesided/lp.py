@@ -8,7 +8,10 @@ CSR arrays.  Callers build their rows as sparse blocks and receive
 :class:`LpSolution` values; a ``>=`` row is written negated as a ``<=`` row.
 Solving passes the matrices unchanged to scipy's HiGHS backend, which is
 deterministic for identical input and enforces a primal feasibility
-tolerance of 1e-7 (its default, matching the contract here).  Statuses map
+tolerance of 1e-7 (its default, matching the contract here).  The caller
+picks the HiGHS algorithm: the default ``"highs"`` (dual simplex on the
+learners' fits), or ``"highs-ipm"`` (interior point, then crossover to a
+vertex) for the tall full-cube LP of the error oracle.  Statuses map
 onto a fixed taxonomy: ``optimal``, ``infeasible``, ``unbounded``; anything
 else raises :class:`SolverError` with the backend's message.
 """
@@ -83,11 +86,11 @@ class LpSolution:
     objective_value: float | None = None
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve a linear program; deterministic for identical input."""
+def solve(lp: LinearProgram, method: str = "highs") -> LpSolution:
+    """Solve a linear program with scipy's HiGHS ``method``; deterministic for identical input."""
     bounds = list(lp.bounds) if lp.bounds is not None else [(None, None)] * lp.nvars
     res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
-                  bounds=bounds, method="highs")
+                  bounds=bounds, method=method)
     if res.status == 0:
         return LpSolution("optimal", np.asarray(res.x, dtype=np.float64), float(res.fun))
     if res.status == 2:
@@ -113,7 +116,10 @@ def check_feasible(lp: LinearProgram, x: Sequence[float]) -> float:
 
 
 def count_active(lp: LinearProgram, x: np.ndarray) -> int:
-    """Number of ``A_ub`` rows that hold with equality, within ``FEASIBILITY_TOL``, at ``x``."""
-    if lp.A_ub is None:
-        return 0
-    return int(np.count_nonzero(np.abs(lp.A_ub @ x - lp.b_ub) <= FEASIBILITY_TOL))
+    """Number of constraint rows active at ``x``: every ``A_eq`` row, since it holds with
+    equality at any feasible point, plus the ``A_ub`` rows that hold with equality within
+    ``FEASIBILITY_TOL``."""
+    active = 0 if lp.A_eq is None else lp.A_eq.shape[0]
+    if lp.A_ub is not None:
+        active += int(np.count_nonzero(np.abs(lp.A_ub @ x - lp.b_ub) <= FEASIBILITY_TOL))
+    return active

@@ -348,7 +348,10 @@ def cube_numerators(p: StructuredPolynomial) -> tuple[np.ndarray, int]:
     their parts' numerators over the lcm of their denominators.
     """
     if isinstance(p, AffineForm):
-        ts = (cube_matrix(p.n).astype(np.int64) @ np.asarray(p.w, dtype=np.int64)) + p.w0
+        X = cube_matrix(p.n)
+        ts = np.full(X.shape[0], p.w0, dtype=np.int64)
+        for j, wj in enumerate(p.w):  # column by column: an int64 copy of X would be 8x its size
+            ts += X[:, j].astype(np.int64) * np.int64(wj)
         ts, inverse = np.unique(ts, return_inverse=True)
         table, denom = _over_common_denominator([p.outer(int(t)) for t in ts])
         return table[inverse], denom

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from onesided.errors import InputError
-from onesided.lp import LinearProgram, check_feasible, solve
+from onesided.lp import LinearProgram, check_feasible, count_active, solve
 
 
 def test_minimize_with_lower_bound():
@@ -99,6 +99,16 @@ def test_check_feasible_and_dump():
     assert check_feasible(eq, [1.0, 3.0]) == pytest.approx(2.0)
 
 
+def test_count_active_counts_every_equality_row():
+    program = LinearProgram(np.array([1.0, 1.0]), [[1.0, 0.0], [0.0, 1.0]], [1.0, 5.0],
+                            A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[3.0, -1.0])
+    x = np.array([1.0, 2.0])
+    assert count_active(program, x) == 3  # both equality rows, and x_1 <= 1 but not x_2 <= 5
+    assert count_active(LinearProgram(np.array([1.0, 1.0]), [[1.0, 0.0]], [1.0]), x) == 1
+    assert count_active(LinearProgram(np.array([1.0, 1.0]), A_eq=[[1.0, 1.0]], b_eq=[3.0]), x) == 1
+    assert count_active(LinearProgram(np.array([1.0, 1.0])), x) == 0
+
+
 def test_validation_errors():
     with pytest.raises(InputError):
         LinearProgram(np.array([]))
@@ -132,13 +142,19 @@ def captured(monkeypatch):
     return calls
 
 
-def _assert_layout(call, A_expected, b_expected):
-    A = call["A_ub"]
+def _assert_rows(A, b, A_expected, b_expected):
     assert sparse.issparse(A)
     assert A.nnz == np.count_nonzero(A_expected)  # no stored zeros
     np.testing.assert_array_equal(A.toarray(), np.array(A_expected, dtype=float))
-    np.testing.assert_array_equal(call["b_ub"], np.array(b_expected, dtype=float))
-    assert call["A_eq"] is None
+    np.testing.assert_array_equal(b, np.array(b_expected, dtype=float))
+
+
+def _assert_layout(call, A_expected, b_expected, A_eq_expected=None, b_eq_expected=None):
+    _assert_rows(call["A_ub"], call["b_ub"], A_expected, b_expected)
+    if A_eq_expected is None:
+        assert call["A_eq"] is None and call["b_eq"] is None
+    else:
+        _assert_rows(call["A_eq"], call["b_eq"], A_eq_expected, b_eq_expected)
 
 
 def _tiny_sample():
@@ -176,6 +192,7 @@ def test_reliable_fit_positive_layout(captured):
     _assert_layout(captured[0], A, [-1, -0.75, -0.75, 0, 0, 0, 0, 0, 0, 2.0])
     np.testing.assert_array_equal(captured[0]["c"], [0, 0, 0, 0, 0, 0, 2])  # (1,1) appears twice
     assert captured[0]["bounds"] == [(None, None)] * 3 + [(0.0, None)] * 4
+    assert captured[0]["method"] == "highs"
     assert report.lp_status == "optimal"
 
 
@@ -194,16 +211,18 @@ def test_reliable_fit_negative_layout(captured):
 def test_agnostic_l1_fit_layout(captured):
     from onesided.learn import agnostic_l1_fit
 
-    agnostic_l1_fit(_tiny_sample(), 1, 2.0)
-    A = [
-        [1, -1, -1, 0, 0, 0, -1, 0, 0],   # (-1,-1), y = -1: p - e <= y
-        [-1, 1, 1, 0, 0, 0, -1, 0, 0],    #                 -p - e <= -y
-        [1, -1, 1, 0, 0, 0, 0, -1, 0],    # (-1,1), y = -1
-        [-1, 1, -1, 0, 0, 0, 0, -1, 0],
-        [1, 1, 1, 0, 0, 0, 0, 0, -1],     # (1,1), y = +1
-        [-1, -1, -1, 0, 0, 0, 0, 0, -1],
-    ] + _with_slacks(_WEIGHT, 3)
-    _assert_layout(captured[0], A, [-1, 1, -1, 1, 1, -1, 0, 0, 0, 0, 0, 0, 2.0])
+    _, report = agnostic_l1_fit(_tiny_sample(), 1, 2.0)
+    # columns [c_(), c_1, c_2 | u_(), u_1, u_2 | e+ per point | e- per point]
+    A_eq = [
+        [1, -1, -1, 0, 0, 0, -1, 0, 0, 1, 0, 0],   # (-1,-1), y = -1: p - e+ + e- = y
+        [1, -1, 1, 0, 0, 0, 0, -1, 0, 0, 1, 0],    # (-1,1), y = -1
+        [1, 1, 1, 0, 0, 0, 0, 0, -1, 0, 0, 1],     # (1,1), y = +1
+    ]
+    _assert_layout(captured[0], _with_slacks(_WEIGHT, 6), [0, 0, 0, 0, 0, 0, 2.0], A_eq, [-1, -1, 1])
+    np.testing.assert_array_equal(captured[0]["c"], [0, 0, 0, 0, 0, 0, 1, 1, 2, 1, 1, 2])
+    assert captured[0]["bounds"] == [(None, None)] * 3 + [(0.0, None)] * 9
+    assert captured[0]["method"] == "highs"
+    assert report.constraints_active >= 3  # every equality row counts as active
 
 
 @pytest.mark.parametrize("mode, A, b", [
@@ -224,3 +243,4 @@ def test_min_eps_layout(captured, mode, A, b):
 
     min_eps(Disjunction(2, (1, 2)), 1, mode)
     _assert_layout(captured[0], A, b)
+    assert captured[0]["method"] == "highs-ipm"

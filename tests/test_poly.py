@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from onesided.cube import Halfspace, Majority, cube_matrix, eval_concept
 from onesided.errors import DimensionError, InputError, ResourceLimitError
 from onesided.poly import (AffineForm, SparseForm, SparsePolynomial, SumForm, UniPoly,
-                           characters, chebyshev, eval_exact, eval_on_cube, exact_multilinear, expand,
-                           interpolate, monomials_upto, negate_onesided, sparse_eval_batch,
-                           sparse_from_json, sparse_to_json, structured_from_json,
+                           characters, chebyshev, cube_numerators, eval_exact, eval_on_cube,
+                           exact_multilinear, expand, interpolate, monomials_upto, negate_onesided,
+                           sparse_eval_batch, sparse_from_json, sparse_to_json, structured_from_json,
                            structured_to_json, weight_and_degree)
 from onesided.poly import eval as eval_float
 
@@ -130,6 +131,24 @@ def test_eval_on_cube_takes_float_coefficients_exactly():
     assert all(isinstance(v, Fraction) for v in values)
     assert values == eval_on_cube(SparseForm(exact))
     assert values == [exact.eval(tuple(int(b) for b in row)) for row in cube_matrix(3)]
+
+
+def test_affine_cube_numerators_take_weights_beyond_int8():
+    p = AffineForm(UniPoly((Fraction(1, 3), Fraction(-2), Fraction(5, 7))), -129, (200, -300, 1000, 128))
+    assert eval_on_cube(p) == [eval_exact(p, tuple(int(b) for b in row)) for row in cube_matrix(4)]
+
+
+def test_affine_cube_numerators_transient_memory_stays_near_the_cube_matrix():
+    n = 18
+    p = AffineForm(UniPoly((Fraction(1, 3), Fraction(2), Fraction(-1, 7))), 5, tuple(range(1, n + 1)))
+    matrix_bytes = n * 2**n  # the int8 cube matrix the form is evaluated on
+    tracemalloc.start()
+    try:
+        cube_numerators(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * matrix_bytes
 
 
 def test_weight_and_degree_examples():

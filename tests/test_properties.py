@@ -1,22 +1,28 @@
 """Property tests; they need the optional ``hypothesis`` package (the ``test`` extra)."""
 
+import collections
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import optimize, sparse
 
-from onesided.certify import verify_onesided, verify_twosided
+import onesided.lp as lpmod
+from onesided.certify import min_eps, verify_onesided, verify_twosided
 from onesided.constructions import halfspace_onesided
-from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Halfspace, Majority, constant_concept, cube_matrix, dedup,
-                           eval_concept_batch, format_concept)
+from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Conjunction, Disjunction, Halfspace, Majority,
+                           constant_concept, cube_matrix, dedup, eval_concept_batch, format_concept,
+                           make_sample)
 from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
                               monotone_disjunction_bank)
+from onesided.learn import agnostic_l1_fit, choose_error_threshold
 from onesided.lp import FEASIBILITY_TOL, LinearProgram, check_feasible, solve
 from onesided.poly import (AffineForm, SparseForm, SparsePolynomial, SumForm, UniPoly,
-                           eval_exact, eval_on_cube, exact_multilinear, expand, interpolate)
+                           eval_exact, eval_on_cube, exact_multilinear, expand, interpolate,
+                           monomials_upto)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -46,6 +52,113 @@ def test_solution_is_feasible_property(program):
     sol = solve(program)
     assert sol.status == "optimal"
     assert check_feasible(program, sol.values) <= FEASIBILITY_TOL
+
+
+# ---------------------------------------------------------------------------
+# The L1 fit and the error oracle against independently solved LPs
+
+
+def _two_row_l1_optimum(counts, n, d, W):
+    """Optimum of the L1 fit written with two rows per distinct labeled point (x, y) of count w:
+    p(x) - e <= y and -p(x) - e <= -y, then |c_S| <= u_S and sum u <= W; minimize sum w e."""
+    monos = monomials_upto(n, d)
+    M, k = len(monos), len(counts)
+    rows, b = [], []
+    for j, (x, y) in enumerate(counts):
+        chi = [math.prod(x[v - 1] for v in mono) for mono in monos]
+        e = [0] * k
+        e[j] = -1
+        rows += [chi + [0] * M + e, [-v for v in chi] + [0] * M + e]
+        b += [y, -y]
+    for i in range(M):
+        for sgn in (1, -1):
+            row = [0] * (2 * M + k)
+            row[i], row[M + i] = sgn, -1
+            rows.append(row)
+            b.append(0)
+    rows.append([0] * M + [1] * M + [0] * k)
+    b.append(W)
+    res = optimize.linprog([0] * (2 * M) + list(counts.values()), A_ub=np.array(rows, dtype=float), b_ub=b,
+                           bounds=[(None, None)] * M + [(0, None)] * (M + k), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@st.composite
+def repeated_samples(draw):
+    """Samples over a small pool of points, so points repeat and some carry both labels."""
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.tuples(*[st.sampled_from([-1, 1])] * n), min_size=1, max_size=6))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([-1, 1])), min_size=1, max_size=30))
+    return make_sample([x for x, _ in picks], [y for _, y in picks], n)
+
+
+@settings(max_examples=80)
+@given(s=repeated_samples(), d=st.integers(1, 3), W=st.sampled_from([0.0, 0.5, 2.0]))
+def test_agnostic_l1_fit_matches_two_row_lp(s, d, W):
+    d = min(d, s.n)
+    p, report = agnostic_l1_fit(s, d, W)
+    counts = collections.Counter((tuple(int(v) for v in x), int(y)) for x, y in zip(s.points, s.labels))
+    assert report.objective_value == pytest.approx(_two_row_l1_optimum(counts, s.n, d, W), rel=1e-9, abs=1e-9)
+    loss = sum(w * abs(float(p.eval(x)) - y) for (x, y), w in counts.items())
+    assert report.objective_value == pytest.approx(loss, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def symmetric_targets(draw):
+    """MAJ, OR and AND over a random support of at most 6 variables, literals signed for OR and AND."""
+    n = draw(st.integers(1, 6))
+    support = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    kind = draw(st.sampled_from([Majority, Disjunction, Conjunction]))
+    if kind is Majority:
+        return Majority(n, tuple(support))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(support), max_size=len(support)))
+    return kind(n, tuple(s * v for s, v in zip(signs, support)))
+
+
+@settings(max_examples=80)
+@given(f=symmetric_targets(), d=st.integers(1, 3), mode=st.sampled_from([POSITIVE, NEGATIVE, TWOSIDED]))
+def test_min_eps_matches_simplex_resolve(f, d, mode):
+    calls = []
+    real = lpmod.linprog
+
+    def spy(c, **kwargs):
+        calls.append((c, kwargs, real(c, **kwargs)))
+        return calls[-1][2]
+
+    with mock.patch.object(lpmod, "linprog", spy):
+        eps, _ = min_eps(f, d, mode)
+    (c, kwargs, res), = calls
+    assert kwargs["method"] == "highs-ipm"
+    simplex = optimize.linprog(c, **{**kwargs, "method": "highs"})
+    assert simplex.status == 0
+    assert eps == pytest.approx(simplex.fun, abs=1e-9)
+    program = LinearProgram(c, kwargs["A_ub"], kwargs["b_ub"], bounds=tuple(kwargs["bounds"]))
+    assert check_feasible(program, res.x) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Error threshold against the per-candidate loop
+
+
+def _threshold_by_loop(values, labels):
+    """One pass over the sample per candidate t, keeping the earliest strictly smaller error."""
+    candidates = [-math.inf] + [float(v) for v in np.unique(values)] + [math.inf]
+    best_t, best_err = None, None
+    for t in candidates:
+        pred = np.where(values > t, 1, -1)
+        err = float(np.count_nonzero(pred != labels)) / labels.size
+        if best_err is None or err < best_err - 1e-15:
+            best_t, best_err = t, err
+    return best_t
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([-1.0, -0.25, 0.0, 0.5, 1.0]), st.floats(-2, 2)),
+                          st.sampled_from([-1, 1])), min_size=1, max_size=40))
+def test_choose_error_threshold_matches_loop(pairs):
+    values, labels = np.array([v for v, _ in pairs]), np.array([y for _, y in pairs])
+    assert choose_error_threshold(values, labels) == _threshold_by_loop(values, labels)
 
 
 # ---------------------------------------------------------------------------
