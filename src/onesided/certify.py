@@ -24,7 +24,8 @@ from scipy import sparse
 from . import lp as lpmod
 from .cube import NEGATIVE, POSITIVE, TWOSIDED, BoolFunc, cube_matrix, target_values
 from .errors import InputError, ResourceLimitError, SolverError
-from .poly import SparsePolynomial, StructuredPolynomial, characters, cube_numerators, monomials_upto
+from .poly import (SparsePolynomial, StructuredPolynomial, characters, cube_numerators, from_lp_solution,
+                   monomials_upto)
 
 EXACT_TOL = 1e-9
 LP_WITNESS_TOL = 1e-7
@@ -180,6 +181,4 @@ def min_eps(
     sol = lpmod.solve(lpmod.LinearProgram(objective, A_ub, b_ub, bounds=tuple(bounds)), method="highs-ipm")
     if sol.status != "optimal":
         raise SolverError(f"LP oracle did not reach optimality: status={sol.status}")
-    coeffs = sol.values[:-1]
-    terms = {mono: float(c) for mono, c in zip(monos, coeffs) if abs(c) > 1e-12}
-    return float(sol.values[-1]), SparsePolynomial(n, terms)
+    return float(sol.values[-1]), from_lp_solution(n, monos, sol.values[:-1])

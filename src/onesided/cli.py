@@ -139,12 +139,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    sample = load_sample_csv(args.sample)
-    bank = harness.majority_bank(sample.n) if args.bank == "majority" else harness.monotone_disjunction_bank(sample.n)
-    value, arg = harness.brute_opt(sample, bank, args.mode)
-    enc = [format_concept(a) for a in arg] if isinstance(arg, tuple) else format_concept(arg)
-    _print({"bank": args.bank, "mode": args.mode, "opt": value, "argmin": enc},
-           args.json, f"opt({args.mode}) = {value:.6f} at {enc}")
+    record = harness.oracle_record(load_sample_csv(args.sample), args.bank, args.mode)
+    _print(record, args.json, f"opt({args.mode}) = {record['opt']:.6f} at {record['argmin']}")
     return 0
 
 
@@ -215,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--calib", default=None)
     p.add_argument("--heldout", default=None)
-    p.add_argument("--algo", required=True,
-                   choices=["disjunction", "reliable-positive", "reliable-negative", "fully-reliable", "agnostic-l1"])
+    p.add_argument("--algo", required=True, choices=[name.replace("_", "-") for name in harness.LEARNERS])
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--W", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=0.1)

@@ -28,9 +28,9 @@ from fractions import Fraction
 from .certify import CertReport, verify_onesided, verify_twosided
 from .cube import NEGATIVE, POSITIVE, TWOSIDED, Concept, Conjunction, Cnf, Dnf, Halfspace, cube_matrix
 from .errors import InputError, ParameterError, ResourceLimitError
-from .poly import (EXPANSION_CAP, AffineForm, SparseForm, SparsePolynomial, StructuredPolynomial,
-                   SumForm, UniPoly, analytic_bounds, chebyshev, interpolate, negate_onesided,
-                   sparse_constant, weight_and_degree)
+from .poly import (EXPANSION_CAP, AffineForm, SparsePolynomial, StructuredPolynomial, SumForm, UniPoly,
+                   analytic_bounds, chebyshev, interpolate, negate_onesided, sparse_constant,
+                   weight_and_degree)
 
 
 @dataclass(frozen=True)
@@ -331,7 +331,7 @@ def and_twosided_tradeoff(n: int, d: int, eps: float) -> ConstructionResult:
     ratio_cap = n * n * math.log2(1 / eps) / (d * d)
     for t in _block_count_candidates(n, ratio_cap):
         if t == 1:
-            return certified(SparseForm(exact_and_sparse(n, target.literals)), target, TWOSIDED, eps, None)
+            return certified(exact_and_sparse(n, target.literals), target, TWOSIDED, eps, None)
 
         # blocks are the consecutive runs of n // t variables, i.e. of cube_matrix columns
         true_blocks = (cube_matrix(n).reshape(-1, t, n // t) == 1).all(axis=2).sum(axis=1).tolist()
@@ -339,7 +339,7 @@ def and_twosided_tradeoff(n: int, d: int, eps: float) -> ConstructionResult:
         def attempt(k: int) -> ConstructionResult:
             S = step_poly(default_step_params(t, k))
             by_count = [2 * S(c) - 1 for c in range(t + 1)]
-            return certified(SparseForm(interpolate(n, [by_count[c] for c in true_blocks])), target, TWOSIDED, eps, k)
+            return certified(interpolate(n, [by_count[c] for c in true_blocks]), target, TWOSIDED, eps, k)
 
         result = _step_schedule(t, eps, attempt)
         if result is not None:
@@ -349,15 +349,14 @@ def and_twosided_tradeoff(n: int, d: int, eps: float) -> ConstructionResult:
     raise ParameterError(f"no valid block count for n={n}")
 
 
-def _clause_twosided(n: int, clause: tuple[int, ...], d: int, eps: float) -> SparseForm:
+def _clause_twosided(n: int, clause: tuple[int, ...], d: int, eps: float) -> SparsePolynomial:
     """Two-sided eps-approximation of one AND-clause, negations by reflection."""
     if not clause:
-        return SparseForm(sparse_constant(n, 1))  # empty clause is identically true
+        return sparse_constant(n, 1)  # empty clause is identically true
     inner = and_twosided_tradeoff(len(clause), d, eps)
     if not inner.certified:
         raise ParameterError(f"clause approximation failed to certify at width {len(clause)}")
-    assert isinstance(inner.poly, SparseForm)
-    return SparseForm(inner.poly.poly.substitute_literals(n, clause))
+    return inner.poly.substitute_literals(n, clause)
 
 
 def _dnf_form(F: Dnf, d: int, eps: float) -> StructuredPolynomial:
@@ -366,7 +365,7 @@ def _dnf_form(F: Dnf, d: int, eps: float) -> StructuredPolynomial:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     m = len(F.clauses)
     if m == 0:
-        return SparseForm(sparse_constant(F.n, -1))
+        return sparse_constant(F.n, -1)
     return or_compose([_clause_twosided(F.n, cl, d, eps / m) for cl in F.clauses])
 
 

@@ -27,24 +27,9 @@ Bits = Sequence[int]
 POSITIVE, NEGATIVE, TWOSIDED, FULLY = "positive", "negative", "twosided", "fully"
 
 
-@dataclass(frozen=True)
-class CubePoint:
-    """A single point of {-1, +1}^n."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (-1, 1) for b in self.bits):
-            raise InputError(f"cube point entries must be -1 or +1, got {self.bits}")
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-
-def as_bits(x: Union[CubePoint, Bits], n: int | None = None) -> tuple[int, ...]:
-    """Coerce a point-like value to a validated tuple of +-1 entries."""
-    bits = x.bits if isinstance(x, CubePoint) else tuple(int(b) for b in x)
+def as_bits(x: Bits, n: int | None = None) -> tuple[int, ...]:
+    """Coerce a sequence of +-1 entries to a validated tuple of ints."""
+    bits = tuple(int(b) for b in x)
     if any(b not in (-1, 1) for b in bits):
         raise InputError(f"cube point entries must be -1 or +1, got {bits}")
     if n is not None and len(bits) != n:
@@ -206,7 +191,7 @@ def _literal_sat(lit: int, bits: Sequence[int]) -> bool:
     return bits[abs(lit) - 1] == (1 if lit > 0 else -1)
 
 
-def eval_concept(c: Concept, x: Union[CubePoint, Bits]) -> int:
+def eval_concept(c: Concept, x: Bits) -> int:
     """Evaluate a concept at a cube point, returning -1 or +1."""
     bits = as_bits(x, c.n)
     if isinstance(c, Disjunction):
@@ -261,19 +246,18 @@ def eval_concept_batch(c: Concept, X: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a concept: {c!r}")
 
 
-def eval_target(f: BoolFunc, bits: tuple[int, ...]) -> int:
-    """Evaluate a concept or a plain +-1-valued callable at one point."""
-    v = eval_concept(f, bits) if is_concept(f) else f(bits)
-    if v not in (-1, 1):
-        raise InputError(f"target returned {v!r}, expected -1 or +1")
-    return v
-
-
 def target_values(f: BoolFunc, X: np.ndarray) -> np.ndarray:
-    """+-1 values (int8) of a concept or a plain callable target on the rows of X."""
+    """+-1 values (int8) of a concept or a plain callable target on the rows of X.
+
+    A callable is called with each row as a tuple of ints and must answer -1 or +1.
+    """
     if is_concept(f):
         return eval_concept_batch(f, X)
-    return np.array([eval_target(f, tuple(int(v) for v in row)) for row in X], dtype=np.int8)
+    values = [f(tuple(row)) for row in np.asarray(X).tolist()]
+    for v in values:
+        if v not in (-1, 1):
+            raise InputError(f"target returned {v!r}, expected -1 or +1")
+    return np.array(values, dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------

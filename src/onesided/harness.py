@@ -200,6 +200,16 @@ def brute_opt(s: LabeledSample, bank: Sequence[Concept], mode: str):
     return float(best[0]), bank[best[2]]
 
 
+def oracle_record(s: LabeledSample, bank_name: str, mode: str) -> dict:
+    """The brute-force optimum of ``s`` over the majority bank (``bank_name == "majority"``) or
+    else the monotone disjunction bank, as the record a run stores: bank, mode, optimal value
+    and the argmin's concept encoding (a list of two for ``fully``)."""
+    bank = majority_bank(s.n) if bank_name == "majority" else monotone_disjunction_bank(s.n)
+    value, arg = brute_opt(s, bank, mode)
+    argmin = [format_concept(a) for a in arg] if isinstance(arg, tuple) else format_concept(arg)
+    return {"bank": bank_name, "mode": mode, "opt": value, "argmin": argmin}
+
+
 # ---------------------------------------------------------------------------
 # Learner registry
 
@@ -354,12 +364,8 @@ def run_experiment(manifest: RunManifest | dict, root: str | None = None) -> Run
 
         stage = "oracle"
         if manifest.oracle and held is not None:
-            bank_name = manifest.oracle.get("bank", "majority")
-            mode = manifest.oracle.get("mode", POSITIVE)
-            bank = majority_bank(concept.n) if bank_name == "majority" else monotone_disjunction_bank(concept.n)
-            opt_value, arg = brute_opt(held, bank, mode)
-            arg_enc = [format_concept(a) for a in arg] if isinstance(arg, tuple) else format_concept(arg)
-            results["oracle"] = {"bank": bank_name, "mode": mode, "opt": opt_value, "argmin": arg_enc}
+            results["oracle"] = oracle_record(held, manifest.oracle.get("bank", "majority"),
+                                              manifest.oracle.get("mode", POSITIVE))
 
         manifest.results = results
     except Exception as exc:

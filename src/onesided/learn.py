@@ -36,7 +36,7 @@ from . import lp as lpmod
 from .cube import (NEGATIVE, POSITIVE, Disjunction, LabeledSample, PartialHypothesis, as_bits,
                    dedup)
 from .errors import InfeasibleError, InputError, ResourceLimitError, SolverError
-from .poly import SparsePolynomial, characters, monomials_upto, sparse_eval_batch
+from .poly import SparsePolynomial, characters, from_lp_solution, monomials_upto, sparse_eval_batch
 
 #: Calibration sample must have at least CALIBRATION_FACTOR / eps^2 examples.
 CALIBRATION_FACTOR = 2.0
@@ -182,10 +182,6 @@ def _capped_program(slack_weights: np.ndarray, M: int, W: float, A_ub=None, b_ub
     )
 
 
-def _extract_poly(n: int, monos, coeffs: np.ndarray) -> SparsePolynomial:
-    return SparsePolynomial(n, {m: float(c) for m, c in zip(monos, coeffs) if abs(c) > 1e-12})
-
-
 def reliable_fit(
     s: LabeledSample,
     d: int,
@@ -225,7 +221,7 @@ def reliable_fit(
         raise InfeasibleError(f"hinge LP infeasible (weight cap W={W} too small for eps={eps})")
     if sol.status != "optimal":
         raise SolverError(f"hinge LP ended with status {sol.status}")
-    poly = _extract_poly(s.n, monos, sol.values[:M])
+    poly = from_lp_solution(s.n, monos, sol.values[:M])
     active = lpmod.count_active(program, sol.values)
     report = FitReport(max(0.0, sol.objective_value), active, eps, float(W), d, s.m, sol.status)
     return poly, report
@@ -253,7 +249,7 @@ def agnostic_l1_fit(s: LabeledSample, d: int, W: float) -> tuple[SparsePolynomia
         raise InfeasibleError("L1 LP infeasible")
     if sol.status != "optimal":
         raise SolverError(f"L1 LP ended with status {sol.status}")
-    poly = _extract_poly(s.n, monos, sol.values[:M])
+    poly = from_lp_solution(s.n, monos, sol.values[:M])
     active = lpmod.count_active(program, sol.values)
     report = FitReport(max(0.0, sol.objective_value), active, None, float(W), d, s.m, sol.status)
     return poly, report

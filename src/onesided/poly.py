@@ -1,14 +1,18 @@
 """Polynomial representations over the Boolean cube.
 
-Three carriers:
+Polynomial types:
 
 * :class:`UniPoly` — univariate polynomials with exact rational coefficients
   (Chebyshev generation, affine composition, products).
 * :class:`SparsePolynomial` — multilinear monomial-coefficient maps over
   {-1,+1}^n; multiplication reduces via x_i^2 = 1, so a monomial product is
   the symmetric difference of index sets.
-* Structured forms (:class:`SparseForm`, :class:`AffineForm`,
-  :class:`SumForm`) — the unexpanded carriers of constructed approximants.
+* Structured polynomials (:data:`StructuredPolynomial`): a
+  :class:`SparsePolynomial` itself, an :class:`AffineForm` outer(w0 + w.x),
+  or a :class:`SumForm` of structured parts.  Constructions, learned
+  hypotheses and LP-oracle witnesses are all of this type, so each can be
+  certified, expanded or stored as it is; the JSON tag of the sparse form
+  is ``"sparse"``.
 
 Exact cube values (in ``cube_matrix`` row order) have one format: integer
 numerators in a numpy object array over one common denominator
@@ -39,7 +43,7 @@ from .errors import DimensionError, InputError, ResourceLimitError
 
 Coef = Union[Fraction, float]
 
-#: Cap on variables/degree for multilinear expansion.
+#: Cap on the variable count of a multilinear expansion.
 EXPANSION_CAP = 20
 
 
@@ -224,6 +228,12 @@ def sparse_constant(n: int, c) -> SparsePolynomial:
     return SparsePolynomial(n, {(): _as_coef(c)})
 
 
+def from_lp_solution(n: int, monos: Sequence[Monomial], values: np.ndarray) -> SparsePolynomial:
+    """The polynomial with float coefficient values[j] on monos[j], as an LP solve returns
+    them; coefficients of magnitude at most 1e-12 are solver noise and are dropped."""
+    return SparsePolynomial(n, {mono: float(c) for mono, c in zip(monos, values) if abs(c) > 1e-12})
+
+
 def sparse_eval_batch(p: SparsePolynomial, X: np.ndarray) -> np.ndarray:
     """Float evaluation of a sparse polynomial on the rows of a +-1 matrix.
 
@@ -269,15 +279,6 @@ def characters(X: np.ndarray, monos: Sequence[Monomial]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SparseForm:
-    poly: SparsePolynomial
-
-    @property
-    def n(self) -> int:
-        return self.poly.n
-
-
-@dataclass(frozen=True)
 class AffineForm:
     """outer(w0 + sum_i w_i x_i) with integer weights."""
 
@@ -311,24 +312,19 @@ class SumForm:
         return self.parts[0].n
 
 
-StructuredPolynomial = Union[SparseForm, AffineForm, SumForm]
+StructuredPolynomial = Union[SparsePolynomial, AffineForm, SumForm]
 
 
 def eval_exact(p: StructuredPolynomial, x) -> Coef:
     """Evaluate a structured polynomial at one cube point, exactly when possible."""
     bits = as_bits(x, p.n)
-    if isinstance(p, SparseForm):
-        return p.poly.eval(bits)
+    if isinstance(p, SparsePolynomial):
+        return p.eval(bits)
     if isinstance(p, AffineForm):
         return p.outer(p.argument(bits))
     if isinstance(p, SumForm):
         return sum((eval_exact(part, bits) for part in p.parts), start=p.offset)
     raise TypeError(f"not a structured polynomial: {p!r}")
-
-
-def eval(p: StructuredPolynomial, x) -> float:  # noqa: A001 - deliberate builtin shadow
-    """Float evaluation of a structured polynomial at one cube point."""
-    return float(eval_exact(p, x))
 
 
 def eval_on_cube(p: StructuredPolynomial) -> list[Coef]:
@@ -355,9 +351,9 @@ def cube_numerators(p: StructuredPolynomial) -> tuple[np.ndarray, int]:
         ts, inverse = np.unique(ts, return_inverse=True)
         table, denom = _over_common_denominator([p.outer(int(t)) for t in ts])
         return table[inverse], denom
-    if isinstance(p, SparseForm):
+    if isinstance(p, SparsePolynomial):
         by_mask = [0] * 2**p.n
-        for mono, coef in p.poly.terms.items():
+        for mono, coef in p.terms.items():
             by_mask[sum(1 << (p.n - j) for j in mono)] = Fraction(coef)
         nums, denom = _over_common_denominator(by_mask)
         return _walsh(nums)[::-1], denom
@@ -374,9 +370,8 @@ def negate_onesided(p: StructuredPolynomial) -> StructuredPolynomial:
     Turns a positive one-sided approximation of f into a negative one-sided
     approximation of the reflected target x -> -f(-x).
     """
-    if isinstance(p, SparseForm):
-        terms = {mono: (coef if len(mono) % 2 else -coef) for mono, coef in p.poly.terms.items()}
-        return SparseForm(SparsePolynomial(p.n, terms))
+    if isinstance(p, SparsePolynomial):
+        return SparsePolynomial(p.n, {mono: (coef if len(mono) % 2 else -coef) for mono, coef in p.terms.items()})
     if isinstance(p, AffineForm):
         outer = UniPoly(tuple(-c for c in p.outer.coeffs))
         return AffineForm(outer, p.w0, tuple(-wi for wi in p.w))
@@ -388,16 +383,16 @@ def negate_onesided(p: StructuredPolynomial) -> StructuredPolynomial:
 def expand(p: StructuredPolynomial) -> SparsePolynomial:
     """Multilinear expansion of a structured form (x_i^2 = 1 applied).
 
-    Exponential in the worst case; refuses when the variable count or the
-    outer degree exceeds ``EXPANSION_CAP``.
+    An affine form is one Walsh-Hadamard transform of its cube values, and
+    those evaluate the outer polynomial only once per distinct value of the
+    linear form, so ``EXPANSION_CAP`` bounds the variable count and not the
+    outer degree.  A sparse polynomial is its own expansion.
     """
-    if isinstance(p, SparseForm):
-        return p.poly
+    if isinstance(p, SparsePolynomial):
+        return p
     if isinstance(p, AffineForm):
         if p.n > EXPANSION_CAP:
             raise ResourceLimitError(f"expansion cap: {p.n} variables > cap {EXPANSION_CAP}")
-        if p.outer.degree > EXPANSION_CAP:
-            raise ResourceLimitError(f"expansion cap: outer degree {p.outer.degree} > cap {EXPANSION_CAP}")
         return _from_cube_numerators(p.n, *cube_numerators(p))
     if isinstance(p, SumForm):
         acc = sparse_constant(p.n, p.offset)
@@ -422,8 +417,8 @@ def weight_and_degree(p: StructuredPolynomial) -> tuple[Coef, int, bool]:
 
 def analytic_bounds(p: StructuredPolynomial) -> tuple[Coef, int, bool]:
     """(weight, degree, exact) upper bounds read off the structure, without expanding."""
-    if isinstance(p, SparseForm):
-        return p.poly.weight, p.poly.degree, True
+    if isinstance(p, SparsePolynomial):
+        return p.weight, p.degree, True
     if isinstance(p, AffineForm):
         win = abs(p.w0) + sum(abs(wi) for wi in p.w)
         bound = sum((abs(c) * Fraction(win) ** j for j, c in enumerate(p.outer.coeffs)), start=Fraction(0))
@@ -515,8 +510,8 @@ def sparse_from_json(obj: Mapping) -> SparsePolynomial:
 
 
 def structured_to_json(p: StructuredPolynomial) -> dict:
-    if isinstance(p, SparseForm):
-        return {"form": "sparse", **sparse_to_json(p.poly)}
+    if isinstance(p, SparsePolynomial):
+        return {"form": "sparse", **sparse_to_json(p)}
     if isinstance(p, AffineForm):
         return {
             "form": "affine",
@@ -536,7 +531,7 @@ def structured_to_json(p: StructuredPolynomial) -> dict:
 def structured_from_json(obj: Mapping) -> StructuredPolynomial:
     form = obj.get("form")
     if form == "sparse":
-        return SparseForm(sparse_from_json(obj))
+        return sparse_from_json(obj)
     if form == "affine":
         return AffineForm(UniPoly(tuple(Fraction(c) for c in obj["outer"])), int(obj["w0"]), tuple(int(v) for v in obj["w"]))
     if form == "sum":

@@ -22,7 +22,7 @@ from onesided.harness import NoiseModel, brute_opt, generate, majority_bank
 from onesided.learn import (chop, derandomize, learn_disjunction_positive,
                             learn_fully_reliable, learn_reliable, plan_samples,
                             rademacher_bound, randomized_round)
-from onesided.poly import (SparseForm, SparsePolynomial, eval_on_cube, exact_multilinear,
+from onesided.poly import (SparsePolynomial, eval_on_cube, exact_multilinear,
                            expand, sparse_eval_batch)
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -141,8 +141,8 @@ def test_criterion_06_lp_oracle_invariants():
     for n in (2, 3, 4):
         f = Disjunction(n, tuple(range(1, n + 1)))
         assert min_eps(f, 1, "positive")[0] <= 1e-9
-        witness = SparseForm(SparsePolynomial(
-            n, {(): Fraction(n - 1), **{(j,): Fraction(1) for j in range(1, n + 1)}}))
+        witness = SparsePolynomial(
+            n, {(): Fraction(n - 1), **{(j,): Fraction(1) for j in range(1, n + 1)}})
         assert verify_onesided(witness, f, 0.0, "positive").ok
 
     or2_neg = min_eps(Disjunction(2, (1, 2)), 1, "negative")[0]

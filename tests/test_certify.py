@@ -7,7 +7,7 @@ from onesided.constructions import halfspace_quarter
 from onesided.cube import (Conjunction, Disjunction, Majority, cube_matrix,
                            majority_as_halfspace)
 from onesided.errors import InputError, ResourceLimitError
-from onesided.poly import SparseForm, SparsePolynomial, exact_multilinear
+from onesided.poly import SparsePolynomial, exact_multilinear
 
 # the LP-oracle test bank of small functions
 BANK = {
@@ -20,7 +20,7 @@ BANK = {
 
 
 def const_poly(n, v):
-    return SparseForm(SparsePolynomial(n, {(): Fraction(v)}))
+    return SparsePolynomial(n, {(): Fraction(v)})
 
 
 def test_verify_trivial_constants():
@@ -46,7 +46,7 @@ def test_verify_quarter_construction_maj5():
 
 def test_verify_witness_is_lexicographic_first_worst():
     # p = x1 fails on the true point (1,-1) of OR_2 twice as badly as elsewhere
-    p = SparseForm(SparsePolynomial(2, {(2,): Fraction(1)}))
+    p = SparsePolynomial(2, {(2,): Fraction(1)})
     rep = verify_onesided(p, Disjunction(2, (1, 2)), 0.25, "positive")
     assert not rep.ok
     assert rep.witness == (1, -1)  # worst violation: p = -1 on a true point
@@ -54,7 +54,7 @@ def test_verify_witness_is_lexicographic_first_worst():
 
 def test_verify_twosided_examples():
     maj3 = Majority(3, (1, 2, 3))
-    exact = SparseForm(exact_multilinear(maj3, 3))
+    exact = exact_multilinear(maj3, 3)
     assert verify_twosided(exact, maj3, 0.0).ok
     rep = verify_twosided(const_poly(3, 0), maj3, 0.5)
     assert not rep.ok
@@ -63,7 +63,7 @@ def test_verify_twosided_examples():
 
 def test_verify_accepts_callable_targets():
     target = lambda bits: 1 if bits[0] == 1 else -1  # noqa: E731
-    p = SparseForm(SparsePolynomial(2, {(1,): Fraction(1)}))
+    p = SparsePolynomial(2, {(1,): Fraction(1)})
     assert verify_onesided(p, target, 0.0, "positive").ok
 
 
@@ -81,7 +81,7 @@ def test_verify_rejects_unknown_sign():
 def test_min_eps_dictator_degree_one():
     eps, p = min_eps(Majority(1, (1,)), 1, "positive")
     assert eps == pytest.approx(0.0, abs=1e-9)
-    assert verify_onesided(SparseForm(p), Majority(1, (1,)), eps + 1e-7, "positive", tol=1e-7).ok
+    assert verify_onesided(p, Majority(1, (1,)), eps + 1e-7, "positive", tol=1e-7).ok
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -90,7 +90,7 @@ def test_min_eps_or_degree_one_positive_is_zero(n):
     eps, _ = min_eps(f, 1, "positive")
     assert eps == pytest.approx(0.0, abs=1e-9)
     # the analytic witness p = sum x_i + (n - 1)
-    witness = SparseForm(SparsePolynomial(n, {(): Fraction(n - 1), **{(j,): Fraction(1) for j in range(1, n + 1)}}))
+    witness = SparsePolynomial(n, {(): Fraction(n - 1), **{(j,): Fraction(1) for j in range(1, n + 1)}})
     assert verify_onesided(witness, f, 0.0, "positive").ok
 
 
@@ -100,7 +100,7 @@ def test_min_eps_or2_negative_frozen_regression_value():
     eps, p = min_eps(Disjunction(2, (1, 2)), 1, "negative")
     assert eps > 0.05
     assert eps == pytest.approx(0.5, abs=1e-6)
-    assert verify_onesided(SparseForm(p), Disjunction(2, (1, 2)), eps + 1e-7, "negative", tol=1e-7).ok
+    assert verify_onesided(p, Disjunction(2, (1, 2)), eps + 1e-7, "negative", tol=1e-7).ok
 
 
 @pytest.mark.parametrize("name", sorted(BANK))
@@ -144,9 +144,9 @@ def test_min_eps_witness_verifies(mode):
         for d in (1, 2):
             eps, p = min_eps(f, d, mode)
             if mode == "twosided":
-                rep = verify_twosided(SparseForm(p), f, eps + 1e-7, tol=1e-7)
+                rep = verify_twosided(p, f, eps + 1e-7, tol=1e-7)
             else:
-                rep = verify_onesided(SparseForm(p), f, eps + 1e-7, mode, tol=1e-7)
+                rep = verify_onesided(p, f, eps + 1e-7, mode, tol=1e-7)
             assert rep.ok
 
 

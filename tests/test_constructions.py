@@ -13,7 +13,7 @@ from onesided.constructions import (ConstructionResult, StepPolyParams, and_comp
 from onesided.cube import (Cnf, Conjunction, Disjunction, Dnf, Halfspace, Majority,
                            cube_matrix, eval_concept, majority_as_halfspace)
 from onesided.errors import InputError, ParameterError, ResourceLimitError
-from onesided.poly import (SparseForm, eval_exact, eval_on_cube, expand, negate_onesided,
+from onesided.poly import (SparsePolynomial, eval_exact, eval_on_cube, expand, negate_onesided,
                            weight_and_degree)
 
 
@@ -207,9 +207,7 @@ def test_or_compose_single_part_is_identity():
 
 
 def test_or_compose_all_constant_minus_one():
-    from onesided.poly import SparsePolynomial
-
-    parts = [SparseForm(SparsePolynomial(2, {(): Fraction(-1)}))] * 3
+    parts = [SparsePolynomial(2, {(): Fraction(-1)})] * 3
     composed = or_compose(parts)
     for bits in cube_matrix(2):
         assert eval_exact(composed, tuple(int(b) for b in bits)) == -1
@@ -277,7 +275,7 @@ def test_tradeoff_n8_d8_uses_four_blocks():
     res = and_twosided_tradeoff(8, 8, 0.25)
     assert res.certified
     assert res.certificate.points_checked == 256
-    assert isinstance(res.poly, SparseForm)
+    assert isinstance(res.poly, SparsePolynomial)
 
 
 def test_tradeoff_t_one_is_exact():

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from onesided.cube import (Cnf, Conjunction, CubePoint, Disjunction, Dnf, Halfspace,
-                           LabeledSample, Majority, PartialHypothesis, constant_concept,
+from onesided.cube import (Cnf, Conjunction, Disjunction, Dnf, Halfspace,
+                           LabeledSample, Majority, PartialHypothesis, as_bits, constant_concept,
                            cube_matrix, dedup, empirical_metrics, eval_concept,
                            eval_concept_batch, format_concept, is_concept, load_sample_csv,
                            majority_as_halfspace, make_sample, parse_concept,
@@ -14,9 +14,11 @@ from onesided.errors import DimensionError, InputError
 
 
 def test_cube_point_validation():
-    assert CubePoint((1, -1, 1)).n == 3
+    assert as_bits(np.array([1, -1, 1], dtype=np.int8), 3) == (1, -1, 1)
     with pytest.raises(InputError):
-        CubePoint((1, 0))
+        as_bits((1, 0))
+    with pytest.raises(DimensionError):
+        as_bits((1, -1), 3)
 
 
 def test_cube_matrix_order():
@@ -211,6 +213,13 @@ def test_is_concept_and_target_values():
     from_callable = target_values(lambda bits: eval_concept(maj, bits), X)
     assert from_concept.dtype == from_callable.dtype == np.int8
     np.testing.assert_array_equal(from_concept, from_callable)
+
+
+def test_target_values_rejects_a_callable_answering_outside_pm1():
+    # rows in order (-1,-1), (-1,1), (1,-1), (1,1): the error names the first offending value
+    answers = {(1, -1): 0, (1, 1): 2}
+    with pytest.raises(InputError, match="target returned 0, expected -1 or \\+1"):
+        target_values(lambda bits: answers.get(bits, 1), cube_matrix(2))
 
 
 def test_dedup_counts_labels_per_distinct_point():

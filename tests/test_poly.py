@@ -7,12 +7,11 @@ import pytest
 
 from onesided.cube import Halfspace, Majority, cube_matrix, eval_concept
 from onesided.errors import DimensionError, InputError, ResourceLimitError
-from onesided.poly import (AffineForm, SparseForm, SparsePolynomial, SumForm, UniPoly,
+from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly,
                            characters, chebyshev, cube_numerators, eval_exact, eval_on_cube,
                            exact_multilinear, expand, interpolate, monomials_upto, negate_onesided,
                            sparse_eval_batch, sparse_from_json, sparse_to_json, structured_from_json,
                            structured_to_json, weight_and_degree)
-from onesided.poly import eval as eval_float
 
 
 def test_chebyshev_base_and_low_degrees():
@@ -59,13 +58,13 @@ def test_unipoly_compose_affine_and_pow():
 
 
 def test_eval_examples():
-    const = SparseForm(SparsePolynomial(2, {(): Fraction(-1)}))
+    const = SparsePolynomial(2, {(): Fraction(-1)})
     assert eval_exact(const, (1, -1)) == -1
     lin = AffineForm(chebyshev(1), 0, (1, 1, 1))
     assert eval_exact(lin, (1, 1, -1)) == 1
     cubic = AffineForm(chebyshev(3), 0, (1, 1, 1))  # 4t^3 - 3t at t=3
     assert eval_exact(cubic, (1, 1, 1)) == 99
-    assert eval_float(cubic, (1, 1, 1)) == 99.0
+    assert float(eval_exact(cubic, (1, 1, 1))) == 99.0
 
 
 def test_eval_dimension_mismatch():
@@ -78,14 +77,25 @@ def test_expand_examples():
     # (x1 + x2)^2 = 2 + 2 x1 x2 under x_i^2 = 1
     sq = AffineForm(UniPoly((0, 0, 1)), 0, (1, 1))
     assert expand(sq).terms == {(): Fraction(2), (1, 2): Fraction(2)}
-    sparse = SparseForm(SparsePolynomial(2, {(1,): Fraction(3)}))
-    assert expand(sparse) is sparse.poly
+    sparse = SparsePolynomial(2, {(1,): Fraction(3)})
+    assert expand(sparse) is sparse
 
 
 def test_expand_cap():
     big = AffineForm(chebyshev(2), 0, tuple([1] * 25))
     with pytest.raises(ResourceLimitError):
         expand(big)
+
+
+def test_expand_takes_outer_degree_beyond_the_variable_cap():
+    # the outer polynomial is evaluated once per distinct value of the linear form,
+    # so EXPANSION_CAP bounds the variable count and not the outer degree
+    p = AffineForm((chebyshev(25) * Fraction(1, 3)).shift(Fraction(1, 7)), -1, (1, -2, 3, 1, 0, 2, -1, 1))
+    assert p.outer.degree == 25
+    q = expand(p)
+    for bits in cube_matrix(8):
+        t = tuple(int(b) for b in bits)
+        assert q.eval(t) == eval_exact(p, t)
 
 
 def test_maj3_exact_form():
@@ -127,9 +137,9 @@ def test_interpolate_rejects_wrong_length_and_inexact_values():
 def test_eval_on_cube_takes_float_coefficients_exactly():
     floats = SparsePolynomial(3, {(): 0.1, (1, 2): -0.2, (3,): 1e-17})
     exact = SparsePolynomial(3, {mono: Fraction(c) for mono, c in floats.terms.items()})
-    values = eval_on_cube(SparseForm(floats))
+    values = eval_on_cube(floats)
     assert all(isinstance(v, Fraction) for v in values)
-    assert values == eval_on_cube(SparseForm(exact))
+    assert values == eval_on_cube(exact)
     assert values == [exact.eval(tuple(int(b) for b in row)) for row in cube_matrix(3)]
 
 
@@ -152,11 +162,11 @@ def test_affine_cube_numerators_transient_memory_stays_near_the_cube_matrix():
 
 
 def test_weight_and_degree_examples():
-    sp = SparseForm(SparsePolynomial(1, {(): Fraction(-1), (1,): Fraction(2)}))
+    sp = SparsePolynomial(1, {(): Fraction(-1), (1,): Fraction(2)})
     w, d, exact = weight_and_degree(sp)
     assert (w, d, exact) == (3, 1, True)
 
-    maj3 = SparseForm(exact_multilinear(Majority(3, (1, 2, 3)), 3))
+    maj3 = exact_multilinear(Majority(3, (1, 2, 3)), 3)
     w, d, exact = weight_and_degree(maj3)
     assert (w, d, exact) == (2, 3, True)
 
@@ -171,7 +181,7 @@ def test_expand_eval_agreement_full_cube():
     cases = [
         AffineForm((chebyshev(3).pow(2) * Fraction(1, 2)).shift(-1), 1, (2, -1, 1, 0, 1)),
         SumForm((AffineForm(chebyshev(2), 0, (1, 1, 0, 0, 0)),
-                 SparseForm(SparsePolynomial(5, {(4, 5): Fraction(1, 3)}))), Fraction(2)),
+                 SparsePolynomial(5, {(4, 5): Fraction(1, 3)})), Fraction(2)),
     ]
     for p in cases:
         q = expand(p)
@@ -185,20 +195,20 @@ def test_expand_eval_agreement_full_cube():
 
 def test_negate_onesided_involution_and_constants():
     p = SumForm((AffineForm(chebyshev(3), 1, (1, -2, 1)),
-                 SparseForm(SparsePolynomial(3, {(1, 2): Fraction(5, 7)}))), Fraction(-3))
+                 SparsePolynomial(3, {(1, 2): Fraction(5, 7)})), Fraction(-3))
     twice = negate_onesided(negate_onesided(p))
     for bits in cube_matrix(3):
         t = tuple(int(b) for b in bits)
         assert eval_exact(twice, t) == eval_exact(p, t)
         assert eval_exact(negate_onesided(p), t) == -eval_exact(p, tuple(-b for b in t))
 
-    const = SparseForm(SparsePolynomial(2, {(): Fraction(-1)}))
+    const = SparsePolynomial(2, {(): Fraction(-1)})
     flipped = negate_onesided(const)
     assert eval_exact(flipped, (1, 1)) == 1
 
 
 def test_negate_onesided_preserves_exact_majority():
-    p = SparseForm(exact_multilinear(Majority(3, (1, 2, 3)), 3))
+    p = exact_multilinear(Majority(3, (1, 2, 3)), 3)
     q = negate_onesided(p)
     for bits in cube_matrix(3):
         t = tuple(int(b) for b in bits)
@@ -221,7 +231,7 @@ def test_sparse_eval_batch_matches_exact():
 def test_json_roundtrip():
     sp = SparsePolynomial(3, {(1, 3): Fraction(2, 3), (): Fraction(-1)})
     assert sparse_from_json(json.loads(json.dumps(sparse_to_json(sp)))) == sp
-    structured = SumForm((AffineForm(chebyshev(2), 1, (1, 0, -1)), SparseForm(sp)), Fraction(1, 2))
+    structured = SumForm((AffineForm(chebyshev(2), 1, (1, 0, -1)), sp), Fraction(1, 2))
     back = structured_from_json(json.loads(json.dumps(structured_to_json(structured))))
     for bits in cube_matrix(3):
         t = tuple(int(b) for b in bits)

@@ -20,7 +20,7 @@ from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
                               monotone_disjunction_bank)
 from onesided.learn import agnostic_l1_fit, choose_error_threshold
 from onesided.lp import FEASIBILITY_TOL, LinearProgram, check_feasible, solve
-from onesided.poly import (AffineForm, SparseForm, SparsePolynomial, SumForm, UniPoly,
+from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly,
                            eval_exact, eval_on_cube, exact_multilinear, expand, interpolate,
                            monomials_upto)
 
@@ -207,7 +207,7 @@ fractions = st.fractions(min_value=-20, max_value=20, max_denominator=50)
 
 def sparse_forms(n, coefs=fractions):
     monomial = st.sets(st.integers(1, n), max_size=n).map(lambda s: tuple(sorted(s))) if n else st.just(())
-    return st.dictionaries(monomial, coefs, max_size=20).map(lambda terms: SparseForm(SparsePolynomial(n, terms)))
+    return st.dictionaries(monomial, coefs, max_size=20).map(lambda terms: SparsePolynomial(n, terms))
 
 
 def affine_forms(n):
@@ -231,7 +231,7 @@ def test_eval_on_cube_matches_pointwise_eval(p):
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 8).flatmap(affine_forms))  # n and the outer degree (at most 9) stay inside EXPANSION_CAP
+@given(st.integers(1, 8).flatmap(affine_forms))  # n stays inside EXPANSION_CAP, which bounds variables only
 def test_expand_matches_eval_exact(p):
     q = expand(p)
     for row in cube_matrix(p.n):
@@ -260,8 +260,8 @@ def test_exact_multilinear_matches_character_sums(table):
 
 def _exact_value(p, x):
     """p(x) with every coefficient taken as its exact Fraction, as certification takes it."""
-    if isinstance(p, SparseForm):
-        return sum((Fraction(c) * math.prod(x[v - 1] for v in mono) for mono, c in p.poly.terms.items()), Fraction(0))
+    if isinstance(p, SparsePolynomial):
+        return sum((Fraction(c) * math.prod(x[v - 1] for v in mono) for mono, c in p.terms.items()), Fraction(0))
     if isinstance(p, SumForm):
         return sum((_exact_value(part, x) for part in p.parts), p.offset)
     return eval_exact(p, x)
@@ -294,7 +294,7 @@ def test_certification_matches_pointwise_scan(data, n, eps, tol):
     table = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=2**n, max_size=2**n))
     f = dict(zip(itertools.product((-1, 1), repeat=n), table)).__getitem__  # cube_matrix row order
     # forms that track f put many slacks near 0 and tie them
-    tracking = st.builds(lambda s, c: SumForm((SparseForm(interpolate(n, [s * t for t in table])),), c),
+    tracking = st.builds(lambda s, c: SumForm((interpolate(n, [s * t for t in table]),), c),
                          st.sampled_from([1, Fraction(3, 4), Fraction(9, 10), Fraction(11, 10)]),
                          st.fractions(-Fraction(1, 4), Fraction(1, 4), max_denominator=20))
     floats = st.floats(-20, 20)
