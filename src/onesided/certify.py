@@ -16,6 +16,7 @@ cube numerators of p scaled by the denominator of ``Fraction(eps)``.  Tolerance 
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
@@ -77,6 +78,8 @@ def _scan(
     sign: str,
     tol: float,
 ) -> CertReport:
+    if not math.isfinite(eps):
+        raise InputError(f"eps must be finite, got {eps}")
     n = p.n
     if getattr(f, "n", None) not in (None, n):
         raise InputError(f"polynomial dimension {n} != target dimension {f.n}")

@@ -111,8 +111,8 @@ def _cmd_learn(args) -> int:
         out["hypothesis"] = hyp_json
     if args.heldout:
         out["heldout_metrics"] = empirical_metrics(hyp, load_sample_csv(args.heldout)).to_json()
-    if args.out and "hypothesis" in out:
-        Path(args.out).write_text(json.dumps(out["hypothesis"], indent=2, sort_keys=True) + "\n")
+    if args.out:  # what a run directory stores as hypothesis.json
+        Path(args.out).write_text(json.dumps(hyp_json, indent=2, sort_keys=True) + "\n")
     human_lines = [f"algo={args.algo}"]
     if "concept" in out:
         human_lines.append(f"hypothesis: {out['concept']}")

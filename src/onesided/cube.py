@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -211,39 +212,33 @@ def eval_concept(c: Concept, x: Bits) -> int:
 
 
 def eval_concept_batch(c: Concept, X: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`eval_concept` over the rows of a +-1 matrix."""
+    """Vectorized :func:`eval_concept` over the rows of a +-1 matrix, in two branches.
+
+    Thresholds: a majority is the unit-weight linear form (the empty one answers -1).
+    Clause formulas: a disjunction is a one-clause CNF and a conjunction a one-clause DNF.
+    """
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != c.n:
         raise DimensionError(f"matrix has {X.shape[1] if X.ndim == 2 else '?'} columns, expected {c.n}")
-    m = X.shape[0]
-    if isinstance(c, (Disjunction, Conjunction)):
-        sat = np.ones(m, dtype=bool) if isinstance(c, Conjunction) else np.zeros(m, dtype=bool)
-        for lit in c.literals:
-            hit = X[:, abs(lit) - 1] == (1 if lit > 0 else -1)
-            sat = (sat & hit) if isinstance(c, Conjunction) else (sat | hit)
-        return np.where(sat, 1, -1).astype(np.int8)
-    if isinstance(c, Majority):
-        s = X[:, [v - 1 for v in c.vars]].sum(axis=1) if c.vars else np.zeros(m)
-        return np.where(s > 0, 1, -1).astype(np.int8)
-    if isinstance(c, Halfspace):
-        t = c.w0 + X.astype(np.int64) @ np.asarray(c.w, dtype=np.int64)
+    if isinstance(c, (Majority, Halfspace)):
+        # w0 and the variables of each nonzero weight; a majority has the one weight 1
+        w0, groups = (0, {1: c.vars}) if isinstance(c, Majority) else \
+            (c.w0, {wv: [j for j, wj in enumerate(c.w, 1) if wj == wv] for wv in set(c.w) - {0}})
+        t = np.full(X.shape[0], w0, dtype=np.int64)
+        for wv, vs in groups.items():  # one column gather per weight, not an int64 copy of X
+            t += wv * X[:, [v - 1 for v in vs]].sum(axis=1, dtype=np.int64)
         return np.where(t > 0, 1, -1).astype(np.int8)
-    if isinstance(c, (Dnf, Cnf)):
-        outer_and = isinstance(c, Cnf)
-        acc = np.ones(m, dtype=bool) if outer_and else np.zeros(m, dtype=bool)
-        for clause in c.clauses:
-            if outer_and:  # clause is an OR
-                inner = np.zeros(m, dtype=bool)
-                for lit in clause:
-                    inner |= X[:, abs(lit) - 1] == (1 if lit > 0 else -1)
-                acc &= inner
-            else:  # clause is an AND
-                inner = np.ones(m, dtype=bool)
-                for lit in clause:
-                    inner &= X[:, abs(lit) - 1] == (1 if lit > 0 else -1)
-                acc |= inner
-        return np.where(acc, 1, -1).astype(np.int8)
-    raise TypeError(f"not a concept: {c!r}")
+    if not is_concept(c):
+        raise TypeError(f"not a concept: {c!r}")
+    cnf = isinstance(c, (Disjunction, Cnf))
+    inner, outer = (np.logical_or, np.logical_and) if cnf else (np.logical_and, np.logical_or)
+    sat = np.full(X.shape[0], cnf)
+    for clause in c.clauses if isinstance(c, (Dnf, Cnf)) else (c.literals,):
+        hit = np.full(X.shape[0], not cnf)  # the empty clause: false in a CNF, true in a DNF
+        for lit in clause:
+            inner(hit, X[:, abs(lit) - 1] == (1 if lit > 0 else -1), out=hit)
+        outer(sat, hit, out=sat)
+    return np.where(sat, 1, -1).astype(np.int8)
 
 
 def target_values(f: BoolFunc, X: np.ndarray) -> np.ndarray:
@@ -327,7 +322,9 @@ def parse_concept(text: str, n: int | None = None) -> Concept:
                 break
             if body[0] != "(":
                 raise InputError(f"expected '(' in {kw} clause list: {body!r}")
-            close = body.index(")")
+            close = body.find(")")
+            if close < 0:
+                raise InputError(f"unclosed clause in {kw} clause list: {body!r}")
             clauses.append(tuple(ints(body[1:close])))
             body = body[close + 1:]
         allv = [abs(l) for cl in clauses for l in cl]
@@ -366,6 +363,11 @@ class LabeledSample:
     @property
     def m(self) -> int:
         return int(self.points.shape[0])
+
+    @cached_property
+    def deduped(self):
+        """:func:`dedup` of the sample, computed once (the arrays are never changed after construction)."""
+        return dedup(self.points, self.labels)
 
 
 def dedup(points: np.ndarray, labels: np.ndarray):

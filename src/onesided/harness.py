@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .cube import (FULLY, NEGATIVE, POSITIVE, Concept, LabeledSample, Majority,
-                   constant_concept, dedup, empirical_metrics, eval_concept_batch,
+                   constant_concept, empirical_metrics, eval_concept_batch,
                    format_concept, parse_concept, save_sample_csv)
 from .errors import InputError, ResourceLimitError
 from .learn import (learn_agnostic_l1, learn_disjunction_positive, learn_fully_reliable,
@@ -159,7 +159,7 @@ def brute_opt(s: LabeledSample, bank: Sequence[Concept], mode: str):
         raise InputError("need a nonempty sample")
     if mode not in (POSITIVE, NEGATIVE, FULLY):
         raise InputError(f"mode must be positive, negative or fully, got {mode!r}")
-    pts, npos, nneg = dedup(s.points, s.labels)
+    pts, npos, nneg = s.deduped
     m = s.m
 
     if mode == FULLY:

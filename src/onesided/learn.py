@@ -18,10 +18,13 @@ hinge sum.  The L1 learner solves the least-absolute-deviation form over
 [c | u | e+ | e-]: one equality row p(x_j) - e+_j + e-_j = y_j per distinct
 labeled point, with both slacks >= 0 and weighted by the point's count,
 then the same weight-cap block.  Duplicate sample points are merged into
-weighted rows before solving; the optimum is unchanged.  Both fits run on
-HiGHS's default ``"highs"`` method (dual simplex on these LPs).
+weighted rows (``LabeledSample.deduped``, computed once per sample) before
+solving; the optimum is unchanged.  Both fits run on HiGHS's default
+``"highs"`` method (dual simplex on these LPs).
 
 Derandomization always uses a fresh calibration sample, never training data.
+One threshold search serves it (both sides; the negative is the mirror) and the
+L1 learner's error-minimizing threshold.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ import numpy as np
 from scipy import sparse
 
 from . import lp as lpmod
-from .cube import (NEGATIVE, POSITIVE, Disjunction, LabeledSample, PartialHypothesis, as_bits,
-                   dedup)
+from .cube import NEGATIVE, POSITIVE, Disjunction, LabeledSample, PartialHypothesis, as_bits
 from .errors import InfeasibleError, InputError, ResourceLimitError, SolverError
 from .poly import SparsePolynomial, characters, from_lp_solution, monomials_upto, sparse_eval_batch
 
@@ -48,6 +50,11 @@ FEATURE_CAP = 8192
 def chop(a: float) -> float:
     """Clamp to [-1, 1] (identity inside, sign outside)."""
     return -1.0 if a < -1.0 else (1.0 if a > 1.0 else float(a))
+
+
+def _decide_point(decide_batch, x, n: int) -> int:
+    """One point's answer from a batch rule, on the row that :func:`as_bits` validates."""
+    return int(decide_batch(np.array([as_bits(x, n)], dtype=np.int8))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +74,8 @@ class ReliableHypothesis:
     """
 
     p: SparsePolynomial
-    sign: str = POSITIVE
-    threshold: float | None = None
+    sign: str
+    threshold: float
     calibration_m: int | None = None
     clamp: bool = True
 
@@ -76,17 +83,12 @@ class ReliableHypothesis:
     def n(self) -> int:
         return self.p.n
 
-    def _h(self, values: np.ndarray) -> np.ndarray:
-        return np.clip(values, -1.0, 1.0) if self.clamp else values
-
     def decide(self, x) -> int:
-        v = self._h(np.array([float(self.p.eval(as_bits(x, self.n)))]))[0]
-        if self.sign == POSITIVE:
-            return 1 if v > self.threshold else -1
-        return 1 if v >= self.threshold else -1
+        return _decide_point(self.decide_batch, x, self.n)
 
     def decide_batch(self, X: np.ndarray) -> np.ndarray:
-        v = self._h(sparse_eval_batch(self.p, X))
+        v = sparse_eval_batch(self.p, X)
+        v = np.clip(v, -1.0, 1.0) if self.clamp else v
         hit = v > self.threshold if self.sign == POSITIVE else v >= self.threshold
         return np.where(hit, 1, -1).astype(np.int8)
 
@@ -199,7 +201,7 @@ def reliable_fit(
     monos = monomials_upto(s.n, d)
     if len(monos) > FEATURE_CAP:
         raise ResourceLimitError(f"{len(monos)} monomial features exceed cap {FEATURE_CAP}")
-    distinct, pos, negc = dedup(s.points, s.labels)
+    distinct, pos, negc = s.deduped
     phi = characters(distinct, monos)
     M = len(monos)
 
@@ -234,7 +236,7 @@ def agnostic_l1_fit(s: LabeledSample, d: int, W: float) -> tuple[SparsePolynomia
     monos = monomials_upto(s.n, d)
     if len(monos) > FEATURE_CAP:
         raise ResourceLimitError(f"{len(monos)} monomial features exceed cap {FEATURE_CAP}")
-    distinct, pos, negc = dedup(s.points, s.labels)
+    distinct, pos, negc = s.deduped
     # the distinct labeled points: per distinct x in turn, (x, -1) then (x, +1) where seen
     counts = np.stack([negc, pos], axis=1).ravel()
     seen = np.flatnonzero(counts)
@@ -269,6 +271,17 @@ def randomized_round(p: SparsePolynomial, x, u: float) -> int:
     return 1 if u < (1.0 + v) / 2.0 else -1
 
 
+def _threshold_counts(values: np.ndarray, labels: np.ndarray):
+    """Candidates t (-inf, the distinct values ascending, +inf) and, for "+1 iff value > t"
+    at each, the +1 labels with value <= t and the -1 labels with value > t."""
+    candidates = np.concatenate([[-math.inf], np.unique(values), [math.inf]])
+    order = np.argsort(values)
+    below = np.searchsorted(values[order], candidates, side="right")  # points answered -1 at each t
+    pos_upto = np.concatenate([[0], np.cumsum(labels[order] == 1)])
+    neg_upto = np.concatenate([[0], np.cumsum(labels[order] == -1)])
+    return candidates, pos_upto[below], neg_upto[-1] - neg_upto[below]
+
+
 def derandomize(
     p: SparsePolynomial,
     fresh: LabeledSample,
@@ -281,7 +294,8 @@ def derandomize(
     sentinels) whose empirical false-positive rate is at most eps; the +inf
     sentinel (hypothesis identically -1) always qualifies, so this never
     fails.  Negative side is the exact mirror: the largest t with empirical
-    false-negative rate at most eps under the H >= t convention.
+    false-negative rate at most eps under the H >= t convention, found as
+    minus the positive-side threshold of (-H, -y).
     """
     if sign not in (POSITIVE, NEGATIVE):
         raise InputError(f"sign must be positive or negative, got {sign!r}")
@@ -291,36 +305,17 @@ def derandomize(
     if fresh.m < need:
         raise InputError(f"calibration sample of {fresh.m} examples; need >= {need} for eps={eps}")
     H = np.clip(sparse_eval_batch(p, fresh.points), -1.0, 1.0)
-    y = fresh.labels
-    m = fresh.m
-    candidates = [-math.inf] + [float(v) for v in np.unique(H)] + [math.inf]
-    if sign == POSITIVE:
-        neg_sorted = np.sort(H[y == -1])
-        for t in candidates:  # ascending; false_+ is non-increasing in t
-            fp = (neg_sorted.size - np.searchsorted(neg_sorted, t, side="right")) / m
-            if fp <= eps:
-                return ReliableHypothesis(p, POSITIVE, t, m)
-    else:
-        pos_sorted = np.sort(H[y == 1])
-        for t in reversed(candidates):  # descending; false_- is non-decreasing in t
-            fn = np.searchsorted(pos_sorted, t, side="left") / m
-            if fn <= eps:
-                return ReliableHypothesis(p, NEGATIVE, t, m)
-    raise AssertionError("sentinel threshold always satisfies the bound")
+    side = 1.0 if sign == POSITIVE else -1.0  # the negative side searches (-H, -y), then negates t
+    candidates, _, false_pos = _threshold_counts(side * H, side * fresh.labels)
+    t = side * float(candidates[np.argmax(false_pos / fresh.m <= eps)])  # the first t within budget
+    return ReliableHypothesis(p, sign, t, fresh.m)
 
 
 def choose_error_threshold(values: np.ndarray, labels: np.ndarray) -> float:
     """Threshold minimizing empirical error of +1 iff value > t (ties: smaller t)."""
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels)
-    candidates = np.concatenate([[-math.inf], np.unique(values), [math.inf]])
-    order = np.argsort(values)
-    below = np.searchsorted(values[order], candidates, side="right")  # points answered -1 at each t
-    # errors at t: non-(-1) labels among the points <= t, plus non-(+1) labels among those > t
-    miss_low = np.concatenate([[0], np.cumsum(labels[order] != -1)])
-    miss_high = np.concatenate([[0], np.cumsum(labels[order] != 1)])
-    errors = miss_low[below] + miss_high[-1] - miss_high[below]
-    return float(candidates[np.argmin(errors)])  # argmin takes the earliest, i.e. smallest, t
+    candidates, false_neg, false_pos = _threshold_counts(np.asarray(values, dtype=np.float64),
+                                                         np.asarray(labels))
+    return float(candidates[np.argmin(false_neg + false_pos)])  # argmin takes the earliest, i.e. smallest, t
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +338,11 @@ def learn_reliable(
 def agreement_hypothesis(h_pos, h_neg, n: int) -> PartialHypothesis:
     """Answer the shared value where both classifiers agree, abstain otherwise."""
 
-    def decide(x) -> int:
-        a, b = h_pos.decide(x), h_neg.decide(x)
-        return a if a == b else 0
-
     def decide_batch(X: np.ndarray) -> np.ndarray:
         a, b = h_pos.decide_batch(X), h_neg.decide_batch(X)
         return np.where(a == b, a, 0).astype(np.int8)
 
-    return PartialHypothesis(n, decide, decide_batch)
+    return PartialHypothesis(n, lambda x: _decide_point(decide_batch, x, n), decide_batch)
 
 
 def learn_fully_reliable(

@@ -78,6 +78,14 @@ def test_verify_rejects_unknown_sign():
         verify_onesided(const_poly(2, -1), Disjunction(2, ()), 0.1, "both")
 
 
+@pytest.mark.parametrize("eps", [float("inf"), float("-inf"), float("nan")])
+def test_verify_rejects_non_finite_eps(eps):
+    with pytest.raises(InputError, match="finite"):
+        verify_onesided(const_poly(2, -1), Disjunction(2, ()), eps, "positive")
+    with pytest.raises(InputError, match="finite"):
+        verify_twosided(const_poly(2, -1), Disjunction(2, ()), eps)
+
+
 def test_min_eps_dictator_degree_one():
     eps, p = min_eps(Majority(1, (1,)), 1, "positive")
     assert eps == pytest.approx(0.0, abs=1e-9)

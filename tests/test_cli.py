@@ -126,6 +126,18 @@ def test_learn_disjunction_from_csv(tmp_path, capsys):
     assert payload["heldout_metrics"]["err"] == 0.0
 
 
+def test_learn_disjunction_out_writes_the_hypothesis(tmp_path, capsys):
+    from onesided.cube import Disjunction
+
+    train = generate(Disjunction(4, (1, -3)), NoiseModel("none"), 200, seed=0, stream=1)
+    train_csv, hyp_path = tmp_path / "train.csv", tmp_path / "hyp.json"
+    save_sample_csv(train, train_csv)
+    code, out, _ = run_cli(capsys, "learn", "--train", str(train_csv), "--algo", "disjunction",
+                           "--out", str(hyp_path), "--json")
+    assert code == 0
+    assert json.loads(hyp_path.read_text()) == {"concept": json.loads(out)["concept"]}
+
+
 def test_learn_reliable_from_csv(tmp_path, capsys):
     maj = Majority(3, (1, 2, 3))
     train = generate(maj, NoiseModel("none"), 300, seed=1, stream=1)
@@ -231,6 +243,24 @@ def test_domain_error_exit_code(tmp_path, capsys):
                            "--concept", "MAJ 1", "--eps", "0.1", "--mode", "positive")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_certify_non_finite_eps_is_a_domain_error(tmp_path, capsys, eps):
+    poly_path = tmp_path / "poly.json"
+    code, _, _ = run_cli(capsys, "construct", "--concept", "MAJ 1 2 3", "--kind", "quarter",
+                         "--out", str(poly_path))
+    assert code == 0
+    code, _, err = run_cli(capsys, "certify", "--poly", str(poly_path), "--concept", "MAJ 1 2 3",
+                           "--eps", eps, "--mode", "positive")
+    assert code == 1
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_unclosed_clause_is_a_domain_error(capsys):
+    code, _, err = run_cli(capsys, "construct", "--concept", "DNF (+1 -2", "--kind", "dnf", "--d", "2")
+    assert code == 1
+    assert err.startswith("error:") and "unclosed clause" in err
 
 
 def test_usage_error_exit_code():

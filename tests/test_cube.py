@@ -150,6 +150,9 @@ def test_parse_concept_errors():
         parse_concept("WAT 1 2")
     with pytest.raises(DimensionError):
         parse_concept("HALFSPACE 0 1 1", n=5)
+    for text in ("DNF (+1 -2", "CNF (+1)(-2 +3"):
+        with pytest.raises(InputError, match="unclosed clause"):
+            parse_concept(text)
 
 
 def test_empirical_metrics_examples():

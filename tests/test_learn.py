@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from onesided import cube
 from onesided.cube import (Disjunction, LabeledSample, Majority, cube_matrix,
                            empirical_metrics, eval_concept, eval_concept_batch,
                            make_sample)
@@ -259,6 +260,17 @@ def test_fully_reliable_noiseless_majority_full_cube():
     hyp, _ = learn_fully_reliable(s, 5, W, 0.4, fresh)
     m = empirical_metrics(hyp, s)
     assert m.err == 0.0 and m.unknown_rate == 0.0
+
+
+def test_fully_reliable_dedups_its_sample_once(monkeypatch):
+    # both one-sided fits read the sample's cached dedup
+    calls = []
+    real = cube.dedup
+    monkeypatch.setattr(cube, "dedup", lambda points, labels: calls.append(1) or real(points, labels))
+    rng = np.random.default_rng(4)
+    s, fresh = rand_sample(rng, 300, 3), rand_sample(rng, 200, 3)
+    learn_fully_reliable(s, 2, 4.0, 0.4, fresh)
+    assert len(calls) == 1
 
 
 def test_agreement_hypothesis_rules():

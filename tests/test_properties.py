@@ -9,20 +9,21 @@ from unittest import mock
 import numpy as np
 import pytest
 from scipy import optimize, sparse
+from test_learn import brute_threshold_scan
 
 import onesided.lp as lpmod
 from onesided.certify import min_eps, verify_onesided, verify_twosided
 from onesided.constructions import halfspace_onesided
-from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Conjunction, Disjunction, Halfspace, Majority,
-                           constant_concept, cube_matrix, dedup, eval_concept_batch, format_concept,
-                           make_sample)
+from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Cnf, Conjunction, Disjunction, Dnf, Halfspace,
+                           LabeledSample, Majority, constant_concept, cube_matrix, dedup, eval_concept,
+                           eval_concept_batch, format_concept, make_sample)
 from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
                               monotone_disjunction_bank)
-from onesided.learn import agnostic_l1_fit, choose_error_threshold
+from onesided.learn import CALIBRATION_FACTOR, agnostic_l1_fit, choose_error_threshold, derandomize
 from onesided.lp import FEASIBILITY_TOL, LinearProgram, check_feasible, solve
 from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly,
                            eval_exact, eval_on_cube, exact_multilinear, expand, interpolate,
-                           monomials_upto)
+                           monomials_upto, sparse_eval_batch)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -159,6 +160,56 @@ def _threshold_by_loop(values, labels):
 def test_choose_error_threshold_matches_loop(pairs):
     values, labels = np.array([v for v, _ in pairs]), np.array([y for _, y in pairs])
     assert choose_error_threshold(values, labels) == _threshold_by_loop(values, labels)
+
+
+# Cube values with exact dyadic coefficients: ties, 0.0, and plateaus at -1 and +1 after the clamp
+DYADIC_VALUES = [Fraction(v) for v in (-2, -1, Fraction(-1, 2), 0, Fraction(1, 4), Fraction(1, 2), 1, Fraction(3, 2))]
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(1, 3), eps=st.sampled_from([0.1, 0.2, 0.3, 0.5]),
+       bias=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_derandomize_matches_brute_scan_property(data, n, eps, bias, seed):
+    values = data.draw(st.lists(st.sampled_from(DYADIC_VALUES), min_size=2**n, max_size=2**n))
+    p = interpolate(n, values)
+    rng = np.random.default_rng(seed)
+    m = math.ceil(CALIBRATION_FACTOR / eps**2) + int(rng.integers(0, 30))
+    X = cube_matrix(n)[rng.integers(0, 2**n, m)]
+    y = np.where(rng.random(m) < bias, 1, -1).astype(np.int8)
+    H = np.clip(sparse_eval_batch(p, X), -1.0, 1.0)
+    for sign in (POSITIVE, NEGATIVE):
+        assert derandomize(p, LabeledSample(X, y, n), eps, sign).threshold == brute_threshold_scan(H, y, eps, sign)
+
+
+# ---------------------------------------------------------------------------
+# Concept evaluation: the batch rule against the per-point reference
+
+
+@st.composite
+def concepts(draw):
+    """A concept of any of the six types, empty literal sets, majorities, clauses and clause lists included."""
+    n = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["maj", "halfspace", "disj", "conj", "dnf", "cnf"]))
+    if kind == "maj":
+        mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return Majority(n, tuple(j + 1 for j in range(n) if mask[j]))
+    if kind == "halfspace":
+        w0, w = draw(st.integers(-3, 3)), tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        return Halfspace(n, w0 if w0 or any(w) else 1, w)
+    literals = [s * v for v in range(1, n + 1) for s in (1, -1)]
+    if kind in ("disj", "conj"):  # a flat literal set may hold both polarities of a variable
+        lits = tuple(draw(st.lists(st.sampled_from(literals), unique=True, max_size=4))) if n else ()
+        return (Disjunction if kind == "disj" else Conjunction)(n, lits)
+    clause = st.lists(st.integers(1, n), unique=True, max_size=3).flatmap(
+        lambda vs: st.tuples(*[st.sampled_from([v, -v]) for v in vs])) if n else st.just(())
+    return (Dnf if kind == "dnf" else Cnf)(n, tuple(draw(st.lists(clause, max_size=3))))
+
+
+@settings(max_examples=300)
+@given(concepts())
+def test_eval_concept_batch_matches_pointwise(c):
+    X = cube_matrix(c.n)
+    assert eval_concept_batch(c, X).tolist() == [eval_concept(c, tuple(row)) for row in X.tolist()]
 
 
 # ---------------------------------------------------------------------------
