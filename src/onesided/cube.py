@@ -15,7 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
@@ -424,11 +424,11 @@ def load_sample_csv(path) -> LabeledSample:
 
 @dataclass(frozen=True)
 class PartialHypothesis:
-    """A total three-valued classifier; ``decide`` answers -1, 0 (abstain), or +1."""
+    """A three-valued classifier: ``decide_batch`` maps a (k, n) +-1 matrix to k answers,
+    each -1, 0 (abstain), or +1."""
 
     n: int
-    decide: Callable[[tuple[int, ...]], int]
-    decide_batch: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    decide_batch: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -442,25 +442,21 @@ class ErrorMetrics:
         return asdict(self)
 
 
-def _predictions(h, s: LabeledSample) -> np.ndarray:
-    if is_concept(h):
-        return eval_concept_batch(h, s.points)
-    batch = getattr(h, "decide_batch", None)
-    if batch is not None:
-        return np.asarray(batch(s.points))
-    decide = getattr(h, "decide", None) or h
-    return np.array([decide(tuple(int(v) for v in row)) for row in s.points])
+def predict(h, X: np.ndarray) -> np.ndarray:
+    """Answers of a hypothesis on the rows of X: a concept is evaluated, anything else
+    answers through its ``decide_batch``."""
+    return eval_concept_batch(h, X) if is_concept(h) else h.decide_batch(X)
 
 
 def empirical_metrics(h, s: LabeledSample) -> ErrorMetrics:
     """Unweighted empirical error rates of a (possibly partial) classifier.
 
-    ``h`` may be a concept, a PartialHypothesis, any object with ``decide`` /
-    ``decide_batch``, or a bare callable on bit tuples.
+    ``h`` is a concept or an object with ``n`` and ``decide_batch`` (a
+    PartialHypothesis or a ReliableHypothesis); see :func:`predict`.
     """
     if s.m < 1:
         raise InputError("empirical metrics need at least one example")
-    pred = _predictions(h, s)
+    pred = predict(h, s.points)
     y = s.labels
     m = s.m
     return ErrorMetrics(

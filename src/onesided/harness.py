@@ -147,8 +147,9 @@ def brute_opt(s: LabeledSample, bank: Sequence[Concept], mode: str):
     """Exhaustive empirical optimum over a concept bank.
 
     ``positive``: minimal empirical false-negative rate among concepts with
-    zero empirical false positives (include the constant -1 concept in the
-    bank to keep the feasible set nonempty); ``negative`` mirrors.
+    zero empirical false positives; when no bank concept has none, the
+    constant -1 concept (always feasible) and its rate; ``negative`` mirrors
+    with the constant +1.
     ``fully``: minimal abstain rate among concept pairs whose agreement
     classifier makes zero empirical errors; the search always includes the
     constant pair (always abstain), mirroring the feasibility guarantee.
@@ -190,8 +191,9 @@ def brute_opt(s: LabeledSample, bank: Sequence[Concept], mode: str):
     fn_mass = ((E == -1) * npos).sum(axis=1)
     feas = fp_mass == 0 if mode == POSITIVE else fn_mass == 0
     value_mass = fn_mass if mode == POSITIVE else fp_mass
-    if not feas.any():
-        raise InputError("no feasible concept in the bank; include the suitable constant concept")
+    if not feas.any():  # the mode's constant is feasible and no concept's value exceeds its value
+        value = (npos if mode == POSITIVE else nneg).sum() / m
+        return float(value), constant_concept(s.n, -1 if mode == POSITIVE else 1)
     best = None
     for i in np.flatnonzero(feas):
         cand = (value_mass[i] / m, format_concept(bank[i]), i)

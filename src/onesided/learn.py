@@ -36,7 +36,7 @@ import numpy as np
 from scipy import sparse
 
 from . import lp as lpmod
-from .cube import NEGATIVE, POSITIVE, Disjunction, LabeledSample, PartialHypothesis, as_bits
+from .cube import NEGATIVE, POSITIVE, Disjunction, LabeledSample, PartialHypothesis, as_bits, predict
 from .errors import InfeasibleError, InputError, ResourceLimitError, SolverError
 from .poly import SparsePolynomial, characters, from_lp_solution, monomials_upto, sparse_eval_batch
 
@@ -50,11 +50,6 @@ FEATURE_CAP = 8192
 def chop(a: float) -> float:
     """Clamp to [-1, 1] (identity inside, sign outside)."""
     return -1.0 if a < -1.0 else (1.0 if a > 1.0 else float(a))
-
-
-def _decide_point(decide_batch, x, n: int) -> int:
-    """One point's answer from a batch rule, on the row that :func:`as_bits` validates."""
-    return int(decide_batch(np.array([as_bits(x, n)], dtype=np.int8))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +71,12 @@ class ReliableHypothesis:
     p: SparsePolynomial
     sign: str
     threshold: float
-    calibration_m: int | None = None
+    calibration_m: int | None
     clamp: bool = True
 
     @property
     def n(self) -> int:
         return self.p.n
-
-    def decide(self, x) -> int:
-        return _decide_point(self.decide_batch, x, self.n)
 
     def decide_batch(self, X: np.ndarray) -> np.ndarray:
         v = sparse_eval_batch(self.p, X)
@@ -189,7 +181,7 @@ def reliable_fit(
     d: int,
     W: float,
     eps: float,
-    sign: str = POSITIVE,
+    sign: str,
 ) -> tuple[SparsePolynomial, FitReport]:
     """Solve the hinge-loss LP with hard constraints on the protected side."""
     if sign not in (POSITIVE, NEGATIVE):
@@ -286,7 +278,7 @@ def derandomize(
     p: SparsePolynomial,
     fresh: LabeledSample,
     eps: float,
-    sign: str = POSITIVE,
+    sign: str,
 ) -> ReliableHypothesis:
     """Pick the calibrated threshold over H(x) = chop(p(x)) on a fresh sample.
 
@@ -335,14 +327,17 @@ def learn_reliable(
     return derandomize(poly, fresh, eps, sign), report
 
 
-def agreement_hypothesis(h_pos, h_neg, n: int) -> PartialHypothesis:
-    """Answer the shared value where both classifiers agree, abstain otherwise."""
+def agreement_hypothesis(h_pos, h_neg) -> PartialHypothesis:
+    """Answer the shared value where both classifiers agree, abstain otherwise.
+
+    Each side is a concept or an object with ``decide_batch`` (see :func:`cube.predict`).
+    """
 
     def decide_batch(X: np.ndarray) -> np.ndarray:
-        a, b = h_pos.decide_batch(X), h_neg.decide_batch(X)
+        a, b = predict(h_pos, X), predict(h_neg, X)
         return np.where(a == b, a, 0).astype(np.int8)
 
-    return PartialHypothesis(n, lambda x: _decide_point(decide_batch, x, n), decide_batch)
+    return PartialHypothesis(h_pos.n, decide_batch)
 
 
 def learn_fully_reliable(
@@ -355,7 +350,7 @@ def learn_fully_reliable(
     """Agreement of the two one-sided learners, each run at eps/4."""
     h_pos, rep_pos = learn_reliable(s, d, W, eps / 4.0, POSITIVE, fresh)
     h_neg, rep_neg = learn_reliable(s, d, W, eps / 4.0, NEGATIVE, fresh)
-    return agreement_hypothesis(h_pos, h_neg, s.n), {POSITIVE: rep_pos, NEGATIVE: rep_neg}
+    return agreement_hypothesis(h_pos, h_neg), {POSITIVE: rep_pos, NEGATIVE: rep_neg}
 
 
 def learn_agnostic_l1(

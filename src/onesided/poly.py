@@ -164,7 +164,7 @@ class SparsePolynomial:
                 raise InputError(f"monomial {mono} out of range for n={self.n}")
             c = _as_coef(coef)
             if c != 0:
-                clean[key] = clean.get(key, Fraction(0) if isinstance(c, Fraction) else 0.0) + c
+                clean[key] = clean[key] + c if key in clean else c
         clean = {k: v for k, v in clean.items() if v != 0}
         object.__setattr__(self, "terms", clean)
 

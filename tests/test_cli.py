@@ -169,6 +169,19 @@ def test_oracle_command(tmp_path, capsys):
     assert payload["argmin"].startswith("MAJ")
 
 
+@pytest.mark.parametrize("bank", ["majority", "monotone-disjunction"])
+def test_oracle_negative_mode_falls_back_to_constant(tmp_path, capsys, bank):
+    # every concept of either bank answers -1 on some +1-labeled point of this sample
+    held = generate(Majority(5, (1, 2, 3, 4, 5)), NoiseModel("one_sided_positive", 0.1), 900, seed=0, stream=3)
+    path = tmp_path / "held.csv"
+    save_sample_csv(held, path)
+    code, out, _ = run_cli(capsys, "oracle", "--sample", str(path), "--bank", bank, "--mode", "negative", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["argmin"] == "DISJ +1 -1"
+    assert payload["opt"] == np.count_nonzero(held.labels == -1) / 900 == pytest.approx(0.4378, abs=1e-4)
+
+
 def test_bench_and_replay(tmp_path, capsys):
     manifest = RunManifest(
         seed=5,

@@ -158,11 +158,11 @@ def test_parse_concept_errors():
 def test_empirical_metrics_examples():
     X = cube_matrix(3)
     all_neg = LabeledSample(X, -np.ones(8, dtype=np.int8), 3)
-    always_pos = PartialHypothesis(3, lambda bits: 1)
+    always_pos = PartialHypothesis(3, lambda X: np.ones(len(X), dtype=np.int8))
     m = empirical_metrics(always_pos, all_neg)
     assert m.false_pos == 1.0 and m.false_neg == 0.0 and m.err == 1.0
 
-    always_unknown = PartialHypothesis(3, lambda bits: 0)
+    always_unknown = PartialHypothesis(3, lambda X: np.zeros(len(X), dtype=np.int8))
     m = empirical_metrics(always_unknown, all_neg)
     assert m.unknown_rate == 1.0 and m.err == 0.0
 

@@ -158,28 +158,18 @@ def test_brute_opt_fully_mode_zero_error_and_sentinel():
     # the winning pair really has zero empirical error
     from onesided.learn import agreement_hypothesis
 
-    class _Wrap:
-        def __init__(self, concept):
-            self.concept = concept
-
-        def decide(self, x):
-            from onesided.cube import eval_concept
-
-            return eval_concept(self.concept, x)
-
-        def decide_batch(self, X):
-            return eval_concept_batch(self.concept, X)
-
-    pair = agreement_hypothesis(_Wrap(c_pos), _Wrap(c_neg), 5)
-    m = empirical_metrics(pair, s)
+    m = empirical_metrics(agreement_hypothesis(c_pos, c_neg), s)
     assert m.err == 0.0
     assert m.unknown_rate == pytest.approx(value)
 
 
 def test_brute_opt_requires_feasible_bank():
     s = generate(maj(3), NoiseModel("symmetric", 0.4), 200, seed=0)
-    with pytest.raises(InputError):
-        brute_opt(s, [maj(3)], "positive")  # no constant -1 in this bank
+    # no constant -1 in this bank and MAJ 1 2 3 has false positives: the constant -1 answers
+    value, arg = brute_opt(s, [maj(3)], "positive")
+    assert format_concept(arg) == "DISJ" and value == float(np.count_nonzero(s.labels == 1)) / s.m
+    value, arg = brute_opt(s, [maj(3)], "negative")
+    assert format_concept(arg) == "DISJ +1 -1" and value == float(np.count_nonzero(s.labels == -1)) / s.m
 
 
 # ---------------------------------------------------------------------------

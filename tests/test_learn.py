@@ -184,15 +184,15 @@ def test_derandomize_all_positive_fresh():
     rng = np.random.default_rng(0)
     pts = (rng.integers(0, 2, (250, 1)) * 2 - 1).astype(np.int8)
     fresh = LabeledSample(pts, np.ones(250, dtype=np.int8), 1)
-    h = derandomize(SparsePolynomial(1, {(1,): 1.0}), fresh, 0.1)
+    h = derandomize(SparsePolynomial(1, {(1,): 1.0}), fresh, 0.1, "positive")
     assert h.threshold == -math.inf
-    assert h.decide((1,)) == 1 and h.decide((-1,)) == 1
+    assert (h.decide_batch(np.array([[1], [-1]], dtype=np.int8)) == 1).all()
 
 
 def test_derandomize_all_negative_constant_h():
     pts = np.ones((250, 1), dtype=np.int8)
     fresh = LabeledSample(pts, -np.ones(250, dtype=np.int8), 1)
-    h = derandomize(SparsePolynomial(1, {(): -1.0}), fresh, 0.1)
+    h = derandomize(SparsePolynomial(1, {(): -1.0}), fresh, 0.1, "positive")
     # H is identically -1; thresholding at -1 already answers -1 everywhere
     # under the strict sgn(0) = -1 rule, so -1 is the smallest workable value
     assert h.threshold == -1.0
@@ -226,7 +226,7 @@ def test_derandomize_guarantee_exact_on_calibration():
 def test_derandomize_needs_enough_calibration_data():
     fresh = make_sample([(1,)], [1], 1)
     with pytest.raises(InputError):
-        derandomize(SparsePolynomial(1, {(1,): 1.0}), fresh, 0.01)
+        derandomize(SparsePolynomial(1, {(1,): 1.0}), fresh, 0.01, "positive")
     assert math.ceil(CALIBRATION_FACTOR / 0.01**2) > 1
 
 
@@ -274,12 +274,11 @@ def test_fully_reliable_dedups_its_sample_once(monkeypatch):
 
 
 def test_agreement_hypothesis_rules():
-    always_pos = ReliableHypothesis(SparsePolynomial(2, {(): 5.0}), "positive", 0.0)
-    always_neg = ReliableHypothesis(SparsePolynomial(2, {(): -5.0}), "negative", 0.0)
-    both = agreement_hypothesis(always_pos, always_pos, 2)
-    assert both.decide((1, 1)) == 1
-    conflicted = agreement_hypothesis(always_pos, always_neg, 2)
-    assert conflicted.decide((1, 1)) == 0
+    always_pos = ReliableHypothesis(SparsePolynomial(2, {(): 5.0}), "positive", 0.0, None)
+    always_neg = ReliableHypothesis(SparsePolynomial(2, {(): -5.0}), "negative", 0.0, None)
+    both = agreement_hypothesis(always_pos, always_pos)
+    assert (both.decide_batch(cube_matrix(2)) == 1).all()
+    conflicted = agreement_hypothesis(always_pos, always_neg)
     assert (conflicted.decide_batch(cube_matrix(2)) == 0).all()
 
 

@@ -14,12 +14,13 @@ from test_learn import brute_threshold_scan
 import onesided.lp as lpmod
 from onesided.certify import min_eps, verify_onesided, verify_twosided
 from onesided.constructions import halfspace_onesided
-from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Cnf, Conjunction, Disjunction, Dnf, Halfspace,
-                           LabeledSample, Majority, constant_concept, cube_matrix, dedup, eval_concept,
-                           eval_concept_batch, format_concept, make_sample)
+from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Cnf, Conjunction, Disjunction, Dnf, ErrorMetrics,
+                           Halfspace, LabeledSample, Majority, constant_concept, cube_matrix, dedup,
+                           empirical_metrics, eval_concept, eval_concept_batch, format_concept, make_sample)
 from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
                               monotone_disjunction_bank)
-from onesided.learn import CALIBRATION_FACTOR, agnostic_l1_fit, choose_error_threshold, derandomize
+from onesided.learn import (CALIBRATION_FACTOR, ReliableHypothesis, agnostic_l1_fit, agreement_hypothesis,
+                            chop, choose_error_threshold, derandomize)
 from onesided.lp import FEASIBILITY_TOL, LinearProgram, check_feasible, solve
 from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly,
                            eval_exact, eval_on_cube, exact_multilinear, expand, interpolate,
@@ -186,9 +187,10 @@ def test_derandomize_matches_brute_scan_property(data, n, eps, bias, seed):
 
 
 @st.composite
-def concepts(draw):
-    """A concept of any of the six types, empty literal sets, majorities, clauses and clause lists included."""
-    n = draw(st.integers(0, 5))
+def concepts(draw, n=None):
+    """A concept of any of the six types (on n variables, or a drawn n <= 5), empty literal sets,
+    majorities, clauses and clause lists included."""
+    n = draw(st.integers(0, 5)) if n is None else n
     kind = draw(st.sampled_from(["maj", "halfspace", "disj", "conj", "dnf", "cnf"]))
     if kind == "maj":
         mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -210,6 +212,48 @@ def concepts(draw):
 def test_eval_concept_batch_matches_pointwise(c):
     X = cube_matrix(c.n)
     assert eval_concept_batch(c, X).tolist() == [eval_concept(c, tuple(row)) for row in X.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis answers: the batch protocol against per-point references
+
+
+def _metrics_by_loop(pred, y):
+    """ErrorMetrics of per-point answers, counted one example at a time."""
+    m = len(y)
+    return ErrorMetrics(sum(p == 1 and t == -1 for p, t in zip(pred, y)) / m,
+                        sum(p == -1 and t == 1 for p, t in zip(pred, y)) / m,
+                        sum(p == -t for p, t in zip(pred, y)) / m,
+                        sum(p == 0 for p in pred) / m)
+
+
+@settings(max_examples=200)
+@given(pair=st.integers(0, 5).flatmap(lambda n: st.tuples(concepts(n), concepts(n))),
+       m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_agreement_of_concepts_matches_pointwise(pair, m, seed):
+    c1, c2 = pair
+    rng = np.random.default_rng(seed)
+    X = (rng.integers(0, 2, (m, c1.n)) * 2 - 1).astype(np.int8)
+    y = np.where(rng.random(m) < 0.5, 1, -1).astype(np.int8)
+    pred = []
+    for row in X.tolist():
+        a, b = eval_concept(c1, row), eval_concept(c2, row)
+        pred.append(a if a == b else 0)
+    assert empirical_metrics(agreement_hypothesis(c1, c2), LabeledSample(X, y, c1.n)) == _metrics_by_loop(pred, y.tolist())
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(0, 3), sign=st.sampled_from([POSITIVE, NEGATIVE]), clamp=st.booleans(),
+       t=st.sampled_from([-math.inf, -1.0, math.inf, 1.0] + [float(v) for v in DYADIC_VALUES]))
+def test_reliable_hypothesis_batch_matches_pointwise(data, n, sign, clamp, t):
+    # dyadic cube values give dyadic coefficients, so the float batch evaluation is exact
+    p = interpolate(n, data.draw(st.lists(st.sampled_from(DYADIC_VALUES), min_size=2**n, max_size=2**n)))
+    X = cube_matrix(n)
+    answers = ReliableHypothesis(p, sign, t, None, clamp).decide_batch(X)
+    for x, answer in zip(X.tolist(), answers.tolist()):
+        v = float(p.eval(x))
+        v = chop(v) if clamp else v
+        assert answer == (1 if (v > t if sign == POSITIVE else v >= t) else -1)
 
 
 # ---------------------------------------------------------------------------
