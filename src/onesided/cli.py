@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force empirical optimum over a concept bank")
     p.add_argument("--sample", required=True)
-    p.add_argument("--bank", choices=["majority", "monotone-disjunction"], default="majority")
+    p.add_argument("--bank", choices=list(harness.BANKS), default="majority")
     p.add_argument("--mode", choices=["positive", "negative", "fully"], required=True)
     common(p)
     p.set_defaults(func=_cmd_oracle)

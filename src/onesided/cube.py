@@ -29,13 +29,27 @@ POSITIVE, NEGATIVE, TWOSIDED, FULLY = "positive", "negative", "twosided", "fully
 
 
 def as_bits(x: Bits, n: int | None = None) -> tuple[int, ...]:
-    """Coerce a sequence of +-1 entries to a validated tuple of ints."""
-    bits = tuple(int(b) for b in x)
-    if any(b not in (-1, 1) for b in bits):
-        raise InputError(f"cube point entries must be -1 or +1, got {bits}")
-    if n is not None and len(bits) != n:
-        raise DimensionError(f"point has {len(bits)} entries, expected {n}")
-    return bits
+    """Validate a sequence of +-1 entries, then coerce it to a tuple of ints."""
+    raw = tuple(x)
+    if any(b not in (-1, 1) for b in raw):
+        raise InputError(f"cube point entries must be -1 or +1, got {raw}")
+    if n is not None and len(raw) != n:
+        raise DimensionError(f"point has {len(raw)} entries, expected {n}")
+    return tuple(int(b) for b in raw)
+
+
+def linear_form(X: np.ndarray, w0: int, w: Sequence[int]) -> np.ndarray:
+    """w0 + X @ w in int64 over the rows of a +-1 int8 matrix, one column gather per
+    distinct nonzero weight, so X is never copied to int64 (eight times its size)."""
+    cols: dict[int, list[int]] = {}
+    for j, wj in enumerate(w):
+        if wj:
+            cols.setdefault(wj, []).append(j)
+    t = np.full(X.shape[0], w0, dtype=np.int64)
+    for wj, js in cols.items():
+        s = X[:, js].sum(axis=1, dtype=np.int64)
+        t += s if wj == 1 else wj * s
+    return t
 
 
 def cube_matrix(n: int) -> np.ndarray:
@@ -169,12 +183,18 @@ def _check_clause(literals: Sequence[int], n: int) -> None:
         raise InputError(f"variable repeated within clause {literals}")
 
 
+def _unit_weights(c: Majority) -> list[int]:
+    w = [0] * c.n
+    for v in c.vars:
+        w[v - 1] = 1
+    return w
+
+
 def majority_as_halfspace(c: Majority) -> Halfspace:
     """The unit-weight halfspace computing a (nonempty) majority."""
     if not c.vars:
         raise InputError("the empty majority is constant -1, not a halfspace")
-    w = tuple(1 if j in set(c.vars) else 0 for j in range(1, c.n + 1))
-    return Halfspace(c.n, 0, w)
+    return Halfspace(c.n, 0, tuple(_unit_weights(c)))
 
 
 def constant_concept(n: int, value: int) -> Concept:
@@ -221,12 +241,7 @@ def eval_concept_batch(c: Concept, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != c.n:
         raise DimensionError(f"matrix has {X.shape[1] if X.ndim == 2 else '?'} columns, expected {c.n}")
     if isinstance(c, (Majority, Halfspace)):
-        # w0 and the variables of each nonzero weight; a majority has the one weight 1
-        w0, groups = (0, {1: c.vars}) if isinstance(c, Majority) else \
-            (c.w0, {wv: [j for j, wj in enumerate(c.w, 1) if wj == wv] for wv in set(c.w) - {0}})
-        t = np.full(X.shape[0], w0, dtype=np.int64)
-        for wv, vs in groups.items():  # one column gather per weight, not an int64 copy of X
-            t += wv * X[:, [v - 1 for v in vs]].sum(axis=1, dtype=np.int64)
+        t = linear_form(X, 0, _unit_weights(c)) if isinstance(c, Majority) else linear_form(X, c.w0, c.w)
         return np.where(t > 0, 1, -1).astype(np.int8)
     if not is_concept(c):
         raise TypeError(f"not a concept: {c!r}")
@@ -347,8 +362,7 @@ class LabeledSample:
     n: int
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.int8)
-        lab = np.asarray(self.labels, dtype=np.int8)
+        pts, lab = np.asarray(self.points), np.asarray(self.labels)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise DimensionError(f"points shaped {pts.shape}, expected (m, {self.n})")
         if lab.shape != (pts.shape[0],):
@@ -357,8 +371,8 @@ class LabeledSample:
             raise InputError("sample points must be +-1 valued")
         if lab.size and not np.isin(lab, (-1, 1)).all():
             raise InputError("labels must be +-1 valued")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "points", pts.astype(np.int8, copy=False))
+        object.__setattr__(self, "labels", lab.astype(np.int8, copy=False))
 
     @property
     def m(self) -> int:

@@ -18,7 +18,7 @@ class ResourceLimitError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """The LP backend failed or returned an unusable status."""
+    """An LP solve ended without an optimum."""
 
 
 class InfeasibleError(SolverError):

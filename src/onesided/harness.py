@@ -10,16 +10,18 @@ label noise), so re-running a manifest reproduces identical bytes.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .cube import (FULLY, NEGATIVE, POSITIVE, Concept, LabeledSample, Majority,
+from .cube import (FULLY, NEGATIVE, POSITIVE, Concept, Disjunction, LabeledSample, Majority,
                    constant_concept, empirical_metrics, eval_concept_batch,
                    format_concept, parse_concept, save_sample_csv)
 from .errors import InputError, ResourceLimitError
@@ -75,7 +77,7 @@ class NoiseModel:
     def from_json(obj: dict) -> "NoiseModel":
         table = obj.get("table")
         if table is not None:
-            table = tuple((tuple(row[0]), int(row[1]), float(row[2])) for row in table)
+            table = tuple((tuple(row[0]), row[1], float(row[2])) for row in table)
         return NoiseModel(obj.get("kind", "none"), float(obj.get("eta", 0.0)), table)
 
 
@@ -94,9 +96,7 @@ def generate(c: Concept, noise: NoiseModel, m: int, seed: int, stream: int = TRA
         n = len(rows[0][0])
         probs = np.array([prob for _, _, prob in rows], dtype=np.float64)
         idx = rng.choice(len(rows), size=m, p=probs / probs.sum())
-        pts = np.array([rows[i][0] for i in idx], dtype=np.int8)
-        labels = np.array([rows[i][1] for i in idx], dtype=np.int8)
-        return LabeledSample(pts, labels, n)
+        return LabeledSample(np.array([rows[i][0] for i in idx]), np.array([rows[i][1] for i in idx]), n)
     X = (rng.integers(0, 2, size=(m, c.n)) * 2 - 1).astype(np.int8)
     y = eval_concept_batch(c, X).copy()
     if noise.kind != "none" and noise.eta > 0:
@@ -115,28 +115,26 @@ def generate(c: Concept, noise: NoiseModel, m: int, seed: int, stream: int = TRA
 # Concept banks and brute-force optima
 
 
+def _subset_bank(kind, n: int, cap: int, name: str) -> list[Concept]:
+    """``kind(n, subset)`` for every variable subset, in mask order (bit j selects x_{j+1})."""
+    if n > cap:
+        raise ResourceLimitError(f"{name} bank enumerates 2^{n} concepts; cap is n={cap}")
+    return [kind(n, tuple(j + 1 for j in range(n) if (mask >> j) & 1)) for mask in range(2**n)]
+
+
 def majority_bank(n: int) -> list[Concept]:
     """Majorities over every variable subset (2^n concepts, incl. the empty
     subset, which is the constant -1); the cap is n = 14."""
-    if n > 14:
-        raise ResourceLimitError(f"majority bank enumerates 2^{n} concepts; cap is n=14")
-    bank: list[Concept] = []
-    for mask in range(2**n):
-        vars_ = tuple(j + 1 for j in range(n) if (mask >> j) & 1)
-        bank.append(Majority(n, vars_))
-    return bank
+    return _subset_bank(Majority, n, 14, "majority")
 
 
 def monotone_disjunction_bank(n: int) -> list[Concept]:
     """Monotone disjunctions over every variable subset (2^n concepts); the cap is n = 20."""
-    if n > 20:
-        raise ResourceLimitError(f"disjunction bank enumerates 2^{n} concepts; cap is n=20")
-    from .cube import Disjunction
+    return _subset_bank(Disjunction, n, 20, "disjunction")
 
-    return [
-        Disjunction(n, tuple(j + 1 for j in range(n) if (mask >> j) & 1))
-        for mask in range(2**n)
-    ]
+
+#: oracle bank name -> bank builder over n variables.
+BANKS = {"majority": majority_bank, "monotone-disjunction": monotone_disjunction_bank}
 
 
 def _bank_eval(bank: Sequence[Concept], X: np.ndarray) -> np.ndarray:
@@ -203,11 +201,12 @@ def brute_opt(s: LabeledSample, bank: Sequence[Concept], mode: str):
 
 
 def oracle_record(s: LabeledSample, bank_name: str, mode: str) -> dict:
-    """The brute-force optimum of ``s`` over the majority bank (``bank_name == "majority"``) or
-    else the monotone disjunction bank, as the record a run stores: bank, mode, optimal value
-    and the argmin's concept encoding (a list of two for ``fully``)."""
-    bank = majority_bank(s.n) if bank_name == "majority" else monotone_disjunction_bank(s.n)
-    value, arg = brute_opt(s, bank, mode)
+    """The brute-force optimum of ``s`` over the bank ``BANKS[bank_name]``, as the record a run
+    stores: bank, mode, optimal value and the argmin's concept encoding (a list of two for
+    ``fully``)."""
+    if bank_name not in BANKS:
+        raise InputError(f"unknown oracle bank {bank_name!r}; expected one of {sorted(BANKS)}")
+    value, arg = brute_opt(s, BANKS[bank_name](s.n), mode)
     argmin = [format_concept(a) for a in arg] if isinstance(arg, tuple) else format_concept(arg)
     return {"bank": bank_name, "mode": mode, "opt": value, "argmin": argmin}
 
@@ -402,8 +401,6 @@ def replay_run(run_dir: str | Path) -> tuple[bool, RunManifest]:
     run_dir = Path(run_dir)
     manifest = RunManifest.from_json(json.loads((run_dir / "manifest.json").read_text()))
     old = (run_dir / "result.json").read_bytes()
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         redone = run_experiment(manifest, root=tmp)
         new = (Path(tmp) / redone.hash / "result.json").read_bytes()
@@ -412,8 +409,6 @@ def replay_run(run_dir: str | Path) -> tuple[bool, RunManifest]:
 
 def append_summary_csv(path: str | Path, manifest: RunManifest) -> None:
     """Append one row per run to a sweep summary CSV (header written once)."""
-    import csv
-
     path = Path(path)
     fields = ["hash", "seed", "concept", "algo", "false_pos", "false_neg", "err", "unknown_rate", "opt"]
     new = not path.exists()

@@ -37,8 +37,9 @@ from scipy import sparse
 
 from . import lp as lpmod
 from .cube import NEGATIVE, POSITIVE, Disjunction, LabeledSample, PartialHypothesis, as_bits, predict
-from .errors import InfeasibleError, InputError, ResourceLimitError, SolverError
-from .poly import SparsePolynomial, characters, from_lp_solution, monomials_upto, sparse_eval_batch
+from .errors import InfeasibleError, InputError, ResourceLimitError
+from .poly import (SparsePolynomial, characters, from_lp_solution, monomials_upto, sparse_eval_batch,
+                   sparse_to_json)
 
 #: Calibration sample must have at least CALIBRATION_FACTOR / eps^2 examples.
 CALIBRATION_FACTOR = 2.0
@@ -85,8 +86,6 @@ class ReliableHypothesis:
         return np.where(hit, 1, -1).astype(np.int8)
 
     def to_json(self) -> dict:
-        from .poly import sparse_to_json
-
         return {
             "polynomial": sparse_to_json(self.p),
             "sign": self.sign,
@@ -107,7 +106,7 @@ class FitReport:
     W: float
     d: int
     m: int
-    lp_status: str
+    lp_status: str  # always "optimal" (a failed solve raises); result.json stores it
 
 
 @dataclass(frozen=True)
@@ -176,6 +175,15 @@ def _capped_program(slack_weights: np.ndarray, M: int, W: float, A_ub=None, b_ub
     )
 
 
+def _solve_fit(program: lpmod.LinearProgram, s: LabeledSample, monos, d: int, W: float,
+               eps: float | None) -> tuple[SparsePolynomial, FitReport]:
+    """Solve a capped fit program: the polynomial on its first ``len(monos)`` columns, and its report."""
+    sol = lpmod.solve(program)
+    poly = from_lp_solution(s.n, monos, sol.values[:len(monos)])
+    active = lpmod.count_active(program, sol.values)
+    return poly, FitReport(max(0.0, sol.objective_value), active, eps, float(W), d, s.m, "optimal")
+
+
 def reliable_fit(
     s: LabeledSample,
     d: int,
@@ -210,15 +218,10 @@ def reliable_fit(
     ])
     b_fit = np.concatenate([np.full(nh, -1.0), np.full(nhard, -1.0 + eps)])
     program = _capped_program(hinge_counts[hinge_idx], M, W, A_fit, b_fit)
-    sol = lpmod.solve(program)
-    if sol.status == "infeasible":
-        raise InfeasibleError(f"hinge LP infeasible (weight cap W={W} too small for eps={eps})")
-    if sol.status != "optimal":
-        raise SolverError(f"hinge LP ended with status {sol.status}")
-    poly = from_lp_solution(s.n, monos, sol.values[:M])
-    active = lpmod.count_active(program, sol.values)
-    report = FitReport(max(0.0, sol.objective_value), active, eps, float(W), d, s.m, sol.status)
-    return poly, report
+    try:
+        return _solve_fit(program, s, monos, d, W, eps)
+    except InfeasibleError as exc:
+        raise InfeasibleError(f"hinge LP infeasible (weight cap W={W} too small for eps={eps})") from exc
 
 
 def agnostic_l1_fit(s: LabeledSample, d: int, W: float) -> tuple[SparsePolynomial, FitReport]:
@@ -238,15 +241,7 @@ def agnostic_l1_fit(s: LabeledSample, d: int, W: float) -> tuple[SparsePolynomia
     eye = sparse.identity(k, format="csr")
     A_eq = sparse.hstack([sparse.csr_array(characters(X, monos)), sparse.csr_array((k, M)), -eye, eye])
     program = _capped_program(np.concatenate([counts, counts]), M, W, A_eq=A_eq, b_eq=y)
-    sol = lpmod.solve(program)
-    if sol.status == "infeasible":
-        raise InfeasibleError("L1 LP infeasible")
-    if sol.status != "optimal":
-        raise SolverError(f"L1 LP ended with status {sol.status}")
-    poly = from_lp_solution(s.n, monos, sol.values[:M])
-    active = lpmod.count_active(program, sol.values)
-    report = FitReport(max(0.0, sol.objective_value), active, None, float(W), d, s.m, sol.status)
-    return poly, report
+    return _solve_fit(program, s, monos, d, W, None)
 
 
 # ---------------------------------------------------------------------------

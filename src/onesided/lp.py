@@ -11,21 +11,21 @@ deterministic for identical input and enforces a primal feasibility
 tolerance of 1e-7 (its default, matching the contract here).  The caller
 picks the HiGHS algorithm: the default ``"highs"`` (dual simplex on the
 learners' fits), or ``"highs-ipm"`` (interior point, then crossover to a
-vertex) for the tall full-cube LP of the error oracle.  Statuses map
-onto a fixed taxonomy: ``optimal``, ``infeasible``, ``unbounded``; anything
-else raises :class:`SolverError` with the backend's message.
+vertex) for the tall full-cube LP of the error oracle.  A solve returns an
+optimum or raises: :class:`InfeasibleError` when no point is feasible,
+:class:`SolverError` with the backend's message for any other outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .errors import InputError, SolverError
+from .errors import InfeasibleError, InputError, SolverError
 
 FEASIBILITY_TOL = 1e-7
 
@@ -81,23 +81,24 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded
-    values: np.ndarray | None = field(default=None)
-    objective_value: float | None = None
+    """An optimal point of a linear program and its objective value."""
+
+    values: np.ndarray
+    objective_value: float
 
 
 def solve(lp: LinearProgram, method: str = "highs") -> LpSolution:
-    """Solve a linear program with scipy's HiGHS ``method``; deterministic for identical input."""
+    """An optimum of the program by scipy's HiGHS ``method``, deterministic for identical
+    input; raises :class:`InfeasibleError` or :class:`SolverError` instead of returning a status."""
     bounds = list(lp.bounds) if lp.bounds is not None else [(None, None)] * lp.nvars
     res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
                   bounds=bounds, method=method)
     if res.status == 0:
-        return LpSolution("optimal", np.asarray(res.x, dtype=np.float64), float(res.fun))
+        return LpSolution(np.asarray(res.x, dtype=np.float64), float(res.fun))
     if res.status == 2:
-        return LpSolution("infeasible")
-    if res.status == 3:
-        return LpSolution("unbounded")
-    raise SolverError(f"LP backend failed (status {res.status}): {res.message}; iterations={getattr(res, 'nit', '?')}")
+        raise InfeasibleError(f"LP infeasible: {res.message}")
+    raise SolverError(f"LP solve ended without an optimum (status {res.status}): {res.message}; "
+                      f"iterations={getattr(res, 'nit', '?')}")
 
 
 def check_feasible(lp: LinearProgram, x: Sequence[float]) -> float:

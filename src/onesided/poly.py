@@ -38,7 +38,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .cube import BoolFunc, as_bits, cube_matrix, target_values
+from .cube import BoolFunc, as_bits, cube_matrix, linear_form, target_values
 from .errors import DimensionError, InputError, ResourceLimitError
 
 Coef = Union[Fraction, float]
@@ -344,11 +344,7 @@ def cube_numerators(p: StructuredPolynomial) -> tuple[np.ndarray, int]:
     their parts' numerators over the lcm of their denominators.
     """
     if isinstance(p, AffineForm):
-        X = cube_matrix(p.n)
-        ts = np.full(X.shape[0], p.w0, dtype=np.int64)
-        for j, wj in enumerate(p.w):  # column by column: an int64 copy of X would be 8x its size
-            ts += X[:, j].astype(np.int64) * np.int64(wj)
-        ts, inverse = np.unique(ts, return_inverse=True)
+        ts, inverse = np.unique(linear_form(cube_matrix(p.n), p.w0, p.w), return_inverse=True)
         table, denom = _over_common_denominator([p.outer(int(t)) for t in ts])
         return table[inverse], denom
     if isinstance(p, SparsePolynomial):

@@ -4,7 +4,7 @@ import pytest
 
 from onesided.certify import min_eps, verify_onesided, verify_twosided
 from onesided.constructions import halfspace_quarter
-from onesided.cube import (Conjunction, Disjunction, Majority, cube_matrix,
+from onesided.cube import (Conjunction, Disjunction, Halfspace, Majority, cube_matrix, eval_concept,
                            majority_as_halfspace)
 from onesided.errors import InputError, ResourceLimitError
 from onesided.poly import SparsePolynomial, exact_multilinear
@@ -16,6 +16,15 @@ BANK = {
     "AND_2": Conjunction(2, (1, 2)),
     "AND_3": Conjunction(3, (1, 2, 3)),
     "MAJ_3": Majority(3, (1, 2, 3)),
+}
+
+# the negation -f of each bank function, written as a concept
+NEGATED = {
+    "OR_2": Conjunction(2, (-1, -2)),
+    "OR_3": Conjunction(3, (-1, -2, -3)),
+    "AND_2": Disjunction(2, (-1, -2)),
+    "AND_3": Disjunction(3, (-1, -2, -3)),
+    "MAJ_3": Halfspace(3, 0, (-1, -1, -1)),  # no ties at odd n
 }
 
 
@@ -133,16 +142,11 @@ def test_min_eps_monotone_and_exact_at_full_degree(name, mode):
 @pytest.mark.parametrize("name", sorted(BANK))
 @pytest.mark.parametrize("d", [1, 2])
 def test_min_eps_negation_duality(name, d):
-    f = BANK[name]
-    neg_f = lambda bits: -f_val(f, bits)  # noqa: E731
-
-    def f_val(c, bits):
-        from onesided.cube import eval_concept
-
-        return eval_concept(c, bits)
-
+    f, neg_f = BANK[name], NEGATED[name]
+    for row in cube_matrix(f.n):
+        assert eval_concept(neg_f, row) == -eval_concept(f, row)
     lhs = min_eps(f, d, "negative")[0]
-    rhs = min_eps(neg_f, d, "positive", n=f.n)[0]
+    rhs = min_eps(neg_f, d, "positive")[0]
     assert lhs == pytest.approx(rhs, abs=1e-6)
 
 

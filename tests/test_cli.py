@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from onesided.cli import main
+from onesided import harness
+from onesided.cli import build_parser, main
 from onesided.cube import cube_matrix, eval_concept_batch, Majority, save_sample_csv, LabeledSample
 from onesided.harness import NoiseModel, RunManifest, generate
 from onesided.learn import plan_samples
@@ -167,6 +168,12 @@ def test_oracle_command(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["opt"] <= 0.2
     assert payload["argmin"].startswith("MAJ")
+
+
+def test_oracle_bank_choices_are_the_harness_registry():
+    commands = next(action for action in build_parser()._actions if action.dest == "command")
+    bank = next(action for action in commands.choices["oracle"]._actions if action.dest == "bank")
+    assert bank.choices == list(harness.BANKS)
 
 
 @pytest.mark.parametrize("bank", ["majority", "monotone-disjunction"])

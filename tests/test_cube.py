@@ -21,6 +21,11 @@ def test_cube_point_validation():
         as_bits((1, -1), 3)
 
 
+def test_cube_point_validation_checks_before_casting():
+    with pytest.raises(InputError):
+        as_bits([1.5, -1])  # int() would truncate 1.5 to 1
+
+
 def test_cube_matrix_order():
     X = cube_matrix(2)
     assert X.tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
@@ -205,6 +210,16 @@ def test_sample_validation():
         make_sample([(1, 2)], [1], 2)
     with pytest.raises(InputError):
         LabeledSample(np.ones((2, 2), dtype=np.int8), np.array([1, 0], dtype=np.int8), 2)
+
+
+@pytest.mark.parametrize("points, labels", [
+    (np.array([[255, 1]]), np.array([1])),  # 255 would wrap to -1 as int8
+    (np.array([[1.5, -1]]), np.array([1])),  # 1.5 would truncate to 1
+    (np.array([[1, -1]]), np.array([-1.9])),  # -1.9 would truncate to -1
+])
+def test_sample_validation_checks_before_casting(points, labels):
+    with pytest.raises(InputError):
+        LabeledSample(points, labels, 2)
 
 
 def test_is_concept_and_target_values():

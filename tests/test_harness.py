@@ -6,9 +6,9 @@ import pytest
 from onesided.cube import (Disjunction, Majority, empirical_metrics, eval_concept_batch,
                            format_concept)
 from onesided.errors import InputError, ResourceLimitError
-from onesided.harness import (NoiseModel, RunManifest, append_summary_csv, brute_opt,
+from onesided.harness import (BANKS, NoiseModel, RunManifest, append_summary_csv, brute_opt,
                               generate, majority_bank, manifest_hash,
-                              monotone_disjunction_bank, replay_run, run_experiment,
+                              monotone_disjunction_bank, oracle_record, replay_run, run_experiment,
                               run_root, stage_rng)
 
 
@@ -70,6 +70,19 @@ def test_adversarial_table_reproduces_hand_metrics():
     # hand arithmetic over the four rows: fp = 0.3, fn = 0.2
     assert m.false_pos == pytest.approx(0.3, abs=0.02)
     assert m.false_neg == pytest.approx(0.2, abs=0.02)
+
+
+@pytest.mark.parametrize("row", [((1.5, -1), 1), ((1, -1), -1.2)])
+def test_adversarial_table_rows_are_validated_before_casting(tmp_path, row):
+    table = [[list(row[0]), row[1], 0.5], [[1, 1], 1, 0.5]]
+    with pytest.raises(InputError):
+        generate(Majority(2, (1,)), NoiseModel.from_json({"kind": "adversarial_table", "table": table}), 10, seed=0)
+    manifest = {"seed": 0, "concept": "MAJ 1", "noise": {"kind": "adversarial_table", "table": table},
+                "learner": {"algo": "disjunction"}, "samples": {"train": 10}}
+    with pytest.raises(InputError):
+        run_experiment(manifest, root=str(tmp_path))
+    stored = json.loads(next(tmp_path.glob("*/result.json")).read_text())
+    assert stored["results"]["error"]["stage"] == "generate"
 
 
 def test_noise_model_validation():
@@ -212,6 +225,25 @@ def test_run_experiment_disjunction_and_l1(tmp_path):
         )
         done = run_experiment(manifest, root=str(tmp_path))
         assert done.results["heldout_metrics"]["err"] <= 0.05
+
+
+def test_oracle_banks_are_the_registry():
+    assert list(BANKS) == ["majority", "monotone-disjunction"]
+    s = generate(maj(3), NoiseModel("none"), 50, seed=0)
+    assert oracle_record(s, "majority", "positive")["argmin"].startswith("MAJ")
+    assert oracle_record(s, "monotone-disjunction", "positive")["argmin"].startswith("DISJ")
+    with pytest.raises(InputError, match="unknown oracle bank 'majorty'"):
+        oracle_record(s, "majorty", "positive")
+
+
+def test_run_experiment_with_an_unknown_bank_fails_at_the_oracle_stage(tmp_path):
+    manifest = manifest_for_test()
+    manifest.oracle = {"bank": "majorty", "mode": "positive"}
+    with pytest.raises(InputError, match="unknown oracle bank"):
+        run_experiment(manifest, root=str(tmp_path))
+    stored = json.loads((tmp_path / manifest.hash / "result.json").read_text())
+    assert stored["results"]["error"]["stage"] == "oracle"
+    assert "unknown oracle bank 'majorty'" in stored["results"]["error"]["message"]
 
 
 def test_run_experiment_records_stage_errors(tmp_path):

@@ -2,25 +2,24 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from onesided.errors import InputError
+from onesided.errors import InfeasibleError, InputError, SolverError
 from onesided.lp import LinearProgram, check_feasible, count_active, solve
 
 
 def test_minimize_with_lower_bound():
     sol = solve(LinearProgram(np.array([1.0]), [[-1.0]], [-3.0]))  # x >= 3
-    assert sol.status == "optimal"
     assert sol.values[0] == pytest.approx(3.0)
     assert sol.objective_value == pytest.approx(3.0)
 
 
 def test_infeasible_pair():
-    sol = solve(LinearProgram(np.array([1.0]), [[1.0], [-1.0]], [-1.0, -1.0]))  # x <= -1, x >= 1
-    assert sol.status == "infeasible"
+    with pytest.raises(InfeasibleError):
+        solve(LinearProgram(np.array([1.0]), [[1.0], [-1.0]], [-1.0, -1.0]))  # x <= -1, x >= 1
 
 
 def test_unbounded():
-    sol = solve(LinearProgram(np.array([-1.0])))
-    assert sol.status == "unbounded"
+    with pytest.raises(SolverError):
+        solve(LinearProgram(np.array([-1.0])))
 
 
 def test_hand_reduced_hinge_instance():
@@ -35,13 +34,11 @@ def test_hand_reduced_hinge_instance():
     b_ub = np.array([-1.0, 0.0, 0.0, 0.0])
     bounds = ((None, None), (0.0, None), (0.0, None))
     sol = solve(LinearProgram(np.array([0.0, 0.0, 1.0]), A_ub, b_ub, bounds=bounds))
-    assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.0)
 
 
 def test_equality_constraint():
     sol = solve(LinearProgram(np.array([1.0, 1.0]), A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[2.0, 0.0]))
-    assert sol.status == "optimal"
     assert sol.values == pytest.approx([1.0, 1.0])
 
 
@@ -57,10 +54,8 @@ def test_strong_duality_random_instances():
         c = rng.uniform(0.1, 2, size=nn)
         primal = LinearProgram(c, -A, -b, bounds=tuple((0.0, None) for _ in range(nn)))
         psol = solve(primal)
-        assert psol.status == "optimal"
         dual = LinearProgram(-b, A.T, c, bounds=tuple((0.0, None) for _ in range(nm)))
         dsol = solve(dual)
-        assert dsol.status == "optimal"
         assert psol.objective_value == pytest.approx(-dsol.objective_value, abs=1e-6)
 
 
@@ -73,7 +68,6 @@ def test_row_permutation_same_objective():
     bounds = tuple((0.0, None) for _ in range(4))
     base = solve(LinearProgram(c, -A, -b, bounds=bounds))
     perm = solve(LinearProgram(c, -A[::-1], -b[::-1], bounds=bounds))
-    assert base.status == perm.status == "optimal"
     assert base.objective_value == pytest.approx(perm.objective_value, abs=1e-7)
 
 
