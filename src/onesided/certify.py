@@ -10,8 +10,9 @@ Two routes, kept deliberately independent of the construction code:
 
 The exhaustive checks apply one slack rule, max((1 - eps) - f p, f p - (1 + eps))
 with the second term only where the mode bounds p on both sides, to the integer
-cube numerators of p scaled by the denominator of ``Fraction(eps)``.  Tolerance is
-1e-9 on exact-rational evaluations and 1e-7 on floating-point LP witnesses.
+cube numerators of p scaled by the denominator of ``Fraction(eps)``, and decide
+exactly: a check passes when every slack is <= 0.  Every slack falls one for one
+as eps grows, so a float LP witness is certified at its solved eps plus a margin.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .errors import InputError, ResourceLimitError
 from .poly import (SparsePolynomial, StructuredPolynomial, characters, cube_numerators, from_lp_solution,
                    monomials_upto)
 
-EXACT_TOL = 1e-9
-LP_WITNESS_TOL = 1e-7
-
 #: Cap on cube enumeration (2^24 points).
 CUBE_CAP = 24
 
@@ -43,17 +41,20 @@ class CertReport:
     """Outcome of an exhaustive check.
 
     ``worst_pos_violation`` / ``worst_neg_violation`` are the worst signed
-    slacks over the target's +1 / -1 points (negative or zero means the
-    condition holds there; -inf marks an empty side).  ``ok`` holds exactly
-    when both are <= the tolerance used for the check.
+    slacks over the target's +1 / -1 points, as floats (negative or zero means
+    the condition holds there; -inf marks an empty side).  ``witness`` is the
+    earliest point of the largest exact slack if it is > 0; ``ok`` means none.
     """
 
-    ok: bool
     eps_requested: float
     worst_pos_violation: float
     worst_neg_violation: float
     points_checked: int
-    witness: tuple[int, ...] | None = None
+    witness: tuple[int, ...] | None
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
     def to_json(self) -> dict:
         return {
@@ -76,7 +77,6 @@ def _scan(
     f: BoolFunc,
     eps: float,
     sign: str,
-    tol: float,
 ) -> CertReport:
     if not math.isfinite(eps):
         raise InputError(f"eps must be finite, got {eps}")
@@ -99,18 +99,16 @@ def _scan(
 
     wp, wn = (float(Fraction(side.max(), scale)) if side.size else float("-inf")
               for side in (slack[fvals == 1], slack[fvals != 1]))
-    ok = wp <= tol and wn <= tol
     i = int(np.argmax(slack))  # the earliest worst point
-    wit = tuple(int(v) for v in X[i]) if Fraction(slack[i], scale) > tol else None
-    return CertReport(ok, float(eps), wp, wn, int(X.shape[0]), wit)
+    wit = tuple(int(v) for v in X[i]) if slack[i] > 0 else None
+    return CertReport(float(eps), wp, wn, int(X.shape[0]), wit)
 
 
 def verify_onesided(
     p: StructuredPolynomial,
     f: BoolFunc,
     eps: float,
-    sign: str = POSITIVE,
-    tol: float = EXACT_TOL,
+    sign: str,
 ) -> CertReport:
     """Exhaustively check the one-sided approximation conditions.
 
@@ -121,17 +119,16 @@ def verify_onesided(
     """
     if sign not in (POSITIVE, NEGATIVE):
         raise InputError(f"sign must be positive or negative, got {sign!r}")
-    return _scan(p, f, eps, sign, tol)
+    return _scan(p, f, eps, sign)
 
 
 def verify_twosided(
     p: StructuredPolynomial,
     f: BoolFunc,
     eps: float,
-    tol: float = EXACT_TOL,
 ) -> CertReport:
     """Exhaustively check |p(x) - f(x)| <= eps over the full cube."""
-    return _scan(p, f, eps, TWOSIDED, tol)
+    return _scan(p, f, eps, TWOSIDED)
 
 
 def min_eps(f: Concept, d: int, mode: str) -> tuple[float, SparsePolynomial]:

@@ -28,12 +28,12 @@ Bits = Sequence[int]
 POSITIVE, NEGATIVE, TWOSIDED, FULLY = "positive", "negative", "twosided", "fully"
 
 
-def as_bits(x: Bits, n: int | None = None) -> tuple[int, ...]:
-    """Validate a sequence of +-1 entries, then coerce it to a tuple of ints."""
+def as_bits(x: Bits, n: int) -> tuple[int, ...]:
+    """Validate a sequence of n +-1 entries, then coerce it to a tuple of ints."""
     raw = tuple(x)
     if any(b not in (-1, 1) for b in raw):
         raise InputError(f"cube point entries must be -1 or +1, got {raw}")
-    if n is not None and len(raw) != n:
+    if len(raw) != n:
         raise DimensionError(f"point has {len(raw)} entries, expected {n}")
     return tuple(int(b) for b in raw)
 

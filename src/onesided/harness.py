@@ -93,10 +93,12 @@ def generate(c: Concept, noise: NoiseModel, m: int, seed: int, stream: int = TRA
     rng = stage_rng(seed, stream)
     if noise.kind == "adversarial_table":
         rows = noise.table
-        n = len(rows[0][0])
+        for point, _, _ in rows:
+            if len(point) != c.n:
+                raise InputError(f"table point {list(point)} has {len(point)} entries, the concept has n={c.n}")
         probs = np.array([prob for _, _, prob in rows], dtype=np.float64)
         idx = rng.choice(len(rows), size=m, p=probs / probs.sum())
-        return LabeledSample(np.array([rows[i][0] for i in idx]), np.array([rows[i][1] for i in idx]), n)
+        return LabeledSample(np.array([rows[i][0] for i in idx]), np.array([rows[i][1] for i in idx]), c.n)
     X = (rng.integers(0, 2, size=(m, c.n)) * 2 - 1).astype(np.int8)
     y = eval_concept_batch(c, X).copy()
     if noise.kind != "none" and noise.eta > 0:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -168,6 +169,9 @@ class SparsePolynomial:
         clean = {k: v for k, v in clean.items() if v != 0}
         object.__setattr__(self, "terms", clean)
 
+    def __hash__(self) -> int:
+        return hash((self.n, frozenset(self.terms.items())))
+
     @property
     def degree(self) -> int:
         return max((len(k) for k in self.terms), default=0)
@@ -297,7 +301,7 @@ class AffineForm:
 @dataclass(frozen=True)
 class SumForm:
     parts: tuple["StructuredPolynomial", ...]
-    offset: Fraction = Fraction(0)
+    offset: Fraction
 
     def __post_init__(self):
         if not self.parts:
@@ -489,7 +493,9 @@ def _coef_to_str(c: Coef) -> str:
 
 
 def _coef_from_str(s: str) -> Coef:
-    return Fraction(s)
+    """Inverse of :func:`_coef_to_str`: an int or fraction string is an exact Fraction, and a float
+    repr (any other string) is that float, so a float coefficient reads back as the same value."""
+    return Fraction(s) if re.fullmatch(r"[+-]?\d+(/\d+)?", s) else float(s)
 
 
 def sparse_to_json(p: SparsePolynomial) -> dict:
@@ -525,7 +531,7 @@ def structured_to_json(p: StructuredPolynomial) -> dict:
 
 
 def structured_from_json(obj: Mapping) -> StructuredPolynomial:
-    form = obj.get("form")
+    form = obj.get("form", "sparse")  # sparse_to_json, as in a learned hypothesis, writes no tag
     if form == "sparse":
         return sparse_from_json(obj)
     if form == "affine":

@@ -98,7 +98,7 @@ def test_verify_rejects_non_finite_eps(eps):
 def test_min_eps_dictator_degree_one():
     eps, p = min_eps(Majority(1, (1,)), 1, "positive")
     assert eps == pytest.approx(0.0, abs=1e-9)
-    assert verify_onesided(p, Majority(1, (1,)), eps + 1e-7, "positive", tol=1e-7).ok
+    assert verify_onesided(p, Majority(1, (1,)), eps + 2e-7, "positive").ok
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -117,7 +117,7 @@ def test_min_eps_or2_negative_frozen_regression_value():
     eps, p = min_eps(Disjunction(2, (1, 2)), 1, "negative")
     assert eps > 0.05
     assert eps == pytest.approx(0.5, abs=1e-6)
-    assert verify_onesided(p, Disjunction(2, (1, 2)), eps + 1e-7, "negative", tol=1e-7).ok
+    assert verify_onesided(p, Disjunction(2, (1, 2)), eps + 2e-7, "negative").ok
 
 
 @pytest.mark.parametrize("name", sorted(BANK))
@@ -156,9 +156,9 @@ def test_min_eps_witness_verifies(mode):
         for d in (1, 2):
             eps, p = min_eps(f, d, mode)
             if mode == "twosided":
-                rep = verify_twosided(p, f, eps + 1e-7, tol=1e-7)
+                rep = verify_twosided(p, f, eps + 2e-7)
             else:
-                rep = verify_onesided(p, f, eps + 1e-7, mode, tol=1e-7)
+                rep = verify_onesided(p, f, eps + 2e-7, mode)
             assert rep.ok
 
 

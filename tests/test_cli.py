@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from onesided import harness
+from onesided.certify import verify_onesided
 from onesided.cli import build_parser, main
 from onesided.cube import cube_matrix, eval_concept_batch, Majority, save_sample_csv, LabeledSample
 from onesided.harness import NoiseModel, RunManifest, generate
@@ -152,9 +153,14 @@ def test_learn_reliable_from_csv(tmp_path, capsys):
                            "--d", "3", "--W", "2", "--eps", "0.2",
                            "--out", str(hyp_path), "--json")
     assert code == 0
-    assert hyp_path.exists()
     payload = json.loads(out)
     assert payload["fit"]["lp_status"] == "optimal"
+    # certify reads the stored hypothesis as the polynomial the learner fitted
+    h, _, _ = harness.train_learner("reliable_positive", train, calib, 3, 2.0, 0.2)
+    code, out, _ = run_cli(capsys, "certify", "--poly", str(hyp_path), "--concept", "MAJ 1 2 3",
+                           "--eps", "0.1", "--mode", "positive", "--json")
+    assert code == 0
+    assert json.loads(out) == verify_onesided(h.p, maj, 0.1, "positive").to_json()
 
 
 def test_oracle_command(tmp_path, capsys):

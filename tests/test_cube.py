@@ -16,14 +16,14 @@ from onesided.errors import DimensionError, InputError
 def test_cube_point_validation():
     assert as_bits(np.array([1, -1, 1], dtype=np.int8), 3) == (1, -1, 1)
     with pytest.raises(InputError):
-        as_bits((1, 0))
+        as_bits((1, 0), 2)
     with pytest.raises(DimensionError):
         as_bits((1, -1), 3)
 
 
 def test_cube_point_validation_checks_before_casting():
     with pytest.raises(InputError):
-        as_bits([1.5, -1])  # int() would truncate 1.5 to 1
+        as_bits([1.5, -1], 2)  # int() would truncate 1.5 to 1
 
 
 def test_cube_matrix_order():

@@ -77,7 +77,22 @@ def test_adversarial_table_rows_are_validated_before_casting(tmp_path, row):
     table = [[list(row[0]), row[1], 0.5], [[1, 1], 1, 0.5]]
     with pytest.raises(InputError):
         generate(Majority(2, (1,)), NoiseModel.from_json({"kind": "adversarial_table", "table": table}), 10, seed=0)
-    manifest = {"seed": 0, "concept": "MAJ 1", "noise": {"kind": "adversarial_table", "table": table},
+    manifest = {"seed": 0, "concept": "MAJ 1 2", "noise": {"kind": "adversarial_table", "table": table},
+                "learner": {"algo": "disjunction"}, "samples": {"train": 10}}
+    with pytest.raises(InputError):
+        run_experiment(manifest, root=str(tmp_path))
+    stored = json.loads(next(tmp_path.glob("*/result.json")).read_text())
+    assert stored["results"]["error"]["stage"] == "generate"
+
+
+@pytest.mark.parametrize("points", [[[1, -1], [1, 1]], [[1, -1, 1], [1, 1]]])
+def test_adversarial_table_points_have_the_concept_dimension(tmp_path, points):
+    # 2-entry rows under a 3-variable concept, and ragged rows
+    table = [[point, 1, 0.5] for point in points]
+    with pytest.raises(InputError, match="n=3"):
+        generate(Majority(3, (1, 2, 3)), NoiseModel.from_json({"kind": "adversarial_table", "table": table}),
+                 10, seed=0)
+    manifest = {"seed": 0, "concept": "MAJ 1 2 3", "noise": {"kind": "adversarial_table", "table": table},
                 "learner": {"algo": "disjunction"}, "samples": {"train": 10}}
     with pytest.raises(InputError):
         run_experiment(manifest, root=str(tmp_path))

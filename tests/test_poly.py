@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from onesided.certify import verify_onesided, verify_twosided
 from onesided.cube import Halfspace, Majority, cube_matrix, eval_concept
 from onesided.errors import DimensionError, InputError, ResourceLimitError
 from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly,
@@ -236,6 +237,40 @@ def test_json_roundtrip():
     for bits in cube_matrix(3):
         t = tuple(int(b) for b in bits)
         assert eval_exact(back, t) == eval_exact(structured, t)
+
+
+def test_json_roundtrip_keeps_float_coefficients_and_certificates():
+    # an LP-style polynomial: float coefficients that no short decimal equals, and one Fraction
+    sp = SparsePolynomial(3, {(): -0.1, (1,): 1 / 3, (2, 3): 1e-17, (1, 2, 3): 2.5e-5, (3,): Fraction(1, 7)})
+    back = sparse_from_json(json.loads(json.dumps(sparse_to_json(sp))))
+    assert back == sp
+    assert {type(c) for c in back.terms.values()} == {float, Fraction}
+    structured = SumForm((sp, AffineForm(chebyshev(2), 1, (1, 0, -1))), Fraction(1, 2))
+    back_structured = structured_from_json(json.loads(json.dumps(structured_to_json(structured))))
+    assert back_structured == structured
+    maj = Majority(3, (1, 2, 3))
+    for p, q in ((sp, back), (structured, back_structured)):
+        for sign in ("positive", "negative"):
+            assert verify_onesided(q, maj, 0.1, sign) == verify_onesided(p, maj, 0.1, sign)
+        assert verify_twosided(q, maj, 0.1) == verify_twosided(p, maj, 0.1)
+
+
+def test_structured_from_json_reads_the_untagged_sparse_form():
+    sp = SparsePolynomial(2, {(1,): Fraction(1, 3), (): 0.25})
+    assert "form" not in sparse_to_json(sp)
+    assert structured_from_json(sparse_to_json(sp)) == sp
+    with pytest.raises(InputError, match="unknown structured polynomial form"):
+        structured_from_json({"form": "dense", "n": 2, "terms": []})
+
+
+def test_sparse_polynomials_hash_by_their_terms():
+    a = SparsePolynomial(2, {(1,): 1, (): Fraction(1, 2)})
+    b = SparsePolynomial(2, {(): 0.5, (1,): Fraction(1)})
+    assert a == b and hash(a) == hash(b)
+    assert {a, b, SparsePolynomial(2, {(2,): 1})} == {a, SparsePolynomial(2, {(2,): 1})}
+    assert a in {b}
+    s = SumForm((AffineForm(chebyshev(2), 0, (1, 1)), a), Fraction(1))
+    assert hash(s) == hash(SumForm((AffineForm(chebyshev(2), 0, (1, 1)), b), Fraction(1)))
 
 
 def test_characters_are_monomial_values():

@@ -362,10 +362,9 @@ def _exact_value(p, x):
     return eval_exact(p, x)
 
 
-def _pointwise_report(p, f, eps, mode, tol):
-    """CertReport JSON of a point-by-point Fraction scan: the worst slack on each side of f, and
-    the earliest point of the largest slack as witness when that slack exceeds tol."""
-    eps_q, worst, witness, witness_slack = Fraction(eps), {1: None, -1: None}, None, None
+def _pointwise_slacks(p, f, eps, mode):
+    """(x, f(x), slack) at every cube point in ``cube_matrix`` row order, one Fraction at a time."""
+    eps_q = Fraction(eps)
     for row in cube_matrix(p.n):
         x = tuple(int(b) for b in row)
         v, fx = _exact_value(p, x), f(x)
@@ -373,21 +372,34 @@ def _pointwise_report(p, f, eps, mode, tol):
             slack = (1 - eps_q) - v if mode == POSITIVE else abs(v - 1) - eps_q
         else:
             slack = v - (eps_q - 1) if mode == NEGATIVE else abs(v + 1) - eps_q
+        yield x, fx, slack
+
+
+def _pointwise_report(p, f, eps, mode):
+    """CertReport JSON of a point-by-point Fraction scan: the worst slack on each side of f, and
+    the earliest point of the largest slack as witness when that slack is > 0."""
+    worst, witness, witness_slack = {1: None, -1: None}, None, Fraction(0)
+    for x, fx, slack in _pointwise_slacks(p, f, eps, mode):
         if worst[fx] is None or slack > worst[fx]:
             worst[fx] = slack
-        if slack > tol and (witness_slack is None or slack > witness_slack):
+        if slack > witness_slack:
             witness, witness_slack = list(x), slack
     wp, wn = (float(worst[s]) if worst[s] is not None else float("-inf") for s in (1, -1))
-    return {"ok": wp <= tol and wn <= tol, "eps": float(eps), "worst_pos": wp, "worst_neg": wn,
+    return {"ok": witness is None, "eps": float(eps), "worst_pos": wp, "worst_neg": wn,
             "points": 2**p.n, "witness": witness}
 
 
+def _target(table):
+    """The Boolean function with these values in ``cube_matrix`` row order."""
+    n = len(table).bit_length() - 1
+    return dict(zip(itertools.product((-1, 1), repeat=n), table)).__getitem__
+
+
 @settings(max_examples=150)
-@given(data=st.data(), n=st.integers(0, 6),
-       eps=st.one_of(st.sampled_from([0, 0.1, 0.25]), st.floats(0, 2)), tol=st.sampled_from([0, 1e-9, 1e-7]))
-def test_certification_matches_pointwise_scan(data, n, eps, tol):
+@given(data=st.data(), n=st.integers(0, 6), eps=st.one_of(st.sampled_from([0, 0.1, 0.25]), st.floats(0, 2)))
+def test_certification_matches_pointwise_scan(data, n, eps):
     table = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=2**n, max_size=2**n))
-    f = dict(zip(itertools.product((-1, 1), repeat=n), table)).__getitem__  # cube_matrix row order
+    f = _target(table)
     # forms that track f put many slacks near 0 and tie them
     tracking = st.builds(lambda s, c: SumForm((interpolate(n, [s * t for t in table]),), c),
                          st.sampled_from([1, Fraction(3, 4), Fraction(9, 10), Fraction(11, 10)]),
@@ -395,8 +407,29 @@ def test_certification_matches_pointwise_scan(data, n, eps, tol):
     floats = st.floats(-20, 20)
     p = data.draw(st.one_of(structured_forms(n, st.one_of(fractions, floats)), tracking))
     for sign in (POSITIVE, NEGATIVE):
-        assert verify_onesided(p, f, eps, sign, tol=tol).to_json() == _pointwise_report(p, f, eps, sign, tol)
-    assert verify_twosided(p, f, eps, tol=tol).to_json() == _pointwise_report(p, f, eps, TWOSIDED, tol)
+        assert verify_onesided(p, f, eps, sign).to_json() == _pointwise_report(p, f, eps, sign)
+    assert verify_twosided(p, f, eps).to_json() == _pointwise_report(p, f, eps, TWOSIDED)
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(0, 5), eps=st.one_of(st.sampled_from([0, 0.1, 0.25]), st.floats(0, 2)),
+       mode=st.sampled_from([POSITIVE, NEGATIVE, TWOSIDED]),
+       shift=st.one_of(st.none(), st.builds(Fraction, st.integers(0, 999), st.sampled_from([10**12, 10**15, 2**60]))))
+def test_ok_iff_no_witness_iff_every_exact_slack_nonpositive(data, n, eps, mode, shift):
+    table = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=2**n, max_size=2**n))
+    f = _target(table)
+    p = data.draw(structured_forms(n, st.one_of(fractions, st.floats(-20, 20))))
+    if shift is not None:
+        # shift p by an exact correction to the values (1 - eps - shift) f, where every slack is
+        # exactly shift: 0 or a positive Fraction below 1e-9, which only an exact decision rejects
+        goal = [(1 - Fraction(eps) - shift) * y for y in table]
+        points = itertools.product((-1, 1), repeat=n)
+        p = SumForm((p, interpolate(n, [g - _exact_value(p, x) for g, x in zip(goal, points)])), Fraction(0))
+    rep = verify_twosided(p, f, eps) if mode == TWOSIDED else verify_onesided(p, f, eps, mode)
+    largest = max(slack for *_, slack in _pointwise_slacks(p, f, eps, mode))
+    assert rep.ok == (rep.witness is None) == (largest <= 0)
+    if shift is not None:
+        assert largest == shift
 
 
 # ---------------------------------------------------------------------------
