@@ -9,8 +9,8 @@ Two routes, kept deliberately independent of the construction code:
   every frozen epsilon value in the test suite.
 
 The exhaustive checks apply one slack rule, max((1 - eps) - f p, f p - (1 + eps))
-with the second term only where the mode bounds p on both sides, to the integer
-cube numerators of p scaled by the denominator of ``Fraction(eps)``, and decide
+with the second term only where the mode bounds p on both sides, to the extremes
+of the integer cube numerators of p on each side of f, in Python ints, and decide
 exactly: a check passes when every slack is <= 0.  Every slack falls one for one
 as eps grows, so a float LP witness is certified at its solved eps plus a margin.
 """
@@ -67,8 +67,9 @@ class CertReport:
         }
 
 
-def _both_sides(fvals: np.ndarray, mode: str) -> np.ndarray:
-    """True where the mode bounds p(x) on both sides, |p(x) - f(x)| <= eps, not only f(x) p(x) >= 1 - eps."""
+def _both_sides(fvals, mode: str) -> np.ndarray:
+    """True where the mode bounds p(x) on both sides, |p(x) - f(x)| <= eps, not only f(x) p(x) >= 1 - eps;
+    fvals is an array of f's values or one value."""
     return np.where(fvals == 1, mode != POSITIVE, mode != NEGATIVE)
 
 
@@ -90,17 +91,36 @@ def _scan(
     nums, denom = cube_numerators(p)
     e, k = Fraction(eps).as_integer_ratio()
 
-    # slack = max((1 - eps) - f p, f p - (1 + eps)), the second term only where the
-    # mode bounds p on both sides; every term is an integer over scale = denom * k
-    scale = denom * k
-    fp = np.where(fvals == 1, nums, -nums) * k
-    slack = denom * (k - e) - fp
-    slack = np.where(_both_sides(fvals, sign), np.maximum(slack, fp - denom * (k + e)), slack)
+    # With p = nums / denom and g = f nums, the slack times denom * k is
+    # max(denom (k - e) - k g, k g - denom (k + e)), the second term only where the mode
+    # bounds p on both sides, which it does on all of one side of f or none of it.  The
+    # first term falls and the second rises with g, so a side's worst slack is at its
+    # least g, or at its largest g where both terms apply: a few exact Python-int slacks
+    # from the side's extremes, with no per-point arithmetic beyond min, max and ==.
+    worst = {}
+    peaks = []  # (side, g, slack) for each extreme g that attains its side's worst slack
+    for side in (1, -1):
+        on_side = fvals == side
+        if not on_side.any():
+            continue
+        first = nums[np.argmax(on_side)]
+        lo, hi = (int(reduce(nums, where=on_side, initial=first)) for reduce in (np.min, np.max))
+        g_min, g_max = (lo, hi) if side == 1 else (-hi, -lo)
+        candidates = [(g_min, denom * (k - e) - k * g_min)]
+        if _both_sides(side, sign):
+            candidates.append((g_max, k * g_max - denom * (k + e)))
+        worst[side] = max(slack for _, slack in candidates)
+        peaks += [(side, g, slack) for g, slack in candidates if slack == worst[side]]
 
-    wp, wn = (float(Fraction(side.max(), scale)) if side.size else float("-inf")
-              for side in (slack[fvals == 1], slack[fvals != 1]))
-    i = int(np.argmax(slack))  # the earliest worst point
-    wit = tuple(int(v) for v in X[i]) if slack[i] > 0 else None
+    largest = max(worst.values())
+    wit = None
+    if largest > 0:  # the witness is the earliest point where g takes a value of largest slack
+        hit = np.zeros(nums.shape, dtype=bool)
+        for side, g, slack in peaks:
+            if slack == largest:
+                hit |= (fvals == side) & (nums == side * g)
+        wit = tuple(int(v) for v in X[int(np.argmax(hit))])
+    wp, wn = (float(Fraction(worst[side], denom * k)) if side in worst else float("-inf") for side in (1, -1))
     return CertReport(float(eps), wp, wn, int(X.shape[0]), wit)
 
 

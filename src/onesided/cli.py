@@ -145,25 +145,51 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    manifests = [harness.RunManifest.from_json(json.loads(Path(p).read_text())) for p in args.manifests]
+    """Run every manifest; one that fails prints an ``error:`` line with its path and stage,
+    and the rest still run.  Each finished run prints its line and appends its ``--summary``
+    row, in manifest order; the exit code is 1 when any manifest failed."""
+    failed = False
+    loaded = []
+    for path in args.manifests:
+        try:
+            loaded.append((path, harness.RunManifest.from_json(json.loads(Path(path).read_text())).inputs_json()))
+        except _DOMAIN_ERRORS as exc:
+            print(f"error: {path}: load: {exc}", file=sys.stderr)
+            failed = True
+    paths = [path for path, _ in loaded]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_bench_one, [(m.inputs_json(), args.root) for m in manifests]))
+            futures = [pool.submit(_bench_one, inputs, args.root) for _, inputs in loaded]
+            failed |= _bench_report(paths, (future.result() for future in futures), args.summary)
     else:
-        results = [harness.run_experiment(m, root=args.root) for m in manifests]
-    for manifest in results:
-        if args.summary:
-            harness.append_summary_csv(args.summary, manifest)
+        failed |= _bench_report(paths, (_bench_one(inputs, args.root) for _, inputs in loaded), args.summary)
+    return 1 if failed else 0
+
+
+def _bench_one(inputs: dict, root: str | None) -> tuple[harness.RunManifest | None, str | None]:
+    """(manifest, None) for a finished run; (None, "stage: message") for one that raised a domain error."""
+    manifest = harness.RunManifest.from_json(inputs)
+    try:
+        return harness.run_experiment(manifest, root=root), None
+    except _DOMAIN_ERRORS as exc:
+        return None, f"{manifest.results.get('error', {}).get('stage', 'setup')}: {exc}"
+
+
+def _bench_report(paths: list[str], outcomes, summary: str | None) -> bool:
+    """Print (and record in ``summary``) each outcome as it arrives; True when any run failed."""
+    failed = False
+    for path, (manifest, error) in zip(paths, outcomes):
+        if manifest is None:
+            print(f"error: {path}: {error}", file=sys.stderr)
+            failed = True
+            continue
+        if summary:
+            harness.append_summary_csv(summary, manifest)
         held = manifest.results.get("heldout_metrics", {})
         print(f"{manifest.hash}  seed={manifest.seed}  err={held.get('err')}")
-    return 0
-
-
-def _bench_one(payload) -> harness.RunManifest:
-    inputs, root = payload
-    return harness.run_experiment(harness.RunManifest.from_json(inputs), root=root)
+    return failed
 
 
 def _cmd_replay(args) -> int:
@@ -249,12 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: What a command reports as a domain error (exit code 1) instead of a traceback.
+_DOMAIN_ERRORS = (InputError, ValueError, RuntimeError, OSError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, RuntimeError, OSError) as exc:
+    except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,14 +28,21 @@ Bits = Sequence[int]
 POSITIVE, NEGATIVE, TWOSIDED, FULLY = "positive", "negative", "twosided", "fully"
 
 
+_BITS = frozenset({-1, 1})
+
+
 def as_bits(x: Bits, n: int) -> tuple[int, ...]:
     """Validate a sequence of n +-1 entries, then coerce it to a tuple of ints."""
     raw = tuple(x)
-    if any(b not in (-1, 1) for b in raw):
+    try:
+        valid = _BITS.issuperset(raw)  # entries equal to -1 or +1, such as numpy ints, 1.0 or True
+    except TypeError:  # an unhashable entry is no cube coordinate either
+        valid = False
+    if not valid:
         raise InputError(f"cube point entries must be -1 or +1, got {raw}")
     if len(raw) != n:
         raise DimensionError(f"point has {len(raw)} entries, expected {n}")
-    return tuple(int(b) for b in raw)
+    return tuple(map(int, raw))
 
 
 def linear_form(X: np.ndarray, w0: int, w: Sequence[int]) -> np.ndarray:

@@ -15,12 +15,17 @@ Polynomial types:
   is ``"sparse"``.
 
 Exact cube values (in ``cube_matrix`` row order) have one format: integer
-numerators in a numpy object array over one common denominator
-(:func:`cube_numerators`).  Values and multilinear coefficients convert
-through one exact Walsh-Hadamard transform of such numerators, O(n 2^n).
-Variable j is bit ``1 << (n - j)`` of a monomial's mask, so values =
-walsh(coefficients by mask) reversed, and coefficients = walsh(values
-reversed) / 2^n.
+numerators over one common denominator (:func:`cube_numerators`), in an int64
+array when a bound proven up front in Python ints rules out overflow (every
+magnitude an operation can form stays below 2^62), and in an object array of
+Python ints otherwise.  The dtype follows from the bound alone, and every
+consumer runs one code path over both.  Values and multilinear coefficients
+convert through one exact Walsh-Hadamard transform of such numerators,
+O(m 2^m) over the m variables a form depends on: a form is evaluated on its
+variable support and its values spread over the rest of the cube.  Variable j
+is bit ``1 << (m - j)`` of a monomial's mask on a support of m variables, so
+values = walsh(coefficients by mask) reversed, and coefficients =
+walsh(values reversed) / 2^m.
 
 Construction-time arithmetic is exact rational; floating point appears only
 when a caller asks for a float evaluation or when coefficients were produced
@@ -156,6 +161,8 @@ class SparsePolynomial:
     terms: dict[Monomial, Coef]
 
     def __post_init__(self):
+        """Validate and canonicalize user input: sorted in-range monomials, exact or float
+        coefficients, zero terms dropped."""
         clean: dict[Monomial, Coef] = {}
         for mono, coef in self.terms.items():
             key = tuple(sorted(mono))
@@ -168,6 +175,15 @@ class SparsePolynomial:
                 clean[key] = clean[key] + c if key in clean else c
         clean = {k: v for k, v in clean.items() if v != 0}
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _canonical(cls, n: int, terms: dict[Monomial, Coef]) -> "SparsePolynomial":
+        """A polynomial from terms already in canonical form (sorted in-range monomials, nonzero
+        Fraction coefficients), built without :meth:`__post_init__`'s re-validation."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __hash__(self) -> int:
         return hash((self.n, frozenset(self.terms.items())))
@@ -338,30 +354,95 @@ def eval_on_cube(p: StructuredPolynomial) -> list[Coef]:
 
 
 def cube_numerators(p: StructuredPolynomial) -> tuple[np.ndarray, int]:
-    """(nums, D): the exact values of p on the cube are nums / D, with nums an object array of
-    Python ints in ``cube_matrix`` row order and D > 0 one common denominator.
+    """(nums, D): the exact values of p on the cube are nums / D, with nums in ``cube_matrix``
+    row order and D > 0 one common denominator.
 
-    Affine forms are evaluated once per distinct value of the integer linear
-    form, which keeps full-cube certification cheap even at n around 20.
-    Sparse forms take one exact Walsh-Hadamard transform of their coefficients
-    by mask; float coefficients enter as their exact Fraction.  Sum forms add
-    their parts' numerators over the lcm of their denominators.
+    nums is an int64 array when the bound of :func:`_support_values` proves that no
+    numerator reaches 2^62, and an object array of Python ints otherwise.  Each
+    form is evaluated on the variables it depends on, then spread over the cube.
+    """
+    values, denom = _support_values(p)
+    full = (2,) * p.n
+    return (values.reshape(-1) if values.shape == full else np.broadcast_to(values, full).flatten()), denom
+
+
+def _support_values(p: StructuredPolynomial) -> tuple[np.ndarray, int]:
+    """(values, D): the cube numerators of p over D as an n-axis array that broadcasts to
+    (2,) * n, with length 2 on the axes of the variables p depends on and length 1 elsewhere.
+
+    Every bound below is summed in Python ints before any int64 arithmetic runs:
+
+    * a sparse form takes one exact Walsh-Hadamard transform of its coefficient
+      numerators by mask over its variable support, in int64 when their
+      absolute sum (which bounds every butterfly) is below 2^62; float
+      coefficients enter as their exact Fraction;
+    * an affine form evaluates its outer polynomial once per distinct value of
+      the integer linear form over its support, by Horner on the integer
+      numerators of the outer coefficients, then divides by the gcd of the
+      denominator and all the values; the table is int64 when its largest
+      magnitude is below 2^62;
+    * a sum form adds its parts over the lcm D of their denominators, in int64
+      when sum_i max|part_i| * (D / D_i) + |offset| * D stays below 2^62.
     """
     if isinstance(p, AffineForm):
-        ts, inverse = np.unique(linear_form(cube_matrix(p.n), p.w0, p.w), return_inverse=True)
-        table, denom = _over_common_denominator([p.outer(int(t)) for t in ts])
-        return table[inverse], denom
+        support = [j for j, wj in enumerate(p.w, start=1) if wj]
+        form = linear_form(cube_matrix(len(support)), p.w0, [p.w[j - 1] for j in support])
+        ts, inverse = np.unique(form, return_inverse=True)
+        table, denom = _outer_table(p.outer, ts.tolist())
+        return _spread(table[inverse], p.n, support), denom
     if isinstance(p, SparsePolynomial):
-        by_mask = [0] * 2**p.n
-        for mono, coef in p.terms.items():
-            by_mask[sum(1 << (p.n - j) for j in mono)] = Fraction(coef)
-        nums, denom = _over_common_denominator(by_mask)
-        return _walsh(nums)[::-1], denom
+        support = sorted({v for mono in p.terms for v in mono})
+        bit = {v: 1 << (len(support) - i) for i, v in enumerate(support, start=1)}
+        ratios = [c.as_integer_ratio() for c in p.terms.values()]  # exact for Fractions and floats alike
+        denom = math.lcm(*(d for _, d in ratios))
+        by_mask = [0] * 2 ** len(support)
+        for mono, (num, d) in zip(p.terms, ratios):
+            by_mask[sum(bit[v] for v in mono)] = num * (denom // d)
+        values = _walsh(_exact_array(by_mask, sum(map(abs, by_mask))))[::-1]
+        return _spread(values, p.n, support), denom
     if isinstance(p, SumForm):
-        parts = [cube_numerators(part) for part in p.parts] + [p.offset.as_integer_ratio()]
-        denom = math.lcm(*(d for _, d in parts))
-        return sum(nums * (denom // d) for nums, d in parts), denom
+        parts = [_support_values(part) for part in p.parts]
+        offset, offset_denom = p.offset.as_integer_ratio()
+        denom = math.lcm(offset_denom, *(d for _, d in parts))
+        offset *= denom // offset_denom
+        scaled = [(values, denom // d) for values, d in parts]
+        bound = abs(offset) + sum(_abs_max(values) * s for values, s in scaled)
+        dtype = np.int64 if bound < _INT64_BOUND else object
+        acc = np.full(np.broadcast_shapes(*(values.shape for values, _ in scaled)), offset, dtype=dtype)
+        for values, s in scaled:
+            values = values.astype(dtype, copy=False)
+            acc += values if s == 1 else values * s
+        return acc, denom
     raise TypeError(f"not a structured polynomial: {p!r}")
+
+
+def _spread(values: np.ndarray, n: int, support: Sequence[int]) -> np.ndarray:
+    """Values on the sub-cube of the sorted variables ``support``, in its row order, as an n-axis
+    array of length 2 on those variables' axes and 1 elsewhere, which broadcasts to the cube."""
+    shape = [1] * n
+    for v in support:
+        shape[v - 1] = 2
+    return values.reshape(shape)
+
+
+def _outer_table(outer: UniPoly, ts: Sequence[int]) -> tuple[np.ndarray, int]:
+    """(table, D): outer(t) = table[i] / D at t = ts[i], with D the lcm of the reduced denominators.
+
+    With L the lcm of the coefficient denominators, L * outer(t) is an integer
+    polynomial in t, evaluated by Horner; dividing it and L by their common gcd
+    g leaves D = L / g, which is exactly that lcm.
+    """
+    denom = math.lcm(*(c.denominator for c in outer.coeffs))
+    coeffs = [c.numerator * (denom // c.denominator) for c in reversed(outer.coeffs)]
+    values = []
+    for t in ts:
+        acc = 0
+        for c in coeffs:
+            acc = acc * t + c
+        values.append(acc)
+    g = math.gcd(denom, *values)
+    values = [v // g for v in values]
+    return _exact_array(values, max(map(abs, values))), denom // g
 
 
 def negate_onesided(p: StructuredPolynomial) -> StructuredPolynomial:
@@ -393,7 +474,9 @@ def expand(p: StructuredPolynomial) -> SparsePolynomial:
     if isinstance(p, AffineForm):
         if p.n > EXPANSION_CAP:
             raise ResourceLimitError(f"expansion cap: {p.n} variables > cap {EXPANSION_CAP}")
-        return _from_cube_numerators(p.n, *cube_numerators(p))
+        values, denom = _support_values(p)  # the coefficients live on the support as well
+        support = [j for j, size in enumerate(values.shape, start=1) if size == 2]
+        return _from_cube_numerators(p.n, values.reshape(-1), denom, support)
     if isinstance(p, SumForm):
         acc = sparse_constant(p.n, p.offset)
         for part in p.parts:
@@ -437,15 +520,38 @@ def analytic_bounds(p: StructuredPolynomial) -> tuple[Coef, int, bool]:
 # Exact Walsh-Hadamard transform between cube values and coefficients
 
 
-def _over_common_denominator(values) -> tuple[np.ndarray, int]:
-    """(nums, D): ints or Fractions as numerators in an object array over D, the lcm of their denominators."""
-    denom = math.lcm(*{v.denominator for v in values})
-    return np.array([v.numerator * (denom // v.denominator) for v in values], dtype=object), denom
+#: Every int64 array of exact numerators holds magnitudes, and every sum formed from them, below
+#: this bound, proven in Python ints before the array is made; past it the array is ``object``.
+_INT64_BOUND = 2**62
+
+
+def _exact_array(nums: Sequence[int], bound: int) -> np.ndarray:
+    """Python ints as an int64 array when ``bound``, a Python-int bound on every magnitude the
+    caller will form from them, is below 2^62; as an object array of Python ints otherwise."""
+    return np.array(nums, dtype=np.int64 if bound < _INT64_BOUND else object)
+
+
+def _abs_max(a: np.ndarray) -> int:
+    """max |a| as a Python int, for an int64 or object array of exact numerators."""
+    return max(int(a.max()), -int(a.min()))
+
+
+def _abs_sum(a: np.ndarray) -> int:
+    """sum |a| as a Python int, for an int64 or object array of exact numerators.
+
+    An int64 sum could itself overflow, so the magnitudes (each below 2^62)
+    are summed as their high and low 31-bit halves, whose sums cannot.
+    """
+    if a.dtype == object:
+        return sum(map(abs, a.tolist()))
+    m = np.abs(a)
+    return (int((m >> 31).sum()) << 31) + int((m & (2**31 - 1)).sum())
 
 
 def _walsh(a: np.ndarray) -> np.ndarray:
-    """t[y] = sum_m a[m] * (-1)^popcount(y & m) for a C-contiguous object array of 2^n ints;
-    the butterflies run in place on a, which is returned."""
+    """t[y] = sum_m a[m] * (-1)^popcount(y & m) for a C-contiguous int64 or object array of 2^n
+    ints; the butterflies run in place on a, which is returned.  Every partial sum is bounded
+    by sum |a|, so an int64 array whose absolute sum is below 2^62 cannot overflow."""
     h = 1
     while h < a.size:
         low, high = a.reshape(-1, 2, h).swapaxes(0, 1)  # views, since a is C-contiguous
@@ -461,16 +567,37 @@ def interpolate(n: int, values: Sequence) -> SparsePolynomial:
         raise DimensionError(f"interpolation on n={n} needs {2**n} values, got {len(values)}")
     if not all(isinstance(v, (int, Fraction)) for v in values):
         raise InputError("interpolation needs exact values: Python ints or Fractions")
-    return _from_cube_numerators(n, *_over_common_denominator(values))
+    denom = math.lcm(*{v.denominator for v in values})
+    nums = [v.numerator * (denom // v.denominator) for v in values]
+    return _from_cube_numerators(n, _exact_array(nums, sum(map(abs, nums))), denom, range(1, n + 1))
 
 
-def _from_cube_numerators(n: int, nums: np.ndarray, denom: int) -> SparsePolynomial:
-    """The multilinear polynomial whose cube values are nums / denom, in ``cube_matrix`` row order."""
-    coeffs = _walsh(nums[::-1].copy())
-    terms = {}
-    for mask in np.flatnonzero(coeffs).tolist():
-        terms[tuple(j for j in range(1, n + 1) if mask >> (n - j) & 1)] = Fraction(coeffs[mask], denom << n)
-    return SparsePolynomial(n, terms)
+def _from_cube_numerators(n: int, nums: np.ndarray, denom: int, support: Sequence[int]) -> SparsePolynomial:
+    """The multilinear polynomial over n variables whose values are nums / denom on the sub-cube of
+    the sorted variables ``support``, in its ``cube_matrix`` row order.
+
+    The transform runs in int64 when sum |nums|, which bounds every butterfly, is
+    below 2^62.  Its output is canonical already, so the terms skip validation.
+    """
+    support = tuple(support)
+    m = len(support)
+    dtype = np.int64 if _abs_sum(nums) < _INT64_BOUND else object
+    coeffs = _walsh(nums[::-1].astype(dtype, order="C"))
+    masks = np.flatnonzero(coeffs)
+    # a monomial is the concatenation of the variables of its mask's high and low halves
+    low = m // 2
+    high_monos, low_monos = _subsets(support[:m - low]), _subsets(support[m - low:])
+    terms = {high_monos[mask >> low] + low_monos[mask & ((1 << low) - 1)]: Fraction(c, denom << m)
+             for mask, c in zip(masks.tolist(), coeffs[masks].tolist())}
+    return SparsePolynomial._canonical(n, terms)
+
+
+def _subsets(variables: Sequence[int]) -> list[Monomial]:
+    """The sorted subsets of ``variables`` (sorted) indexed by mask, variables[0] the highest bit."""
+    out: list[Monomial] = [()]
+    for v in variables:
+        out = [s for t in out for s in (t, t + (v,))]
+    return out
 
 
 def exact_multilinear(f: BoolFunc, n: int) -> SparsePolynomial:

@@ -248,6 +248,44 @@ def test_bench_without_calibration_is_a_domain_error(tmp_path, capsys):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_runs_every_manifest_past_a_failing_one(tmp_path, capsys, jobs):
+    paths = []
+    for seed, calib in enumerate((800, 150, 800)):  # fully_reliable at eps = 0.2 needs 800
+        manifest = RunManifest(
+            seed=seed,
+            concept="MAJ 1 2 3",
+            noise=NoiseModel("none"),
+            learner={"algo": "fully_reliable", "d": 1, "W": 2.0, "eps": 0.2},
+            samples={"train": 200, "calib": calib, "heldout": 100},
+        )
+        p = tmp_path / f"m{seed}.json"
+        p.write_text(json.dumps(manifest.inputs_json()))
+        paths.append(str(p))
+    summary = tmp_path / "summary.csv"
+    code, out, err = run_cli(capsys, "bench", *paths, "--jobs", jobs, "--root", str(tmp_path / "runs"),
+                             "--summary", str(summary))
+    assert code == 1
+    assert [line.split()[1] for line in out.strip().splitlines()] == ["seed=0", "seed=2"]
+    assert len(summary.read_text().strip().splitlines()) == 1 + 2  # header and two rows
+    errors = err.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {paths[1]}: learn: calibration sample of 150 examples")
+    assert "Traceback" not in out + err
+
+
+def test_bench_reports_an_unreadable_manifest_and_runs_the_rest(tmp_path, capsys):
+    manifest = RunManifest(seed=1, concept="MAJ 1 2 3", noise=NoiseModel("none"),
+                           learner={"algo": "disjunction"}, samples={"train": 100, "heldout": 100})
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(manifest.inputs_json()))
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(capsys, "bench", str(missing), str(good), "--root", str(tmp_path / "runs"))
+    assert code == 1
+    assert len(out.strip().splitlines()) == 1
+    assert err.startswith(f"error: {missing}: load: ")
+
+
 @pytest.mark.parametrize("command", ["bench", "replay"])
 def test_bench_and_replay_take_no_json_flag(tmp_path, command):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from onesided.certify import verify_onesided, verify_twosided
@@ -329,6 +331,26 @@ def test_dnf_tautological_only_constrains_lower_side():
         t = tuple(int(b) for b in bits)
         if eval_concept(F, t) == 1:
             assert vals[i] >= Fraction(3, 4)  # may exceed 1 + eps freely
+
+
+def test_dnf_certifies_at_n20_within_a_few_cube_matrices():
+    # a seeded 3-clause, width-4 DNF: its clause parts are evaluated on their 4-variable supports
+    # and summed on the union of the supports, so only the cube matrix, the target and the spread
+    # numerators span all 2^20 points (the object-array route peaked at 12 matrices)
+    n, rng = 20, np.random.default_rng(0)
+    clauses = []
+    for _ in range(3):
+        variables, signs = rng.choice(n, size=4, replace=False) + 1, rng.choice((-1, 1), size=4)
+        clauses.append(tuple(int(v * s) for v, s in zip(variables, signs)))
+    F = Dnf(n, tuple(clauses))
+    tracemalloc.start()
+    try:
+        res = dnf_positive_onesided(F, 2, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.certified and res.certificate.points_checked == 2**n
+    assert peak < 3 * n * 2**n  # the int8 cube matrix is n 2^n bytes
 
 
 def test_dnf_empty_is_constant_false():

@@ -26,6 +26,19 @@ def test_cube_point_validation_checks_before_casting():
         as_bits([1.5, -1], 2)  # int() would truncate 1.5 to 1
 
 
+def test_cube_point_validation_takes_numpy_scalars_and_numbers_equal_to_bits():
+    assert as_bits((np.int8(1), np.int64(-1), np.float64(1.0)), 3) == (1, -1, 1)
+    bits = as_bits([1.0, True, -1.0], 3)
+    assert bits == (1, 1, -1) and all(type(b) is int for b in bits)
+
+
+def test_cube_point_validation_rejects_unhashable_entries():
+    with pytest.raises(InputError):
+        as_bits([[1], -1], 2)
+    with pytest.raises(InputError):
+        as_bits([np.array([1, 1]), 1], 2)
+
+
 def test_cube_matrix_order():
     X = cube_matrix(2)
     assert X.tolist() == [[-1, -1], [-1, 1], [1, -1], [1, 1]]

@@ -5,8 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pointwise import pointwise_report
+
+import onesided.poly as poly
 from onesided.certify import verify_onesided, verify_twosided
-from onesided.cube import Halfspace, Majority, cube_matrix, eval_concept
+from onesided.cube import NEGATIVE, POSITIVE, Halfspace, Majority, cube_matrix, eval_concept
 from onesided.errors import DimensionError, InputError, ResourceLimitError
 from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly,
                            characters, chebyshev, cube_numerators, eval_exact, eval_on_cube,
@@ -160,6 +163,53 @@ def test_affine_cube_numerators_transient_memory_stays_near_the_cube_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 5 * matrix_bytes
+
+
+# Forms just below (int64 numerators) and just above (object) the 2^62 bound that decides their dtype
+
+
+def _sparse_at(above: bool) -> SparsePolynomial:
+    """Coefficient numerators by mask of absolute sum 2^62 - 1 or 2^62, on the support {2, 4}."""
+    top = 2**62 if above else 2**62 - 1
+    return SparsePolynomial(4, {(2,): top // 2, (2, 4): -(top - top // 2)})
+
+
+def _affine_at(above: bool) -> AffineForm:
+    """outer(t) = K + 3t + (t^2 - 1) / 2^70 on t = x_2: the integer Horner values K 2^70 +- 3 2^70
+    pass 2^63, and the table after the gcd division is K +- 3, of largest magnitude 2^62 - 1 or 2^62."""
+    top = 2**62 if above else 2**62 - 1
+    return AffineForm(UniPoly((top - 3 - Fraction(1, 2**70), Fraction(3), Fraction(1, 2**70))), 0, (0, 1, 0))
+
+
+def _sum_at(above: bool) -> SumForm:
+    """a/2 x_1 + 1/3 x_3 over D = 6 with a odd: each part alone is int64, and the scaled bound
+    3a + 2 is 2^62 - 5 or 2^62 + 1."""
+    a = (2**62 - 1) // 3 if above else (2**62 - 7) // 3
+    return SumForm((SparsePolynomial(3, {(1,): Fraction(a, 2)}), SparsePolynomial(3, {(3,): Fraction(1, 3)})), 0)
+
+
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("form", [_sparse_at, _affine_at, _sum_at])
+def test_cube_numerators_are_int64_below_the_bound_and_object_above(form, above):
+    p = form(above)
+    nums, _ = cube_numerators(p)
+    assert nums.dtype == (object if above else np.int64)
+    assert eval_on_cube(p) == [eval_exact(p, tuple(int(b) for b in row)) for row in cube_matrix(p.n)]
+    f = lambda x: x[0]  # noqa: E731  the dictator x_1
+    for eps in (0.1, 2.0**63):  # values near 2^62 fail at 0.1 and pass at 2^63
+        for sign in (POSITIVE, NEGATIVE):
+            assert verify_onesided(p, f, eps, sign).to_json() == pointwise_report(p, f, eps, sign)
+
+
+@pytest.mark.parametrize("top", [2**62 - 1, 2**62, 2**64])
+def test_interpolation_transform_is_int64_only_below_the_bound(top, monkeypatch):
+    seen = []
+    walsh = poly._walsh
+    monkeypatch.setattr(poly, "_walsh", lambda a: seen.append(a.dtype) or walsh(a))
+    values = [top // 4, -(top // 4), top // 4, top - 3 * (top // 4)]  # absolute sum top
+    q = interpolate(2, values)
+    assert seen == [np.int64 if top < 2**62 else object]
+    assert [q.eval(tuple(int(b) for b in row)) for row in cube_matrix(2)] == values  # 2^64 would wrap in int64
 
 
 def test_weight_and_degree_examples():

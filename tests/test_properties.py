@@ -9,6 +9,10 @@ from unittest import mock
 import numpy as np
 import pytest
 from scipy import optimize, sparse
+from pointwise import exact_value as _exact_value
+from pointwise import pointwise_report as _pointwise_report
+from pointwise import pointwise_slacks as _pointwise_slacks
+from pointwise import table_target as _target
 from test_learn import brute_threshold_scan
 
 import onesided.lp as lpmod
@@ -23,7 +27,7 @@ from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
 from onesided.learn import (CALIBRATION_FACTOR, ReliableHypothesis, agnostic_l1_fit, agreement_hypothesis,
                             chop, choose_error_threshold, derandomize)
 from onesided.lp import FEASIBILITY_TOL, LinearProgram, check_feasible, solve
-from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly,
+from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly, cube_numerators,
                            eval_exact, eval_on_cube, exact_multilinear, expand, interpolate,
                            monomials_upto, sparse_eval_batch)
 
@@ -305,15 +309,15 @@ def sparse_forms(n, coefs=fractions):
     return st.dictionaries(monomial, coefs, max_size=20).map(lambda terms: SparsePolynomial(n, terms))
 
 
-def affine_forms(n):
+def affine_forms(n, outer=fractions):
     return st.builds(lambda outer, w0, w: AffineForm(UniPoly(tuple(outer)), w0, tuple(w)),
-                     st.lists(fractions, max_size=10), st.integers(-3, 3),
+                     st.lists(outer, max_size=10), st.integers(-3, 3),
                      st.lists(st.integers(-3, 3), min_size=n, max_size=n))
 
 
-def structured_forms(n, coefs=fractions):
+def structured_forms(n, coefs=fractions, outer=fractions):
     """Sparse and affine forms over n variables, and sums of them with an offset."""
-    part = st.one_of(sparse_forms(n, coefs), affine_forms(n))
+    part = st.one_of(sparse_forms(n, coefs), affine_forms(n, outer))
     sums = st.builds(lambda parts, offset: SumForm(tuple(parts), offset),
                      st.lists(part, min_size=1, max_size=3), fractions)
     return st.one_of(part, sums)
@@ -353,48 +357,6 @@ def test_exact_multilinear_matches_character_sums(table):
 # Certification against a per-point scan
 
 
-def _exact_value(p, x):
-    """p(x) with every coefficient taken as its exact Fraction, as certification takes it."""
-    if isinstance(p, SparsePolynomial):
-        return sum((Fraction(c) * math.prod(x[v - 1] for v in mono) for mono, c in p.terms.items()), Fraction(0))
-    if isinstance(p, SumForm):
-        return sum((_exact_value(part, x) for part in p.parts), p.offset)
-    return eval_exact(p, x)
-
-
-def _pointwise_slacks(p, f, eps, mode):
-    """(x, f(x), slack) at every cube point in ``cube_matrix`` row order, one Fraction at a time."""
-    eps_q = Fraction(eps)
-    for row in cube_matrix(p.n):
-        x = tuple(int(b) for b in row)
-        v, fx = _exact_value(p, x), f(x)
-        if fx == 1:
-            slack = (1 - eps_q) - v if mode == POSITIVE else abs(v - 1) - eps_q
-        else:
-            slack = v - (eps_q - 1) if mode == NEGATIVE else abs(v + 1) - eps_q
-        yield x, fx, slack
-
-
-def _pointwise_report(p, f, eps, mode):
-    """CertReport JSON of a point-by-point Fraction scan: the worst slack on each side of f, and
-    the earliest point of the largest slack as witness when that slack is > 0."""
-    worst, witness, witness_slack = {1: None, -1: None}, None, Fraction(0)
-    for x, fx, slack in _pointwise_slacks(p, f, eps, mode):
-        if worst[fx] is None or slack > worst[fx]:
-            worst[fx] = slack
-        if slack > witness_slack:
-            witness, witness_slack = list(x), slack
-    wp, wn = (float(worst[s]) if worst[s] is not None else float("-inf") for s in (1, -1))
-    return {"ok": witness is None, "eps": float(eps), "worst_pos": wp, "worst_neg": wn,
-            "points": 2**p.n, "witness": witness}
-
-
-def _target(table):
-    """The Boolean function with these values in ``cube_matrix`` row order."""
-    n = len(table).bit_length() - 1
-    return dict(zip(itertools.product((-1, 1), repeat=n), table)).__getitem__
-
-
 @settings(max_examples=150)
 @given(data=st.data(), n=st.integers(0, 6), eps=st.one_of(st.sampled_from([0, 0.1, 0.25]), st.floats(0, 2)))
 def test_certification_matches_pointwise_scan(data, n, eps):
@@ -409,6 +371,32 @@ def test_certification_matches_pointwise_scan(data, n, eps):
     for sign in (POSITIVE, NEGATIVE):
         assert verify_onesided(p, f, eps, sign).to_json() == _pointwise_report(p, f, eps, sign)
     assert verify_twosided(p, f, eps).to_json() == _pointwise_report(p, f, eps, TWOSIDED)
+
+
+#: Exact numbers of every size up to 2^66, so that cube numerators fall on both sides of the 2^62
+#: bound below which they are int64: the bit length is drawn first, then the number.
+wide = st.one_of(
+    st.integers(0, 66).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)),
+    st.builds(Fraction, st.integers(-(2**64), 2**64), st.sampled_from([2, 3, 7, 2**20, 2**40])),
+    st.sampled_from([2**62 - 1, 2**62, -(2**62), 2**61, 2**63]),
+    fractions,
+)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(0, 5), mode=st.sampled_from([POSITIVE, NEGATIVE, TWOSIDED]),
+       eps=st.sampled_from([0, 0.1, 0.25, 2.0**-60, 2.0**62, 2.0**64, 2.0**70]))
+def test_int64_and_object_numerators_match_pointwise_reference(data, n, mode, eps):
+    # eps = 0.1 has the 2^55 denominator; the small eps fail most draws and the huge ones pass them
+    table = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=2**n, max_size=2**n))
+    f = _target(table)
+    p = data.draw(structured_forms(n, wide, wide))
+    nums, denom = cube_numerators(p)
+    hypothesis.event(f"numerators: {nums.dtype}")
+    points = list(itertools.product((-1, 1), repeat=n))  # cube_matrix row order
+    assert [Fraction(v, denom) for v in nums.tolist()] == [_exact_value(p, x) for x in points]
+    rep = verify_twosided(p, f, eps) if mode == TWOSIDED else verify_onesided(p, f, eps, mode)
+    assert rep.to_json() == _pointwise_report(p, f, eps, mode)
 
 
 @settings(max_examples=150)
