@@ -3,7 +3,14 @@
 # min_eps solves a linear program over all polynomial coefficients of degree
 # at most d, minimizing the error parameter subject to the chosen
 # approximation mode's constraints at every cube point.  It is the ground
-# truth the rest of the test suite leans on.  The tables below show the gap
+# truth the rest of the test suite leans on.  Every function below is
+# symmetric in its literals, so min_eps solves the level LP: averaging a
+# witness over permutations of the literals keeps it feasible, so some
+# optimal witness is sum_j c_j e_j (e_j the sum of the degree-j monomials),
+# and its constraints depend only on the number u of false literals, where
+# e_j takes the Krawtchouk value K_j(u; n).  That LP has d + 2 columns and
+# n + 1 row blocks instead of one column per monomial and one block per cube
+# point, with the same optimum.  The tables below show the gap
 # between one-sided and two-sided approximation: OR is positively one-sided
 # representable at degree 1 with zero error, while its negative one-sided
 # error stays large until the degree reaches n.

@@ -6,7 +6,12 @@ Two routes, kept deliberately independent of the construction code:
   (:func:`verify_onesided`, :func:`verify_twosided`), and
 * an LP oracle (:func:`min_eps`) computing the exact minimal achievable
   error at a fixed degree, which is the designated independent source for
-  every frozen epsilon value in the test suite.
+  every frozen epsilon value in the test suite.  A target symmetric in its
+  literals (a majority, or an OR or AND of literals on distinct variables)
+  takes the level LP: by symmetrization its optimum is that of a symmetric
+  witness, which has one coefficient per degree and is constrained once per
+  number of false literals.  Every other target takes the full-cube LP, one
+  column per monomial and one row block per point; the tests compare the two.
 
 The exhaustive checks apply one slack rule, max((1 - eps) - f p, f p - (1 + eps))
 with the second term only where the mode bounds p on both sides, to the extremes
@@ -24,7 +29,8 @@ import numpy as np
 from scipy import sparse
 
 from . import lp as lpmod
-from .cube import NEGATIVE, POSITIVE, TWOSIDED, BoolFunc, Concept, cube_matrix, eval_concept_batch, target_values
+from .cube import (NEGATIVE, POSITIVE, TWOSIDED, BoolFunc, Concept, Conjunction, Disjunction, Majority,
+                   cube_matrix, eval_concept_batch, target_values)
 from .errors import InputError, ResourceLimitError
 from .poly import (SparsePolynomial, StructuredPolynomial, characters, cube_numerators, from_lp_solution,
                    monomials_upto)
@@ -151,20 +157,86 @@ def verify_twosided(
     return _scan(p, f, eps, TWOSIDED)
 
 
+def _error_program(matrix: np.ndarray, fvals: np.ndarray, mode: str) -> lpmod.LinearProgram:
+    """The program min eps over the columns [coefficients | eps], where row r of ``matrix``
+    holds the basis values at a point of target value fvals[r].
+
+    Rows are grouped by point: -f p - eps <= -1 (p gets within eps of f), followed, where
+    the mode bounds both sides there, by f p - eps <= 1 (p overshoots f by at most eps).
+    """
+    point = np.repeat(np.arange(matrix.shape[0]), 1 + _both_sides(fvals, mode))
+    second = np.zeros(point.size, dtype=bool)
+    second[1:] = point[1:] == point[:-1]
+    side = np.where(second, fvals[point], -fvals[point]).astype(np.int8)
+    A_ub = sparse.hstack([sparse.csr_array(matrix[point] * side[:, None]),
+                          sparse.csr_array(np.full((point.size, 1), -1.0))], format="csr")
+    b_ub = np.where(second, 1.0, -1.0)
+    cols = matrix.shape[1]
+    objective = np.zeros(cols + 1)
+    objective[-1] = 1.0
+    return lpmod.LinearProgram(objective, A_ub, b_ub, bounds=((None, None),) * cols + ((0.0, None),))
+
+
+def _symmetric_literals(f: Concept) -> tuple[int, ...] | None:
+    """The signed literals over which f is symmetric, each naming its own variable, or None.
+
+    A majority is symmetric in its variables, and an OR or AND of literals on distinct
+    variables in its literals; a literal -j is x_j with the sign flipped.
+    """
+    if isinstance(f, Majority):
+        return f.vars
+    if isinstance(f, (Disjunction, Conjunction)) and len({abs(l) for l in f.literals}) == len(f.literals):
+        return f.literals
+    return None
+
+
+def _krawtchouk(s: int, D: int) -> np.ndarray:
+    """The (s + 1, D + 1) matrix K[u, j] = sum_i (-1)^i C(u, i) C(s - u, j - i): the sum of all
+    degree-j monomials over s literals at a point where u of them are false (-1)."""
+    return np.array([[sum((-1) ** i * math.comb(u, i) * math.comb(s - u, j - i) for i in range(j + 1))
+                      for j in range(D + 1)] for u in range(s + 1)], dtype=np.float64)
+
+
+def _level_points(literals: tuple[int, ...], n: int) -> np.ndarray:
+    """One cube point per level u = 0..s, where the first u literals are false and the rest true."""
+    s = len(literals)
+    lits = np.array(literals, dtype=np.int64)
+    sigma = np.sign(lits).astype(np.int8)
+    false = np.arange(s)[None, :] < np.arange(s + 1)[:, None]
+    X = np.ones((s + 1, n), dtype=np.int8)
+    X[:, np.abs(lits) - 1] = np.where(false, -sigma, sigma)
+    return X
+
+
 def min_eps(f: Concept, d: int, mode: str) -> tuple[float, SparsePolynomial]:
     """Exact minimal eps achievable for the concept f at degree <= d, with an optimal witness.
 
-    Solves the LP whose variables are the coefficients over all monomials of
-    degree <= d plus eps itself, with the per-point constraints of the chosen
-    mode, minimizing eps, and raises :func:`lp.solve`'s error if it ends
-    without an optimum.  This is the brute-force oracle behind every frozen
-    epsilon constant in the tests.
+    The LP's variables are the coefficients of p over the monomials of degree <= d plus
+    eps itself; it minimizes eps subject to the mode's constraints at every cube point, and
+    raises :func:`lp.solve`'s error if it ends without an optimum.  This is the oracle
+    behind every frozen epsilon constant in the tests.  It is solved in one of two forms,
+    chosen by the concept's type, both built by one program builder (:func:`_error_program`):
 
-    The LP is tall (one or two rows per cube point against one column per
-    monomial), and HiGHS's interior point method solves it faster and in less
-    memory than dual simplex: about 2.5x faster on OR_10 at d = 3, and MAJ_12
-    at d = 3 peaks 36% lower.  Crossover, on by default, still ends at a
-    vertex, so the witness is a basic solution, as a simplex solve gives.
+    * Symmetric targets (a majority, or an OR or AND of literals on distinct variables S)
+      take the level LP.  Write y_i = sigma_i x_i for the literal sign sigma_i, so f is a
+      symmetric function of y_S.  The constraints are convex in p and the same at x and at
+      any point with the same f value, so averaging a feasible p over the values of the
+      variables outside S and over permutations of y_S keeps it feasible at the same eps
+      (Minsky-Papert symmetrization).  Some optimal p is therefore sum_j c_j e_j(y_S), with
+      e_j the sum of all degree-j monomials, j <= D = min(d, |S|).  At a point where u
+      literals are false, e_j takes the Krawtchouk value K_j(u; |S|), so the LP has the
+      D + 2 columns c_0..c_D, eps and one row block per level u = 0..|S|, with f read at
+      one point of each level.  The witness spreads c back as coefficient sigma_T c_|T| on
+      each monomial T in S: the symmetric optimum, not a vertex of the cube LP.
+    * Every other target (halfspaces, DNFs, CNFs, disjunctions with both signs of a
+      variable) takes the cube LP: one column per monomial and one row block per cube
+      point.  It is tall, and HiGHS's interior point method solves it faster and in less
+      memory than dual simplex: about 2.5x faster on OR_10 at d = 3, and MAJ_12 at d = 3
+      peaks 36% lower.  Crossover, on by default, still ends at a vertex, so the witness
+      is a basic solution, as a simplex solve gives.
+
+    Both caps hold on both forms, since the witness has one term per monomial.  The
+    returned eps is never below 0 (nor -0.0).
     """
     if mode not in (POSITIVE, NEGATIVE, TWOSIDED):
         raise InputError(f"mode must be positive, negative or twosided, got {mode!r}")
@@ -174,23 +246,18 @@ def min_eps(f: Concept, d: int, mode: str) -> tuple[float, SparsePolynomial]:
     monos = monomials_upto(n, d)
     if len(monos) > LP_MONOMIAL_CAP:
         raise ResourceLimitError(f"LP oracle monomial count {len(monos)} exceeds cap {LP_MONOMIAL_CAP}")
-    X = cube_matrix(n)
-    fvals = eval_concept_batch(f, X)
-    chi = characters(X, monos)
-
-    # Columns [coefficients | eps], rows grouped by point x in cube order:
-    # -f(x) p(x) - eps <= -1 (p gets within eps of f(x)), followed, where the
-    # mode bounds both sides at x, by f(x) p(x) - eps <= 1 (p overshoots f(x)
-    # by at most eps).
-    point = np.repeat(np.arange(X.shape[0]), 1 + _both_sides(fvals, mode))
-    second = np.zeros(point.size, dtype=bool)
-    second[1:] = point[1:] == point[:-1]
-    side = np.where(second, fvals[point], -fvals[point]).astype(np.int8)
-    A_ub = sparse.hstack([sparse.csr_array(chi[point] * side[:, None]),
-                          sparse.csr_array(np.full((point.size, 1), -1.0))], format="csr")
-    b_ub = np.where(second, 1.0, -1.0)
-    objective = np.zeros(len(monos) + 1)
-    objective[-1] = 1.0
-    bounds = [(None, None)] * len(monos) + [(0.0, None)]
-    sol = lpmod.solve(lpmod.LinearProgram(objective, A_ub, b_ub, bounds=tuple(bounds)), method="highs-ipm")
-    return float(sol.values[-1]), from_lp_solution(n, monos, sol.values[:-1])
+    literals = _symmetric_literals(f)
+    if literals is None:
+        X = cube_matrix(n)
+        program = _error_program(characters(X, monos), eval_concept_batch(f, X), mode)
+        sol = lpmod.solve(program, method="highs-ipm")
+        coefs = sol.values[:-1]
+    else:
+        D = min(d, len(literals))
+        program = _error_program(_krawtchouk(len(literals), D),
+                                 eval_concept_batch(f, _level_points(literals, n)), mode)
+        sol = lpmod.solve(program)
+        sign = {abs(l): 1 if l > 0 else -1 for l in literals}
+        coefs = np.array([math.prod(sign[v] for v in mono) * sol.values[len(mono)] if sign.keys() >= set(mono)
+                          else 0.0 for mono in monos])
+    return max(0.0, float(sol.values[-1])), from_lp_solution(n, monos, coefs)

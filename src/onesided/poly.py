@@ -278,7 +278,9 @@ def sparse_eval_batch(p: SparsePolynomial, X: np.ndarray) -> np.ndarray:
 
 
 def monomials_upto(n: int, d: int) -> list[Monomial]:
-    """All monomials of degree <= d over n variables, sorted by (size, lex)."""
+    """All monomials of degree <= d over n variables, sorted by (size, lex); a negative d raises."""
+    if d < 0:
+        raise InputError(f"degree must be nonnegative, got d={d}")
     out: list[Monomial] = []
     for size in range(min(n, d) + 1):
         out.extend(itertools.combinations(range(1, n + 1), size))

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from onesided.certify import min_eps, verify_onesided, verify_twosided
 from onesided.constructions import halfspace_quarter
-from onesided.cube import (Conjunction, Disjunction, Halfspace, Majority, cube_matrix, eval_concept,
+from onesided.cube import (Conjunction, Disjunction, Dnf, Halfspace, Majority, cube_matrix, eval_concept,
                            majority_as_halfspace)
 from onesided.errors import InputError, ResourceLimitError
 from onesided.poly import SparsePolynomial, exact_multilinear
@@ -166,3 +167,41 @@ def test_min_eps_caps():
     with pytest.raises(ResourceLimitError):
         # 9,908 monomials of degree <= 7 in 14 variables exceed LP_MONOMIAL_CAP = 4096
         min_eps(Majority(14, tuple(range(1, 15))), 7, "positive")
+    # both caps hold on both LP forms: the level LP of a majority and the cube LP of a halfspace
+    for f in (Majority(15, tuple(range(1, 16))), majority_as_halfspace(Majority(15, tuple(range(1, 16))))):
+        with pytest.raises(ResourceLimitError, match="caps at n=14"):
+            min_eps(f, 1, "positive")
+    with pytest.raises(ResourceLimitError, match="exceeds cap 4096"):
+        min_eps(majority_as_halfspace(Majority(14, tuple(range(1, 15)))), 7, "positive")
+
+
+@pytest.mark.parametrize("f, d", [(Majority(3, (1, 2, 3)), 3), (Dnf(5, ((1, 2), (3, 4, 5))), 5),
+                                  (majority_as_halfspace(Majority(3, (1, 2, 3))), 3)],
+                         ids=["level-MAJ_3", "cube-DNF", "cube-MAJ_3"])
+def test_min_eps_returns_positive_zero(f, d):
+    eps, _ = min_eps(f, d, "twosided")
+    assert eps == 0.0 and math.copysign(1.0, eps) == 1.0
+
+
+@pytest.mark.parametrize("f", [Majority(3, (1, 2, 3)), majority_as_halfspace(Majority(3, (1, 2, 3)))],
+                         ids=["level", "cube"])
+@pytest.mark.parametrize("solver_eps", [-0.0, -1e-12])
+def test_min_eps_clamps_a_solver_eps_below_zero(monkeypatch, f, solver_eps):
+    import onesided.lp as lpmod
+
+    real = lpmod.linprog
+
+    def below_zero(c, **kwargs):  # the backend ends at eps = 0 up to sign or feasibility tolerance
+        res = real(c, **kwargs)
+        assert abs(res.x[-1]) <= 1e-9
+        res.x[-1] = solver_eps
+        return res
+
+    monkeypatch.setattr(lpmod, "linprog", below_zero)
+    eps, _ = min_eps(f, 3, "positive")
+    assert eps == 0.0 and math.copysign(1.0, eps) == 1.0
+
+
+def test_min_eps_rejects_a_negative_degree():
+    with pytest.raises(InputError, match="degree must be nonnegative"):
+        min_eps(Majority(3, (1, 2, 3)), -1, "positive")

@@ -45,6 +45,14 @@ def test_mineps_reaches_zero_at_full_degree(capsys):
     assert table[-1]["eps"] == pytest.approx(0.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("concept", ["MAJ 1 2 3", "HALFSPACE 0 1 1 1"])
+def test_mineps_prints_no_negative_zero(capsys, concept):
+    code, out, _ = run_cli(capsys, "mineps", "--concept", concept, "--mode", "twosided", "--dmax", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "d= 3  eps=0.000000000"
+    assert "-0.0" not in out
+
+
 def test_construct_then_certify_roundtrip(tmp_path, capsys):
     poly_path = tmp_path / "poly.json"
     code, out, _ = run_cli(capsys, "construct", "--concept", "MAJ 1 2 3",

@@ -81,6 +81,15 @@ def test_reliable_fit_realizable_zero_objective():
     assert rep.lp_status == "optimal"
 
 
+def test_fits_reject_a_negative_degree():
+    s = maj3_sample()
+    for sign in ("positive", "negative"):
+        with pytest.raises(InputError, match="degree must be nonnegative"):
+            reliable_fit(s, -1, 2.0, 0.3, sign)
+    with pytest.raises(InputError, match="degree must be nonnegative"):
+        agnostic_l1_fit(s, -2, 2.0)
+
+
 def test_reliable_fit_no_positive_examples():
     X = cube_matrix(3)
     s = LabeledSample(X, -np.ones(8, dtype=np.int8), 3)

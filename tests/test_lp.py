@@ -233,8 +233,28 @@ def test_agnostic_l1_fit_layout(captured):
 ])
 def test_min_eps_layout(captured, mode, A, b):
     from onesided.certify import min_eps
+    from onesided.cube import Dnf
+
+    min_eps(Dnf(2, ((1,), (2,))), 1, mode)  # OR_2 as a DNF of unit clauses takes the cube LP
+    _assert_layout(captured[0], A, b)
+    assert captured[0]["method"] == "highs-ipm"
+
+
+@pytest.mark.parametrize("mode, A, b", [
+    # OR_2 by level u = number of false literals, 0, 1, 2, where the degree-j monomials
+    # sum to K_j(u; 2): (1, 2), (1, 0), (1, -2); columns [c_0, c_1 | eps]
+    ("positive", [[-1, -2, -1],       # u = 0, true: -p - eps <= -1
+                  [-1, 0, -1],        # u = 1, true
+                  [1, -2, -1],        # u = 2, false: p - eps <= -1
+                  [-1, 2, -1]], [-1, -1, -1, 1]),   # -p - eps <= 1
+    ("negative", [[-1, -2, -1], [1, 2, -1],
+                  [-1, 0, -1], [1, 0, -1],
+                  [1, -2, -1]], [-1, 1, -1, 1, -1]),
+])
+def test_min_eps_level_layout(captured, mode, A, b):
+    from onesided.certify import min_eps
     from onesided.cube import Disjunction
 
     min_eps(Disjunction(2, (1, 2)), 1, mode)
     _assert_layout(captured[0], A, b)
-    assert captured[0]["method"] == "highs-ipm"
+    assert captured[0]["method"] == "highs"

@@ -269,6 +269,9 @@ def test_negate_onesided_preserves_exact_majority():
 def test_monomials_upto():
     monos = monomials_upto(3, 2)
     assert monos == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+    assert monomials_upto(3, 0) == [()]
+    with pytest.raises(InputError, match="degree must be nonnegative"):
+        monomials_upto(3, -1)
 
 
 def test_sparse_eval_batch_matches_exact():

@@ -21,7 +21,7 @@ from onesided.constructions import halfspace_onesided
 from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Cnf, Conjunction, Disjunction, Dnf, ErrorMetrics,
                            Halfspace, LabeledSample, Majority, constant_concept, cube_matrix, dedup,
                            empirical_metrics, eval_concept, eval_concept_batch, format_concept, linear_form,
-                           make_sample)
+                           majority_as_halfspace, make_sample)
 from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
                               monotone_disjunction_bank)
 from onesided.learn import (CALIBRATION_FACTOR, ReliableHypothesis, agnostic_l1_fit, agreement_hypothesis,
@@ -112,9 +112,10 @@ def test_agnostic_l1_fit_matches_two_row_lp(s, d, W):
 
 @st.composite
 def symmetric_targets(draw):
-    """MAJ, OR and AND over a random support of at most 6 variables, literals signed for OR and AND."""
+    """MAJ, OR and AND over a random support of at most 6 variables, possibly empty, literals signed
+    for OR and AND."""
     n = draw(st.integers(1, 6))
-    support = draw(st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True))
+    support = draw(st.lists(st.integers(1, n), min_size=0, max_size=n, unique=True))
     kind = draw(st.sampled_from([Majority, Disjunction, Conjunction]))
     if kind is Majority:
         return Majority(n, tuple(support))
@@ -122,9 +123,17 @@ def symmetric_targets(draw):
     return kind(n, tuple(s * v for s, v in zip(signs, support)))
 
 
-@settings(max_examples=80)
-@given(f=symmetric_targets(), d=st.integers(1, 3), mode=st.sampled_from([POSITIVE, NEGATIVE, TWOSIDED]))
-def test_min_eps_matches_simplex_resolve(f, d, mode):
+def cube_route_twin(f):
+    """The same function as the symmetric target f, as a concept that min_eps solves on the cube LP."""
+    if isinstance(f, Majority):
+        return majority_as_halfspace(f) if f.vars else Dnf(f.n, ())
+    if isinstance(f, Disjunction):
+        return Dnf(f.n, tuple((lit,) for lit in f.literals))
+    return Cnf(f.n, tuple((lit,) for lit in f.literals))
+
+
+def _solve_spied(f, d, mode):
+    """min_eps(f, d, mode) and the (c, kwargs, result) of each backend call it made."""
     calls = []
     real = lpmod.linprog
 
@@ -133,7 +142,15 @@ def test_min_eps_matches_simplex_resolve(f, d, mode):
         return calls[-1][2]
 
     with mock.patch.object(lpmod, "linprog", spy):
-        eps, _ = min_eps(f, d, mode)
+        return min_eps(f, d, mode), calls
+
+
+@settings(max_examples=80)
+@given(f=symmetric_targets(), d=st.integers(1, 3), mode=st.sampled_from([POSITIVE, NEGATIVE, TWOSIDED]))
+def test_min_eps_matches_simplex_resolve(f, d, mode):
+    twin = cube_route_twin(f)
+    assert np.array_equal(eval_concept_batch(twin, cube_matrix(f.n)), eval_concept_batch(f, cube_matrix(f.n)))
+    (eps, _), calls = _solve_spied(twin, d, mode)
     (c, kwargs, res), = calls
     assert kwargs["method"] == "highs-ipm"
     simplex = optimize.linprog(c, **{**kwargs, "method": "highs"})
@@ -141,6 +158,43 @@ def test_min_eps_matches_simplex_resolve(f, d, mode):
     assert eps == pytest.approx(simplex.fun, abs=1e-9)
     program = LinearProgram(c, kwargs["A_ub"], kwargs["b_ub"], bounds=tuple(kwargs["bounds"]))
     assert check_feasible(program, res.x) <= 1e-9
+
+
+def _assert_level_route_matches_cube_route(f, d, mode):
+    (eps, witness), calls = _solve_spied(f, d, mode)
+    support = {abs(lit) for lit in (f.vars if isinstance(f, Majority) else f.literals)}
+    (c, _, _), = calls
+    assert len(c) == min(d, len(support)) + 2  # the level LP: c_0..c_D and eps
+    assert math.copysign(1.0, eps) == 1.0 and eps >= 0.0
+    assert eps == pytest.approx(min_eps(cube_route_twin(f), d, mode)[0], abs=1e-9)
+    assert all(set(mono) <= support and len(mono) <= d for mono in witness.terms)
+    if mode == TWOSIDED:
+        assert verify_twosided(witness, f, eps + 2e-7).ok
+    else:
+        assert verify_onesided(witness, f, eps + 2e-7, mode).ok
+
+
+@settings(max_examples=120, deadline=None)
+@given(f=symmetric_targets(), d=st.integers(0, 3), mode=st.sampled_from([POSITIVE, NEGATIVE, TWOSIDED]))
+def test_level_lp_matches_cube_lp(f, d, mode):
+    _assert_level_route_matches_cube_route(f, d, mode)
+
+
+@pytest.mark.parametrize("f", [Majority(9, tuple(range(1, 10))), Disjunction(10, tuple(range(1, 11)))],
+                         ids=["MAJ_9", "OR_10"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("mode", [POSITIVE, NEGATIVE, TWOSIDED])
+def test_level_lp_matches_cube_lp_on_the_benchmark_table(f, d, mode):
+    _assert_level_route_matches_cube_route(f, d, mode)
+
+
+def test_disjunction_naming_a_variable_twice_takes_the_cube_lp():
+    f = Disjunction(3, (1, -1))  # x_1 or not x_1: constant +1, symmetric in no literal set
+    (eps, witness), calls = _solve_spied(f, 2, TWOSIDED)
+    (c, kwargs, _), = calls
+    assert len(c) == len(monomials_upto(3, 2)) + 1 and kwargs["method"] == "highs-ipm"
+    assert kwargs["A_ub"].shape[0] == 2 * 8  # two rows per cube point
+    assert eps == 0.0 and verify_twosided(witness, f, 2e-7).ok
 
 
 # ---------------------------------------------------------------------------
