@@ -29,14 +29,11 @@ import numpy as np
 from scipy import sparse
 
 from . import lp as lpmod
-from .cube import (NEGATIVE, POSITIVE, TWOSIDED, BoolFunc, Concept, Conjunction, Disjunction, Majority,
-                   cube_matrix, eval_concept_batch, target_values)
+from .cube import (CUBE_CAP, NEGATIVE, POSITIVE, TWOSIDED, BoolFunc, Concept, Conjunction, Disjunction,
+                   Majority, cube_matrix, eval_concept_batch, target_values)
 from .errors import InputError, ResourceLimitError
 from .poly import (SparsePolynomial, StructuredPolynomial, characters, cube_numerators, from_lp_solution,
                    monomials_upto)
-
-#: Cap on cube enumeration (2^24 points).
-CUBE_CAP = 24
 
 #: Cap on the number of monomial columns in the LP oracle.
 LP_MONOMIAL_CAP = 4096
@@ -90,11 +87,9 @@ def _scan(
     n = p.n
     if getattr(f, "n", None) not in (None, n):
         raise InputError(f"polynomial dimension {n} != target dimension {f.n}")
-    if n > CUBE_CAP:
-        raise ResourceLimitError(f"exhaustive check enumerates 2^{n} points; cap is 2^{CUBE_CAP}")
+    nums, denom = cube_numerators(p)  # first: past CUBE_CAP it raises before anything spans the cube
     X = cube_matrix(n)
     fvals = target_values(f, X)
-    nums, denom = cube_numerators(p)
     e, k = Fraction(eps).as_integer_ratio()
 
     # With p = nums / denom and g = f nums, the slack times denom * k is

@@ -88,6 +88,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_mineps(args) -> int:
     concept = parse_concept(args.concept, args.n)
+    if args.dmax < 1:
+        raise InputError(f"--dmax must be at least 1, got {args.dmax}")
     rows = []
     for d in range(1, args.dmax + 1):
         eps, _ = certify_mod.min_eps(concept, d, args.mode)

@@ -29,7 +29,7 @@ from .certify import CertReport, verify_onesided, verify_twosided
 from .cube import NEGATIVE, POSITIVE, TWOSIDED, Concept, Conjunction, Cnf, Dnf, Halfspace, cube_matrix
 from .errors import InputError, ParameterError, ResourceLimitError
 from .poly import (EXPANSION_CAP, AffineForm, SparsePolynomial, StructuredPolynomial, SumForm, UniPoly,
-                   analytic_bounds, chebyshev, interpolate, negate_onesided, sparse_constant,
+                   analytic_bounds, chebyshev, compose_counts, negate_onesided, sparse_constant,
                    weight_and_degree)
 
 
@@ -283,22 +283,6 @@ def and_compose(parts: list[StructuredPolynomial]) -> StructuredPolynomial:
 # Degree / weight tradeoff for conjunctions, and DNF/CNF lifts
 
 
-def exact_and_sparse(n: int, block: tuple[int, ...]) -> SparsePolynomial:
-    """The exact multilinear AND over ``block`` inside n variables.
-
-    2 * prod_{j in block} (1 + x_j)/2 - 1; degree |block|, weight < 3.
-    """
-    scale = Fraction(2, 2 ** len(block))
-    terms: dict[tuple[int, ...], Fraction] = {}
-    subsets = [()]
-    for v in block:
-        subsets += [s + (v,) for s in subsets]
-    for s in subsets:
-        terms[tuple(sorted(s))] = scale
-    terms[()] = terms.get((), Fraction(0)) - 1
-    return SparsePolynomial(n, terms)
-
-
 def _block_count_candidates(n: int, ratio_cap: float) -> list[int]:
     """Divisors t of n with t/log2(t) <= ratio_cap, largest first; 1 always
     qualifies, so the list is never empty."""
@@ -315,9 +299,9 @@ def and_twosided_tradeoff(n: int, d: int, eps: float) -> ConstructionResult:
     Splits the input into t blocks (t the largest divisor of n with
     t/log2(t) <= n^2 log2(1/eps)/d^2), counts the true blocks at every cube
     point, and wraps that count with a step polynomial, p = 2*S(count) - 1,
-    S built at W = t with the doubling schedule.  p is interpolated from its
-    cube values to a sparse multilinear form, so n must stay within
-    ``EXPANSION_CAP``; t = 1 is the exact product form of AND_n.
+    S built at W = t with the doubling schedule.  :func:`compose_counts` expands
+    p to a sparse multilinear form, so n must stay within ``EXPANSION_CAP``;
+    t = 1 is the exact product form 2*AND_n - 1, of outer 2c - 1.
     """
     if n < 1:
         raise InputError("and_twosided_tradeoff needs n >= 1")
@@ -330,16 +314,14 @@ def and_twosided_tradeoff(n: int, d: int, eps: float) -> ConstructionResult:
     target = Conjunction(n, tuple(range(1, n + 1)))
     ratio_cap = n * n * math.log2(1 / eps) / (d * d)
     for t in _block_count_candidates(n, ratio_cap):
-        if t == 1:
-            return certified(exact_and_sparse(n, target.literals), target, TWOSIDED, eps, None)
-
         # blocks are the consecutive runs of n // t variables, i.e. of cube_matrix columns
-        true_blocks = (cube_matrix(n).reshape(-1, t, n // t) == 1).all(axis=2).sum(axis=1).tolist()
+        true_blocks = (cube_matrix(n).reshape(-1, t, n // t) == 1).all(axis=2).sum(axis=1)
+        if t == 1:
+            return certified(compose_counts(n, UniPoly((-1, 2)), true_blocks), target, TWOSIDED, eps, None)
 
         def attempt(k: int) -> ConstructionResult:
-            S = step_poly(default_step_params(t, k))
-            by_count = [2 * S(c) - 1 for c in range(t + 1)]
-            return certified(interpolate(n, [by_count[c] for c in true_blocks]), target, TWOSIDED, eps, k)
+            outer = (step_poly(default_step_params(t, k)) * 2).shift(-1)
+            return certified(compose_counts(n, outer, true_blocks), target, TWOSIDED, eps, k)
 
         result = _step_schedule(t, eps, attempt)
         if result is not None:

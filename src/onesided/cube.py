@@ -27,6 +27,9 @@ Bits = Sequence[int]
 
 POSITIVE, NEGATIVE, TWOSIDED, FULLY = "positive", "negative", "twosided", "fully"
 
+#: Cap on the dimension of every path that spans the whole cube (2^24 points).
+CUBE_CAP = 24
+
 
 _BITS = frozenset({-1, 1})
 

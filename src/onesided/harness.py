@@ -296,7 +296,6 @@ class RunManifest:
     noise: NoiseModel
     learner: dict
     samples: dict
-    generator: str = GENERATOR_ID
     oracle: dict | None = None
     results: dict = field(default_factory=dict)
     artifact_hashes: dict = field(default_factory=dict)
@@ -304,7 +303,7 @@ class RunManifest:
     def inputs_json(self) -> dict:
         obj = {
             "seed": self.seed,
-            "generator": self.generator,
+            "generator": GENERATOR_ID,
             "concept": self.concept,
             "noise": self.noise.to_json(),
             "learner": self.learner,
@@ -316,13 +315,14 @@ class RunManifest:
 
     @staticmethod
     def from_json(obj: dict) -> "RunManifest":
+        if obj.get("generator", GENERATOR_ID) != GENERATOR_ID:
+            raise InputError(f"unknown generator {obj['generator']!r}; the only generator is {GENERATOR_ID!r}")
         return RunManifest(
             seed=int(obj["seed"]),
             concept=obj["concept"],
             noise=NoiseModel.from_json(obj["noise"]),
             learner=dict(obj["learner"]),
             samples=dict(obj["samples"]),
-            generator=obj.get("generator", GENERATOR_ID),
             oracle=obj.get("oracle"),
         )
 

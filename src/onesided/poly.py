@@ -27,6 +27,11 @@ is bit ``1 << (m - j)`` of a monomial's mask on a support of m variables, so
 values = walsh(coefficients by mask) reversed, and coefficients =
 walsh(values reversed) / 2^m.
 
+An outer polynomial of an integer statistic of x (an :class:`AffineForm`, the
+AND tradeoff) is evaluated once per distinct integer, and :func:`compose_counts`
+is its kernel to a multilinear form; :func:`interpolate` is the validated entry
+for exact values a caller supplies.
+
 Construction-time arithmetic is exact rational; floating point appears only
 when a caller asks for a float evaluation or when coefficients were produced
 by a floating-point LP solve.
@@ -44,7 +49,7 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .cube import BoolFunc, as_bits, cube_matrix, linear_form, target_values
+from .cube import CUBE_CAP, BoolFunc, as_bits, cube_matrix, linear_form, target_values
 from .errors import DimensionError, InputError, ResourceLimitError
 
 Coef = Union[Fraction, float]
@@ -363,6 +368,8 @@ def cube_numerators(p: StructuredPolynomial) -> tuple[np.ndarray, int]:
     numerator reaches 2^62, and an object array of Python ints otherwise.  Each
     form is evaluated on the variables it depends on, then spread over the cube.
     """
+    if p.n > CUBE_CAP:
+        raise ResourceLimitError(f"cube values span 2^{p.n} points; cap is 2^{CUBE_CAP}")
     values, denom = _support_values(p)
     full = (2,) * p.n
     return (values.reshape(-1) if values.shape == full else np.broadcast_to(values, full).flatten()), denom
@@ -378,20 +385,16 @@ def _support_values(p: StructuredPolynomial) -> tuple[np.ndarray, int]:
       numerators by mask over its variable support, in int64 when their
       absolute sum (which bounds every butterfly) is below 2^62; float
       coefficients enter as their exact Fraction;
-    * an affine form evaluates its outer polynomial once per distinct value of
-      the integer linear form over its support, by Horner on the integer
-      numerators of the outer coefficients, then divides by the gcd of the
-      denominator and all the values; the table is int64 when its largest
-      magnitude is below 2^62;
+    * an affine form takes :func:`_outer_values` of its integer linear form
+      over its support;
     * a sum form adds its parts over the lcm D of their denominators, in int64
       when sum_i max|part_i| * (D / D_i) + |offset| * D stays below 2^62.
     """
     if isinstance(p, AffineForm):
         support = [j for j, wj in enumerate(p.w, start=1) if wj]
         form = linear_form(cube_matrix(len(support)), p.w0, [p.w[j - 1] for j in support])
-        ts, inverse = np.unique(form, return_inverse=True)
-        table, denom = _outer_table(p.outer, ts.tolist())
-        return _spread(table[inverse], p.n, support), denom
+        values, denom = _outer_values(p.outer, form)
+        return _spread(values, p.n, support), denom
     if isinstance(p, SparsePolynomial):
         support = sorted({v for mono in p.terms for v in mono})
         bit = {v: 1 << (len(support) - i) for i, v in enumerate(support, start=1)}
@@ -427,24 +430,26 @@ def _spread(values: np.ndarray, n: int, support: Sequence[int]) -> np.ndarray:
     return values.reshape(shape)
 
 
-def _outer_table(outer: UniPoly, ts: Sequence[int]) -> tuple[np.ndarray, int]:
-    """(table, D): outer(t) = table[i] / D at t = ts[i], with D the lcm of the reduced denominators.
+def _outer_values(outer: UniPoly, stats: np.ndarray) -> tuple[np.ndarray, int]:
+    """(values, D): outer(stats[i]) = values[i] / D for an integer array stats, with D the lcm of the
+    reduced denominators; outer is evaluated once per distinct integer of stats.
 
     With L the lcm of the coefficient denominators, L * outer(t) is an integer
     polynomial in t, evaluated by Horner; dividing it and L by their common gcd
     g leaves D = L / g, which is exactly that lcm.
     """
+    ts, inverse = np.unique(stats, return_inverse=True)
     denom = math.lcm(*(c.denominator for c in outer.coeffs))
     coeffs = [c.numerator * (denom // c.denominator) for c in reversed(outer.coeffs)]
-    values = []
-    for t in ts:
+    table = []
+    for t in ts.tolist():
         acc = 0
         for c in coeffs:
             acc = acc * t + c
-        values.append(acc)
-    g = math.gcd(denom, *values)
-    values = [v // g for v in values]
-    return _exact_array(values, max(map(abs, values))), denom // g
+        table.append(acc)
+    g = math.gcd(denom, *table)
+    table = [v // g for v in table]
+    return _exact_array(table, max(map(abs, table)))[inverse], denom // g
 
 
 def negate_onesided(p: StructuredPolynomial) -> StructuredPolynomial:
@@ -574,6 +579,16 @@ def interpolate(n: int, values: Sequence) -> SparsePolynomial:
     return _from_cube_numerators(n, _exact_array(nums, sum(map(abs, nums))), denom, range(1, n + 1))
 
 
+def compose_counts(n: int, outer: UniPoly, counts: np.ndarray) -> SparsePolynomial:
+    """The multilinear polynomial whose value at ``cube_matrix`` row r is outer(counts[r]), exactly,
+    for an integer array of 2^n counts: outer is evaluated once per distinct count, then one
+    transform gives the coefficients."""
+    if len(counts) != 2**n:
+        raise DimensionError(f"composition on n={n} needs {2**n} counts, got {len(counts)}")
+    values, denom = _outer_values(outer, counts)
+    return _from_cube_numerators(n, values, denom, range(1, n + 1))
+
+
 def _from_cube_numerators(n: int, nums: np.ndarray, denom: int, support: Sequence[int]) -> SparsePolynomial:
     """The multilinear polynomial over n variables whose values are nums / denom on the sub-cube of
     the sorted variables ``support``, in its ``cube_matrix`` row order.
@@ -605,12 +620,13 @@ def _subsets(variables: Sequence[int]) -> list[Monomial]:
 def exact_multilinear(f: BoolFunc, n: int) -> SparsePolynomial:
     """The unique multilinear polynomial agreeing with f on the whole cube.
 
-    Coefficients are exact rationals, one :func:`interpolate` of the target's
-    +-1 values; the cap is n = 16.
+    Coefficients are exact rationals, one transform of the target's +-1
+    values; the cap is n = 16.
     """
     if n > 16:
         raise ResourceLimitError(f"exact interpolation enumerates 2^{n} points; cap is 2^16")
-    return interpolate(n, target_values(f, cube_matrix(n)).tolist())
+    # as int64: the 31-bit mask of _abs_sum does not fit in an int8 array
+    return _from_cube_numerators(n, target_values(f, cube_matrix(n)).astype(np.int64), 1, range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,15 @@ def test_mineps_prints_no_negative_zero(capsys, concept):
     assert "-0.0" not in out
 
 
+@pytest.mark.parametrize("dmax", ["0", "-2"])
+def test_mineps_needs_a_positive_dmax(capsys, dmax):
+    code, out, err = run_cli(capsys, "mineps", "--concept", "MAJ 1 2 3", "--mode", "positive",
+                             "--dmax", dmax, "--json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --dmax must be at least 1")
+
+
 def test_construct_then_certify_roundtrip(tmp_path, capsys):
     poly_path = tmp_path / "poly.json"
     code, out, _ = run_cli(capsys, "construct", "--concept", "MAJ 1 2 3",
@@ -292,6 +301,18 @@ def test_bench_reports_an_unreadable_manifest_and_runs_the_rest(tmp_path, capsys
     assert code == 1
     assert len(out.strip().splitlines()) == 1
     assert err.startswith(f"error: {missing}: load: ")
+
+
+def test_bench_refuses_a_manifest_naming_another_generator(tmp_path, capsys):
+    manifest = RunManifest(seed=1, concept="MAJ 1 2 3", noise=NoiseModel("none"),
+                           learner={"algo": "disjunction"}, samples={"train": 100, "heldout": 100})
+    foreign = tmp_path / "foreign.json"
+    foreign.write_text(json.dumps({**manifest.inputs_json(), "generator": "sobol/not-implemented"}))
+    code, out, err = run_cli(capsys, "bench", str(foreign), "--root", str(tmp_path / "runs"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {foreign}: load: unknown generator 'sobol/not-implemented'")
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("command", ["bench", "replay"])

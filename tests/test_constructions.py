@@ -8,8 +8,7 @@ import pytest
 from onesided.certify import verify_onesided, verify_twosided
 from onesided.constructions import (ConstructionResult, StepPolyParams, and_compose,
                                     and_twosided_tradeoff, cnf_negative_onesided,
-                                    default_step_params, dnf_positive_onesided,
-                                    exact_and_sparse, halfspace_onesided,
+                                    default_step_params, dnf_positive_onesided, halfspace_onesided,
                                     halfspace_quarter, or_compose, reflect_halfspace,
                                     step_poly)
 from onesided.cube import (Cnf, Conjunction, Disjunction, Dnf, Halfspace, Majority,
@@ -256,13 +255,20 @@ def test_compose_rejects_empty():
 # Conjunction tradeoff and DNF/CNF lifts
 
 
-def test_exact_and_sparse_product_form():
-    q = exact_and_sparse(4, (2, 3))
-    assert float(q.weight) <= 3
+def test_tradeoff_t_one_is_the_product_form():
+    # the budget admits no block count t > 1, so p = 2 AND_7 - 1 exactly
+    res = and_twosided_tradeoff(7, 7, 0.3)
+    assert res.step_degree is None
+    q = res.poly
+    assert q.degree == 7 and q.weight < 3
+    for bits in cube_matrix(7):
+        t = tuple(int(b) for b in bits)
+        assert q.eval(t) == (1 if all(b == 1 for b in t) else -1)
+    block = and_twosided_tradeoff(2, 7, 0.3).poly.substitute_literals(4, (2, 3))  # AND on x2, x3 inside n = 4
+    assert float(block.weight) < 3
     for bits in cube_matrix(4):
         t = tuple(int(b) for b in bits)
-        expected = 1 if (t[1] == 1 and t[2] == 1) else -1
-        assert q.eval(t) == expected
+        assert block.eval(t) == (1 if (t[1] == 1 and t[2] == 1) else -1)
 
 
 def test_tradeoff_degenerate_blocking_t_equals_n():

@@ -6,7 +6,7 @@ import pytest
 from onesided.cube import (Disjunction, Majority, empirical_metrics, eval_concept_batch,
                            format_concept)
 from onesided.errors import InputError, ResourceLimitError
-from onesided.harness import (BANKS, NoiseModel, RunManifest, append_summary_csv, brute_opt,
+from onesided.harness import (BANKS, GENERATOR_ID, NoiseModel, RunManifest, append_summary_csv, brute_opt,
                               generate, majority_bank, manifest_hash,
                               monotone_disjunction_bank, oracle_record, replay_run, run_experiment,
                               run_root, stage_rng)
@@ -290,6 +290,15 @@ def test_manifest_hash_stability():
     assert a.hash == b.hash == manifest_hash(a.inputs_json())
     b.seed = 4
     assert a.hash != b.hash
+
+
+def test_manifest_names_its_one_generator_and_refuses_others():
+    obj = manifest_for_test().inputs_json()
+    assert obj["generator"] == GENERATOR_ID
+    with pytest.raises(InputError, match="unknown generator 'sobol/not-implemented'"):
+        RunManifest.from_json({**obj, "generator": "sobol/not-implemented"})
+    del obj["generator"]  # a manifest without the field reads as the one generator
+    assert RunManifest.from_json(obj).inputs_json() == manifest_for_test().inputs_json()
 
 
 def test_manifest_json_roundtrip():

@@ -9,10 +9,11 @@ from pointwise import pointwise_report
 
 import onesided.poly as poly
 from onesided.certify import verify_onesided, verify_twosided
-from onesided.cube import NEGATIVE, POSITIVE, Halfspace, Majority, cube_matrix, eval_concept
+from onesided.cube import (CUBE_CAP, NEGATIVE, POSITIVE, Dnf, Halfspace, Majority, cube_matrix, eval_concept,
+                           eval_concept_batch)
 from onesided.errors import DimensionError, InputError, ResourceLimitError
 from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly,
-                           characters, chebyshev, cube_numerators, eval_exact, eval_on_cube,
+                           characters, chebyshev, compose_counts, cube_numerators, eval_exact, eval_on_cube,
                            exact_multilinear, expand, interpolate, monomials_upto, negate_onesided,
                            sparse_eval_batch, sparse_from_json, sparse_to_json, structured_from_json,
                            structured_to_json, weight_and_degree)
@@ -127,6 +128,38 @@ def test_exact_multilinear_reaches_its_cap():
         assert p.eval(t) == eval_concept(h, t)
     with pytest.raises(ResourceLimitError):
         exact_multilinear(Majority(17, tuple(range(1, 18))), 17)
+
+
+@pytest.mark.parametrize("f", [Majority(7, tuple(range(1, 8))), Halfspace(8, 1, (3, -1, 2, 2, -5, 1, 4, -2)),
+                               Dnf(8, ((1, -2, 3), (-4, 5), (6, 7, -8)))],
+                         ids=["maj", "halfspace", "dnf"])
+def test_exact_multilinear_matches_interpolate(f):
+    values = [int(v) for v in eval_concept_batch(f, cube_matrix(f.n))]
+    assert exact_multilinear(f, f.n) == interpolate(f.n, values)
+
+
+def test_compose_counts_rejects_a_wrong_count_length():
+    with pytest.raises(DimensionError):
+        compose_counts(2, UniPoly((0, 1)), np.array([0, 1, 2]))
+
+
+def test_compose_counts_takes_values_beyond_int64():
+    outer = UniPoly((Fraction(1, 3), 2**70))  # outer values reach 2^72: the object route
+    counts = np.array([0, 3, -1, 3, 2, 0, -5, 1])
+    assert compose_counts(3, outer, counts) == interpolate(3, [outer(c) for c in counts.tolist()])
+
+
+@pytest.mark.parametrize("p", [AffineForm(UniPoly((0, 1)), 0, (1,) + (0,) * CUBE_CAP),
+                               SparsePolynomial(CUBE_CAP + 1, {(CUBE_CAP + 1,): 1})], ids=["affine", "sparse"])
+def test_full_cube_values_refuse_past_the_cube_cap(monkeypatch, p):
+    def no_evaluation(q):
+        raise AssertionError(f"evaluated a form over {q.n} variables")
+
+    monkeypatch.setattr(poly, "_support_values", no_evaluation)  # a missing cap fails here, before 2^25 values
+    with pytest.raises(ResourceLimitError, match="cap is 2"):
+        cube_numerators(p)
+    with pytest.raises(ResourceLimitError, match="cap is 2"):
+        eval_on_cube(p)
 
 
 def test_interpolate_rejects_wrong_length_and_inexact_values():

@@ -27,7 +27,7 @@ from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
 from onesided.learn import (CALIBRATION_FACTOR, ReliableHypothesis, agnostic_l1_fit, agreement_hypothesis,
                             chop, choose_error_threshold, derandomize)
 from onesided.lp import FEASIBILITY_TOL, LinearProgram, check_feasible, solve
-from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly, cube_numerators,
+from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly, compose_counts, cube_numerators,
                            eval_exact, eval_on_cube, exact_multilinear, expand, interpolate,
                            monomials_upto, sparse_eval_batch)
 
@@ -390,6 +390,15 @@ def test_expand_matches_eval_exact(p):
     for row in cube_matrix(p.n):
         bits = tuple(int(b) for b in row)
         assert q.eval(bits) == eval_exact(p, bits)
+
+
+@settings(max_examples=80)
+@given(data=st.data(), n=st.integers(0, 8),
+       outer=st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12), max_size=6).map(
+           lambda cs: UniPoly(tuple(cs))))
+def test_compose_counts_matches_interpolate(data, n, outer):
+    counts = data.draw(st.lists(st.integers(-40, 40), min_size=2**n, max_size=2**n))
+    assert compose_counts(n, outer, np.array(counts, dtype=np.int64)) == interpolate(n, [outer(c) for c in counts])
 
 
 @settings(max_examples=40)
