@@ -10,9 +10,9 @@ weight <= W,
 
 (the negative-side learner mirrors every role).  The LP is built in matrix
 form over the columns [c (one per monomial) | u (one per monomial) | hinge
-slacks]: a block of character rows of the sample with -I on the slacks,
-a block of hard rows, then the weight-cap block, which encodes the cap with
-split variables as the row pair c_S - u_S <= 0, -c_S - u_S <= 0 per
+slacks]: a block of rows reading p at the sample points with -I on the
+slacks, a block of hard rows, then the weight-cap block, which encodes the
+cap with split variables as the row pair c_S - u_S <= 0, -c_S - u_S <= 0 per
 monomial and one row sum u_S <= W, so the objective stays exactly the
 hinge sum.  The L1 learner solves the least-absolute-deviation form over
 [c | u | e+ | e-]: one equality row p(x_j) - e+_j + e-_j = y_j per distinct
@@ -21,6 +21,21 @@ then the same weight-cap block.  Duplicate sample points are merged into
 weighted rows (``LabeledSample.deduped``, computed once per sample) before
 solving; the optimum is unchanged.  Both fits run on HiGHS's default
 ``"highs"`` method (dual simplex on these LPs).
+
+Both fits write p at their k point rows in one of two ways (``_point_values``),
+chosen by nonzero count for M monomials over n variables.  Dense: each
+row holds the M characters of its point over the c columns (k*M nonzeros).
+Butterfly: free columns z_1..z_n of 2^n each are appended after the slacks,
+with the equality rows z_s = (Walsh-Hadamard butterfly on bit s of z_(s-1)),
+where z_0 holds c_S at the bit mask of S (absent monomials are left out), so
+z_n holds p on every cube point and each row reads p(x_j) as one nonzero.
+The butterfly's n*2^n equality rows hold at most 3 nonzeros each, and the
+route is taken when 3n*2^n < k*M.  Both forms have the same optimum; the
+butterfly rows are not counted in ``FitReport.constraints_active``.
+
+Fitted coefficients are rounded to multiples of ``COEF_GRID``, so a learned
+polynomial of weight below 2^21 evaluates exactly in float64: points of equal
+exact value get equal values, and a calibrated threshold never splits them.
 
 Derandomization always uses a fresh calibration sample, never training data.
 One threshold search serves it (both sides; the negative is the mirror) and the
@@ -38,14 +53,18 @@ from scipy import sparse
 from . import lp as lpmod
 from .cube import NEGATIVE, POSITIVE, Disjunction, LabeledSample, PartialHypothesis, as_bits, predict
 from .errors import InfeasibleError, InputError, ResourceLimitError
-from .poly import (SparsePolynomial, characters, from_lp_solution, monomials_upto, sparse_eval_batch,
-                   sparse_to_json)
+from .poly import SparsePolynomial, characters, monomials_upto, sparse_eval_batch, sparse_to_json
 
 #: Calibration sample must have at least CALIBRATION_FACTOR / eps^2 examples.
 CALIBRATION_FACTOR = 2.0
 
 #: Cap on the number of monomial features in a fit.
 FEATURE_CAP = 8192
+
+#: Fitted coefficients are rounded to multiples of this power of two.  Sums of
+#: such multiples are exact in float64 below 2^21, so a learned polynomial's
+#: values at points of equal exact value are equal floats.
+COEF_GRID = 2.0**-32
 
 
 def chop(a: float) -> float:
@@ -162,25 +181,72 @@ def _weight_block(M: int, W: float, nslack: int):
 
 
 def _capped_program(slack_weights: np.ndarray, M: int, W: float, A_ub=None, b_ub=None,
-                    A_eq=None, b_eq=None) -> lpmod.LinearProgram:
-    """Minimize the weighted slacks over [c | u | slacks]: the fit's <= rows, then the
-    weight cap; the fit's equality rows, if any, go to ``A_eq``."""
-    A_cap, b_cap = _weight_block(M, W, len(slack_weights))
+                    A_eq=None, b_eq=None, nfree: int = 0) -> lpmod.LinearProgram:
+    """Minimize the weighted slacks over [c | u | slacks | nfree free columns]: the fit's <= rows,
+    then the weight cap; the fit's equality rows, if any, go to ``A_eq``."""
+    A_cap, b_cap = _weight_block(M, W, len(slack_weights) + nfree)
     if A_ub is not None:
         A_cap, b_cap = sparse.vstack([A_ub, A_cap], format="csr"), np.concatenate([b_ub, b_cap])
     return lpmod.LinearProgram(
-        np.concatenate([np.zeros(2 * M), slack_weights.astype(np.float64)]),
+        np.concatenate([np.zeros(2 * M), slack_weights.astype(np.float64), np.zeros(nfree)]),
         A_cap, b_cap, A_eq, b_eq,
-        bounds=tuple([(None, None)] * M + [(0.0, None)] * (M + len(slack_weights))),
+        bounds=tuple([(None, None)] * M + [(0.0, None)] * (M + len(slack_weights)) + [(None, None)] * nfree),
     )
 
 
+def _takes_butterfly(n: int, k: int, M: int) -> bool:
+    """Whether p at k points is written through the butterfly: its n*2^n rows of at most
+    3 nonzeros each against the k*M nonzeros of the dense character block."""
+    return 3 * n * 2**n < k * M
+
+
+def _point_values(X: np.ndarray, monos, gap: int):
+    """p at the rows of X, as ``(P, B)``: ``P`` gives p(X) from the fit's columns, ``B`` is None
+    or the equality rows (right-hand side 0) that ``P`` relies on.
+
+    Dense (B is None): ``P`` is the k x M int8 character block over c.  Butterfly: ``P`` is a
+    k x n*2^n sparse 0/1 block over z = [z_1 | ... | z_n], with the 1 of row j at x_j's index in
+    z_n, and ``B`` the n*2^n butterfly rows over [c | ``gap`` columns | z].  A point's index has
+    bit v - 1 set iff x_v = -1, and z_0[mask of S] = c_S, so z_n[index of x] = p(x).
+    """
+    n, M = X.shape[1], len(monos)
+    if not _takes_butterfly(n, X.shape[0], M):
+        return characters(X, monos), None
+    N = 1 << n
+    idx = np.arange(N)
+    z = M + gap  # first column of z_1
+    prev = np.full(N, -1)  # the column of each entry of z_0: c's column at each mask, -1 where absent
+    prev[[sum(1 << (v - 1) for v in mono) for mono in monos]] = np.arange(M)
+    rows, cols, vals = [], [], []
+    for s in range(n):
+        # z_(s+1)[i] - z_s[lo] - sign * z_s[hi] = 0, where lo, hi are i without and with bit s
+        # and sign is -1 iff i has bit s
+        bit = 1 << s
+        here = z + s * N + idx
+        stage_cols = np.stack([here, prev[idx & ~bit], prev[idx | bit]])
+        stage_vals = np.stack([np.ones(N), -np.ones(N), np.where(idx & bit, 1.0, -1.0)])
+        keep = stage_cols >= 0
+        rows.append(np.broadcast_to(s * N + idx, (3, N))[keep])
+        cols.append(stage_cols[keep])
+        vals.append(stage_vals[keep])
+        prev = here
+    B = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n * N, z + n * N))
+    at = (X < 0) @ (1 << np.arange(n))  # each point's index in the cube
+    P = sparse.csr_array((np.ones(X.shape[0]), (np.arange(X.shape[0]), (n - 1) * N + at)),
+                         shape=(X.shape[0], n * N))
+    return P, B
+
+
 def _solve_fit(program: lpmod.LinearProgram, s: LabeledSample, monos, d: int, W: float,
-               eps: float | None) -> tuple[SparsePolynomial, FitReport]:
-    """Solve a capped fit program: the polynomial on its first ``len(monos)`` columns, and its report."""
+               eps: float | None, butterfly_rows: int = 0) -> tuple[SparsePolynomial, FitReport]:
+    """Solve a capped fit program: the polynomial on its first ``len(monos)`` columns, rounded
+    to ``COEF_GRID``, and its report; the last ``butterfly_rows`` rows of ``A_eq`` are not
+    the fit's constraints and are not counted as active."""
     sol = lpmod.solve(program)
-    poly = from_lp_solution(s.n, monos, sol.values[:len(monos)])
-    active = lpmod.count_active(program, sol.values)
+    coefs = np.round(sol.values[:len(monos)] / COEF_GRID) * COEF_GRID
+    poly = SparsePolynomial(s.n, {mono: float(c) for mono, c in zip(monos, coefs) if c != 0.0})
+    active = lpmod.count_active(program, sol.values) - butterfly_rows
     return poly, FitReport(max(0.0, sol.objective_value), active, eps, float(W), d, s.m, "optimal")
 
 
@@ -202,24 +268,33 @@ def reliable_fit(
     if len(monos) > FEATURE_CAP:
         raise ResourceLimitError(f"{len(monos)} monomial features exceed cap {FEATURE_CAP}")
     distinct, pos, negc = s.deduped
-    phi = characters(distinct, monos)
     M = len(monos)
 
     # side = +1 for the positive-side learner, -1 for its mirror
     side, hinge_counts, hard_counts = (1.0, pos, negc) if sign == POSITIVE else (-1.0, negc, pos)
     hinge_idx, hard_idx = np.flatnonzero(hinge_counts), np.flatnonzero(hard_counts)
     nh, nhard = len(hinge_idx), len(hard_idx)
-    A_fit = sparse.vstack([
-        # xi_j >= 1 - side * p(x_j), written -side * p(x_j) - xi_j <= -1
-        sparse.hstack([sparse.csr_array(-side * phi[hinge_idx]), sparse.csr_array((nh, M)),
-                       -sparse.identity(nh, format="csr")]),
-        # side * p(x_j) <= -1 + eps on every point carrying the protected label
-        sparse.hstack([sparse.csr_array(side * phi[hard_idx]), sparse.csr_array((nhard, M + nh))]),
-    ])
     b_fit = np.concatenate([np.full(nh, -1.0), np.full(nhard, -1.0 + eps)])
-    program = _capped_program(hinge_counts[hinge_idx], M, W, A_fit, b_fit)
+    phi, B = _point_values(distinct, monos, M + nh)
+    if B is None:
+        A_fit = sparse.vstack([
+            # xi_j >= 1 - side * p(x_j), written -side * p(x_j) - xi_j <= -1
+            sparse.hstack([sparse.csr_array(-side * phi[hinge_idx]), sparse.csr_array((nh, M)),
+                           -sparse.identity(nh, format="csr")]),
+            # side * p(x_j) <= -1 + eps on every point carrying the protected label
+            sparse.hstack([sparse.csr_array(side * phi[hard_idx]), sparse.csr_array((nhard, M + nh))]),
+        ])
+        program = _capped_program(hinge_counts[hinge_idx], M, W, A_fit, b_fit)
+    else:  # the same rows with p(x_j) read off z_n
+        A_fit = sparse.vstack([
+            sparse.hstack([sparse.csr_array((nh, 2 * M)), -sparse.identity(nh, format="csr"),
+                           -side * phi[hinge_idx]]),
+            sparse.hstack([sparse.csr_array((nhard, 2 * M + nh)), side * phi[hard_idx]]),
+        ])
+        program = _capped_program(hinge_counts[hinge_idx], M, W, A_fit, b_fit,
+                                  B, np.zeros(B.shape[0]), nfree=phi.shape[1])
     try:
-        return _solve_fit(program, s, monos, d, W, eps)
+        return _solve_fit(program, s, monos, d, W, eps, 0 if B is None else B.shape[0])
     except InfeasibleError as exc:
         raise InfeasibleError(f"hinge LP infeasible (weight cap W={W} too small for eps={eps})") from exc
 
@@ -239,9 +314,15 @@ def agnostic_l1_fit(s: LabeledSample, d: int, W: float) -> tuple[SparsePolynomia
     M, k = len(monos), X.shape[0]
     # per distinct (x_j, y_j) in turn: p(x_j) - e+_j + e-_j = y_j, so |p(x_j) - y_j| = e+_j + e-_j at the optimum
     eye = sparse.identity(k, format="csr")
-    A_eq = sparse.hstack([sparse.csr_array(characters(X, monos)), sparse.csr_array((k, M)), -eye, eye])
-    program = _capped_program(np.concatenate([counts, counts]), M, W, A_eq=A_eq, b_eq=y)
-    return _solve_fit(program, s, monos, d, W, None)
+    phi, B = _point_values(X, monos, M + 2 * k)
+    if B is None:
+        A_eq = sparse.hstack([sparse.csr_array(phi), sparse.csr_array((k, M)), -eye, eye])
+        program = _capped_program(np.concatenate([counts, counts]), M, W, A_eq=A_eq, b_eq=y)
+    else:  # the same rows with p(x_j) read off z_n, then the butterfly rows
+        A_eq = sparse.vstack([sparse.hstack([sparse.csr_array((k, 2 * M)), -eye, eye, phi]), B])
+        program = _capped_program(np.concatenate([counts, counts]), M, W, A_eq=A_eq,
+                                  b_eq=np.concatenate([y, np.zeros(B.shape[0])]), nfree=phi.shape[1])
+    return _solve_fit(program, s, monos, d, W, None, 0 if B is None else B.shape[0])
 
 
 # ---------------------------------------------------------------------------

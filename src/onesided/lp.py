@@ -12,8 +12,10 @@ tolerance of 1e-7 (its default, matching the contract here).  The caller
 picks the HiGHS algorithm: the default ``"highs"`` (dual simplex on the
 learners' fits), or ``"highs-ipm"`` (interior point, then crossover to a
 vertex) for the tall full-cube LP of the error oracle.  A solve returns an
-optimum or raises: :class:`InfeasibleError` when no point is feasible,
-:class:`SolverError` with the backend's message for any other outcome.
+optimum or raises: :class:`InfeasibleError` when HiGHS proves that no point
+is feasible, :class:`SolverError` with the backend's message for any other
+outcome, including a "Model error" (say, a matrix entry of 1e21), which scipy
+reports with the status of an infeasible program.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def solve(lp: LinearProgram, method: str = "highs") -> LpSolution:
                   bounds=bounds, method=method)
     if res.status == 0:
         return LpSolution(np.asarray(res.x, dtype=np.float64), float(res.fun))
-    if res.status == 2:
+    if res.status == 2 and "infeasible" in res.message:  # scipy's status 2 also covers a HiGHS model error
         raise InfeasibleError(f"LP infeasible: {res.message}")
     raise SolverError(f"LP solve ended without an optimum (status {res.status}): {res.message}; "
                       f"iterations={getattr(res, 'nit', '?')}")

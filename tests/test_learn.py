@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from onesided import cube
+from onesided import cube, learn
 from onesided.cube import (Disjunction, LabeledSample, Majority, cube_matrix,
                            empirical_metrics, eval_concept, eval_concept_batch,
                            make_sample)
 from onesided.errors import InfeasibleError, InputError, ResourceLimitError
-from onesided.learn import (CALIBRATION_FACTOR, FitReport, ReliableHypothesis,
+from onesided.harness import NoiseModel, generate
+from onesided.learn import (CALIBRATION_FACTOR, COEF_GRID, FitReport, ReliableHypothesis,
                             agnostic_l1_fit, agreement_hypothesis, chop,
                             choose_error_threshold, derandomize, learn_agnostic_l1,
                             learn_disjunction_positive, learn_fully_reliable,
@@ -308,6 +309,35 @@ def test_fits_refuse_feature_count_beyond_cap(monkeypatch, fit):
 
 # ---------------------------------------------------------------------------
 # Agnostic L1
+
+
+@pytest.mark.parametrize("fit", ["positive", "negative", "l1"])
+@pytest.mark.parametrize("butterfly", [False, True])
+def test_fit_coefficients_lie_on_the_grid(monkeypatch, fit, butterfly):
+    monkeypatch.setattr(learn, "_takes_butterfly", lambda n, k, M: butterfly)
+    s = rand_sample(np.random.default_rng(9), 200, 5)
+    p, _ = agnostic_l1_fit(s, 3, 3.0) if fit == "l1" else reliable_fit(s, 3, 3.0, 0.3, fit)
+    assert p.terms and all(c != 0 and (c / COEF_GRID).is_integer() for c in p.terms.values())
+
+
+def test_majority_9_l1_fit_takes_one_value_per_level():
+    # this fit takes one value per count of -1 bits; unrounded, float noise in its
+    # coefficients split the 10 values into 460
+    s = generate(Majority(9, tuple(range(1, 10))), NoiseModel("symmetric", 0.05), 20000, 1)
+    p, _ = agnostic_l1_fit(s, 2, 6.0)
+    assert len(np.unique(sparse_eval_batch(p, cube_matrix(9)))) == 10
+
+
+@pytest.mark.parametrize("fit", ["positive", "negative", "l1"])
+def test_butterfly_fit_counts_only_its_own_constraints(monkeypatch, fit):
+    monkeypatch.setattr(learn, "_takes_butterfly", lambda n, k, M: True)
+    s = rand_sample(np.random.default_rng(12), 300, 6)
+    _, pos, negc = s.deduped
+    _, rep = agnostic_l1_fit(s, 2, 4.0) if fit == "l1" else reliable_fit(s, 2, 4.0, 0.3, fit)
+    # hinge and hard rows, or the L1 rows: one per distinct labeled point either way
+    fit_rows = np.count_nonzero(pos) + np.count_nonzero(negc)
+    M = 22  # monomials of degree <= 2 over 6 variables
+    assert 0 < rep.constraints_active <= fit_rows + 2 * M + 1  # plus the weight-cap block
 
 
 def test_agnostic_l1_realizable_zero_objective():

@@ -258,3 +258,58 @@ def test_min_eps_level_layout(captured, mode, A, b):
     min_eps(Disjunction(2, (1, 2)), 1, mode)
     _assert_layout(captured[0], A, b)
     assert captured[0]["method"] == "highs"
+
+
+def test_model_error_is_not_infeasible():
+    # HiGHS refuses a matrix entry of 1e21 with "Model error", which scipy reports as status 2
+    with pytest.raises(SolverError, match="Model error") as info:
+        solve(LinearProgram(np.array([1.0, 1.0]), [[1e21, 1.0]], [1.0]))
+    assert not isinstance(info.value, InfeasibleError)
+
+
+# ---------------------------------------------------------------------------
+# Which way the fits write p at the sample points
+
+
+def test_wide_sample_keeps_the_dense_layout(captured):
+    from onesided.cube import LabeledSample
+    from onesided.learn import reliable_fit
+    from onesided.poly import characters, monomials_upto
+
+    rng = np.random.default_rng(16)
+    X = (rng.integers(0, 2, (50, 16)) * 2 - 1).astype(np.int8)
+    s = LabeledSample(X, (rng.integers(0, 2, 50) * 2 - 1).astype(np.int8), 16)
+    reliable_fit(s, 2, 4.0, 0.25, "positive")
+    distinct, pos, negc = s.deduped
+    phi = characters(distinct, monomials_upto(16, 2)).astype(float)
+    hinge, hard = phi[pos > 0], phi[negc > 0]
+    M, nh = phi.shape[1], len(hinge)
+    fit = np.block([[-hinge, np.zeros((nh, M)), -np.eye(nh)],
+                    [hard, np.zeros((len(hard), M + nh))]])
+    split = np.zeros((2 * M + 1, 2 * M + nh))
+    for j in range(M):
+        split[2 * j, [j, M + j]] = [1, -1]
+        split[2 * j + 1, [j, M + j]] = [-1, -1]
+    split[-1, M:2 * M] = 1
+    b = np.concatenate([np.full(nh, -1.0), np.full(len(hard), -0.75), np.zeros(2 * M), [4.0]])
+    _assert_layout(captured[0], np.vstack([fit, split]), b)
+    np.testing.assert_array_equal(captured[0]["c"], np.concatenate([np.zeros(2 * M), pos[pos > 0]]))
+    assert captured[0]["bounds"] == [(None, None)] * M + [(0.0, None)] * (M + nh)
+
+
+def test_majority_9_sample_takes_the_butterfly(captured):
+    from onesided.cube import LabeledSample, Majority, cube_matrix, eval_concept_batch
+    from onesided.learn import reliable_fit
+
+    X = cube_matrix(9)  # k = 512 distinct points and M = 512 monomials at d = 9
+    s = LabeledSample(X, eval_concept_batch(Majority(9, tuple(range(1, 10))), X), 9)
+    reliable_fit(s, 9, 10.375, 0.1, "positive")
+    call = captured[0]
+    A_eq, A_ub = call["A_eq"], call["A_ub"]
+    nz = 9 * 512
+    assert A_eq.shape == (nz, len(call["c"])) and np.all(np.diff(A_eq.indptr) <= 3)
+    assert len(call["c"]) == 2 * 512 + 256 + nz  # [c | u | a hinge slack per positive point | z]
+    assert call["bounds"][-nz:] == [(None, None)] * nz
+    # each fit row reads p(x_j) as one entry on z_n: hinge rows have 2 nonzeros, hard rows 1
+    np.testing.assert_array_equal(np.diff(A_ub.indptr)[:512], [2] * 256 + [1] * 256)
+    assert A_ub.nnz + A_eq.nnz < 512 * 512

@@ -15,6 +15,7 @@ from pointwise import pointwise_slacks as _pointwise_slacks
 from pointwise import table_target as _target
 from test_learn import brute_threshold_scan
 
+import onesided.learn as learn
 import onesided.lp as lpmod
 from onesided.certify import min_eps, verify_onesided, verify_twosided
 from onesided.constructions import halfspace_onesided
@@ -22,10 +23,11 @@ from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Cnf, Conjunction, Disju
                            Halfspace, LabeledSample, Majority, constant_concept, cube_matrix, dedup,
                            empirical_metrics, eval_concept, eval_concept_batch, format_concept, linear_form,
                            majority_as_halfspace, make_sample)
+from onesided.errors import InfeasibleError
 from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
                               monotone_disjunction_bank)
-from onesided.learn import (CALIBRATION_FACTOR, ReliableHypothesis, agnostic_l1_fit, agreement_hypothesis,
-                            chop, choose_error_threshold, derandomize)
+from onesided.learn import (CALIBRATION_FACTOR, COEF_GRID, ReliableHypothesis, agnostic_l1_fit,
+                            agreement_hypothesis, chop, choose_error_threshold, derandomize, reliable_fit)
 from onesided.lp import FEASIBILITY_TOL, LinearProgram, check_feasible, solve
 from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly, compose_counts, cube_numerators,
                            eval_exact, eval_on_cube, exact_multilinear, expand, interpolate,
@@ -108,6 +110,87 @@ def test_agnostic_l1_fit_matches_two_row_lp(s, d, W):
     assert report.objective_value == pytest.approx(_two_row_l1_optimum(counts, s.n, d, W), rel=1e-9, abs=1e-9)
     loss = sum(w * abs(float(p.eval(x)) - y) for (x, y), w in counts.items())
     assert report.objective_value == pytest.approx(loss, rel=1e-9, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The butterfly route of the fits against the dense route
+
+
+def _fit_by_route(butterfly: bool, fit, *args):
+    """``fit(*args)`` with p at the sample points written the given way, or None when the LP
+    is infeasible."""
+    with mock.patch.object(learn, "_takes_butterfly", lambda n, k, M: butterfly):
+        try:
+            return fit(*args)
+        except InfeasibleError:
+            return None
+
+
+@st.composite
+def small_samples(draw):
+    """Samples over a pool of points at n <= 6, so points repeat and some carry both labels."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.tuples(*[st.sampled_from([-1, 1])] * n), min_size=1, max_size=12))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([-1, 1])), min_size=1, max_size=40))
+    return make_sample([x for x, _ in picks], [y for _, y in picks], n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=small_samples(), d=st.integers(0, 6), W=st.sampled_from([0.5, 2.0, 8.0]),
+       fit=st.sampled_from([POSITIVE, NEGATIVE, "l1"]))
+def test_butterfly_fit_matches_dense_fit(s, d, W, fit):
+    d = min(d, s.n)
+    args = (agnostic_l1_fit, s, d, W) if fit == "l1" else (reliable_fit, s, d, W, 0.25, fit)
+    dense, butterfly = _fit_by_route(False, *args), _fit_by_route(True, *args)
+    if dense is None:
+        assert butterfly is None
+        return
+    obj = dense[1].objective_value
+    p, report = butterfly
+    assert abs(report.objective_value - obj) <= 1e-7 * max(1.0, abs(obj))
+    # the butterfly's polynomial has that loss (up to its rounding to COEF_GRID)
+    v = sparse_eval_batch(p, s.points)
+    if fit == "l1":
+        loss = np.abs(v - s.labels).sum()
+    else:
+        side = 1.0 if fit == POSITIVE else -1.0
+        loss = np.maximum(0.0, 1.0 - side * v[s.labels == side]).sum()
+    assert abs(loss - obj) <= 1e-6 * max(1.0, abs(obj))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), d=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_butterfly_rows_give_p_on_the_cube(n, d, seed):
+    # z_s from a plain Walsh-Hadamard pass satisfies every butterfly row, and P z = characters c
+    monos = monomials_upto(n, min(d, n))
+    rng = np.random.default_rng(seed)
+    c, gap = rng.integers(-9, 10, len(monos)).astype(float), int(rng.integers(0, 4))
+    X = cube_matrix(n)[rng.permutation(2**n)]
+    with mock.patch.object(learn, "_takes_butterfly", lambda n, k, M: True):
+        P, B = learn._point_values(X, monos, gap)
+    z = np.zeros(2**n)
+    z[[sum(1 << (v - 1) for v in mono) for mono in monos]] = c
+    stages = []
+    for s in range(n):
+        z = z.reshape(-1, 2, 2**s)
+        z = np.concatenate([z[:, :1] + z[:, 1:], z[:, :1] - z[:, 1:]], axis=1).ravel()
+        stages.append(z)
+    x = np.concatenate([c, np.zeros(gap), *stages])
+    assert np.array_equal(B @ x, np.zeros(B.shape[0]))
+    assert np.array_equal(P @ np.concatenate(stages), sparse_eval_batch(SparsePolynomial(n, dict(zip(monos, c))), X))
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, 6), data=st.data())
+def test_grid_coefficients_evaluate_exactly(n, data):
+    # a polynomial rounded to COEF_GRID, as the fits return it, has exact float values
+    monos = data.draw(st.lists(st.sets(st.integers(1, n)).map(lambda v: tuple(sorted(v))),
+                               min_size=1, max_size=20, unique=True))
+    coefs = data.draw(st.lists(st.floats(-16.0, 16.0), min_size=len(monos), max_size=len(monos)))
+    p = SparsePolynomial(n, {m: float(np.round(c / COEF_GRID) * COEF_GRID) for m, c in zip(monos, coefs)})
+    X = cube_matrix(n)
+    exact = [sum(Fraction(c) * math.prod(int(x[v - 1]) for v in m) for m, c in p.terms.items()) for x in X]
+    assert [Fraction(v) for v in sparse_eval_batch(p, X)] == exact
 
 
 @st.composite
