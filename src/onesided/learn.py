@@ -9,18 +9,18 @@ weight <= W,
     subject to p(x_i) <= -1 + eps   for every false-labeled example,
 
 (the negative-side learner mirrors every role).  The LP is built in matrix
-form over the columns [c (one per monomial) | u (one per monomial) | hinge
-slacks]: a block of rows reading p at the sample points with -I on the
-slacks, a block of hard rows, then the weight-cap block, which encodes the
-cap with split variables as the row pair c_S - u_S <= 0, -c_S - u_S <= 0 per
-monomial and one row sum u_S <= W, so the objective stays exactly the
-hinge sum.  The L1 learner solves the least-absolute-deviation form over
-[c | u | e+ | e-]: one equality row p(x_j) - e+_j + e-_j = y_j per distinct
-labeled point, with both slacks >= 0 and weighted by the point's count,
-then the same weight-cap block.  Duplicate sample points are merged into
-weighted rows (``LabeledSample.deduped``, computed once per sample) before
-solving; the optimum is unchanged.  Both fits run on HiGHS's default
-``"highs"`` method (dual simplex on these LPs).
+form over the columns [c (free, one per monomial) | c+ | c- (>= 0, one each
+per monomial) | hinge slacks]: a block of rows reading p at the sample
+points with -I on the slacks, a block of hard rows, then the cap row
+sum_S (c+_S + c-_S) <= W.  The split rows c_S - c+_S + c-_S = 0, one per
+monomial, end ``A_eq``, so sum_S |c_S| <= W while the point rows read c
+alone, and the objective stays exactly the hinge sum.  The L1 learner solves
+the least-absolute-deviation form over [c | c+ | c- | e+ | e-]: one equality
+row p(x_j) - e+_j + e-_j = y_j per distinct labeled point, with both slacks
+>= 0 and weighted by the point's count, then the same cap.  Duplicate sample
+points are merged into weighted rows (``LabeledSample.deduped``, computed
+once per sample) before solving; the optimum is unchanged.  Both fits run on
+HiGHS's default ``"highs"`` method (dual simplex on these LPs).
 
 Both fits write p at their k point rows in one of two ways (``_point_values``),
 chosen by nonzero count for M monomials over n variables.  Dense: each
@@ -30,8 +30,8 @@ with the equality rows z_s = (Walsh-Hadamard butterfly on bit s of z_(s-1)),
 where z_0 holds c_S at the bit mask of S (absent monomials are left out), so
 z_n holds p on every cube point and each row reads p(x_j) as one nonzero.
 The butterfly's n*2^n equality rows hold at most 3 nonzeros each, and the
-route is taken when 3n*2^n < k*M.  Both forms have the same optimum; the
-butterfly rows are not counted in ``FitReport.constraints_active``.
+route is taken when 3n*2^n < k*M.  Both forms have the same optimum; only
+the fit's own rows and the cap row count in ``FitReport.constraints_active``.
 
 Fitted coefficients are rounded to multiples of ``COEF_GRID``, so a learned
 polynomial of weight below 2^21 evaluates exactly in float64: points of equal
@@ -164,33 +164,26 @@ def learn_disjunction_positive(s: LabeledSample) -> Disjunction:
 # LP fits
 
 
-def _weight_block(M: int, W: float, nslack: int):
-    """Weight-cap rows over the columns [c (M) | u (M) | slacks (nslack)].
-
-    Rows c_S - u_S <= 0 and -c_S - u_S <= 0 for each monomial S in turn,
-    then sum_S u_S <= W.
-    """
-    eye = sparse.identity(M, format="csr")
-    split = sparse.hstack([sparse.kron(eye, np.array([[1.0], [-1.0]])),
-                           sparse.kron(eye, np.array([[-1.0], [-1.0]]))])
-    cap = sparse.hstack([sparse.csr_array((1, M)), sparse.csr_array(np.ones((1, M)))])
-    A = sparse.hstack([sparse.vstack([split, cap]), sparse.csr_array((2 * M + 1, nslack))])
-    b = np.zeros(2 * M + 1)
-    b[-1] = W
-    return A, b
-
-
 def _capped_program(slack_weights: np.ndarray, M: int, W: float, A_ub=None, b_ub=None,
                     A_eq=None, b_eq=None, nfree: int = 0) -> lpmod.LinearProgram:
-    """Minimize the weighted slacks over [c | u | slacks | nfree free columns]: the fit's <= rows,
-    then the weight cap; the fit's equality rows, if any, go to ``A_eq``."""
-    A_cap, b_cap = _weight_block(M, W, len(slack_weights) + nfree)
-    if A_ub is not None:
-        A_cap, b_cap = sparse.vstack([A_ub, A_cap], format="csr"), np.concatenate([b_ub, b_cap])
+    """Minimize the weighted slacks over [c | c+ | c- | slacks | nfree free columns], with c free
+    and c+, c- >= 0: the fit's <= rows, then the cap row sum_S (c+_S + c-_S) <= W; the fit's
+    equality rows, if any, then the split rows c_S - c+_S + c-_S = 0, one per monomial S."""
+    if not (math.isfinite(W) and W >= 0):
+        raise InputError(f"weight cap W must be finite and >= 0, got {W}")
+    ncols = 3 * M + len(slack_weights) + nfree
+    eye = sparse.identity(M, format="csr")
+    split = sparse.hstack([eye, -eye, eye, sparse.csr_array((M, ncols - 3 * M))], format="csr")
+    cap = sparse.hstack([sparse.csr_array((1, M)), sparse.csr_array(np.ones((1, 2 * M))),
+                         sparse.csr_array((1, ncols - 3 * M))], format="csr")
+    A_ub = cap if A_ub is None else sparse.vstack([A_ub, cap], format="csr")
+    b_ub = np.append([] if b_ub is None else b_ub, W)
+    A_eq = split if A_eq is None else sparse.vstack([A_eq, split], format="csr")
+    b_eq = np.append([] if b_eq is None else b_eq, np.zeros(M))
     return lpmod.LinearProgram(
-        np.concatenate([np.zeros(2 * M), slack_weights.astype(np.float64), np.zeros(nfree)]),
-        A_cap, b_cap, A_eq, b_eq,
-        bounds=tuple([(None, None)] * M + [(0.0, None)] * (M + len(slack_weights)) + [(None, None)] * nfree),
+        np.concatenate([np.zeros(3 * M), slack_weights.astype(np.float64), np.zeros(nfree)]),
+        A_ub, b_ub, A_eq, b_eq,
+        bounds=tuple([(None, None)] * M + [(0.0, None)] * (2 * M + len(slack_weights)) + [(None, None)] * nfree),
     )
 
 
@@ -239,14 +232,15 @@ def _point_values(X: np.ndarray, monos, gap: int):
 
 
 def _solve_fit(program: lpmod.LinearProgram, s: LabeledSample, monos, d: int, W: float,
-               eps: float | None, butterfly_rows: int = 0) -> tuple[SparsePolynomial, FitReport]:
+               eps: float | None, fit_eq: int) -> tuple[SparsePolynomial, FitReport]:
     """Solve a capped fit program: the polynomial on its first ``len(monos)`` columns, rounded
-    to ``COEF_GRID``, and its report; the last ``butterfly_rows`` rows of ``A_eq`` are not
-    the fit's constraints and are not counted as active."""
+    to ``COEF_GRID``, and its report, whose active constraints are the ``A_ub`` rows active at
+    the optimum and the fit's own ``fit_eq`` equality rows, which lead ``A_eq``."""
     sol = lpmod.solve(program)
     coefs = np.round(sol.values[:len(monos)] / COEF_GRID) * COEF_GRID
     poly = SparsePolynomial(s.n, {mono: float(c) for mono, c in zip(monos, coefs) if c != 0.0})
-    active = lpmod.count_active(program, sol.values) - butterfly_rows
+    own_ub = lpmod.LinearProgram(program.c, program.A_ub, program.b_ub)
+    active = fit_eq + lpmod.count_active(own_ub, sol.values)
     return poly, FitReport(max(0.0, sol.objective_value), active, eps, float(W), d, s.m, "optimal")
 
 
@@ -275,26 +269,26 @@ def reliable_fit(
     hinge_idx, hard_idx = np.flatnonzero(hinge_counts), np.flatnonzero(hard_counts)
     nh, nhard = len(hinge_idx), len(hard_idx)
     b_fit = np.concatenate([np.full(nh, -1.0), np.full(nhard, -1.0 + eps)])
-    phi, B = _point_values(distinct, monos, M + nh)
+    phi, B = _point_values(distinct, monos, 2 * M + nh)
     if B is None:
         A_fit = sparse.vstack([
             # xi_j >= 1 - side * p(x_j), written -side * p(x_j) - xi_j <= -1
-            sparse.hstack([sparse.csr_array(-side * phi[hinge_idx]), sparse.csr_array((nh, M)),
+            sparse.hstack([sparse.csr_array(-side * phi[hinge_idx]), sparse.csr_array((nh, 2 * M)),
                            -sparse.identity(nh, format="csr")]),
             # side * p(x_j) <= -1 + eps on every point carrying the protected label
-            sparse.hstack([sparse.csr_array(side * phi[hard_idx]), sparse.csr_array((nhard, M + nh))]),
+            sparse.hstack([sparse.csr_array(side * phi[hard_idx]), sparse.csr_array((nhard, 2 * M + nh))]),
         ])
         program = _capped_program(hinge_counts[hinge_idx], M, W, A_fit, b_fit)
     else:  # the same rows with p(x_j) read off z_n
         A_fit = sparse.vstack([
-            sparse.hstack([sparse.csr_array((nh, 2 * M)), -sparse.identity(nh, format="csr"),
+            sparse.hstack([sparse.csr_array((nh, 3 * M)), -sparse.identity(nh, format="csr"),
                            -side * phi[hinge_idx]]),
-            sparse.hstack([sparse.csr_array((nhard, 2 * M + nh)), side * phi[hard_idx]]),
+            sparse.hstack([sparse.csr_array((nhard, 3 * M + nh)), side * phi[hard_idx]]),
         ])
         program = _capped_program(hinge_counts[hinge_idx], M, W, A_fit, b_fit,
                                   B, np.zeros(B.shape[0]), nfree=phi.shape[1])
     try:
-        return _solve_fit(program, s, monos, d, W, eps, 0 if B is None else B.shape[0])
+        return _solve_fit(program, s, monos, d, W, eps, 0)
     except InfeasibleError as exc:
         raise InfeasibleError(f"hinge LP infeasible (weight cap W={W} too small for eps={eps})") from exc
 
@@ -314,15 +308,15 @@ def agnostic_l1_fit(s: LabeledSample, d: int, W: float) -> tuple[SparsePolynomia
     M, k = len(monos), X.shape[0]
     # per distinct (x_j, y_j) in turn: p(x_j) - e+_j + e-_j = y_j, so |p(x_j) - y_j| = e+_j + e-_j at the optimum
     eye = sparse.identity(k, format="csr")
-    phi, B = _point_values(X, monos, M + 2 * k)
+    phi, B = _point_values(X, monos, 2 * M + 2 * k)
     if B is None:
-        A_eq = sparse.hstack([sparse.csr_array(phi), sparse.csr_array((k, M)), -eye, eye])
+        A_eq = sparse.hstack([sparse.csr_array(phi), sparse.csr_array((k, 2 * M)), -eye, eye])
         program = _capped_program(np.concatenate([counts, counts]), M, W, A_eq=A_eq, b_eq=y)
     else:  # the same rows with p(x_j) read off z_n, then the butterfly rows
-        A_eq = sparse.vstack([sparse.hstack([sparse.csr_array((k, 2 * M)), -eye, eye, phi]), B])
+        A_eq = sparse.vstack([sparse.hstack([sparse.csr_array((k, 3 * M)), -eye, eye, phi]), B])
         program = _capped_program(np.concatenate([counts, counts]), M, W, A_eq=A_eq,
                                   b_eq=np.concatenate([y, np.zeros(B.shape[0])]), nfree=phi.shape[1])
-    return _solve_fit(program, s, monos, d, W, None, 0 if B is None else B.shape[0])
+    return _solve_fit(program, s, monos, d, W, None, k)
 
 
 # ---------------------------------------------------------------------------

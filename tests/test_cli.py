@@ -331,6 +331,17 @@ def test_learn_without_calib_is_a_domain_error(tmp_path, capsys):
     assert "calibration" in err
 
 
+@pytest.mark.parametrize("algo", ["reliable-positive", "agnostic-l1"])
+def test_learn_rejects_a_weight_cap_that_is_not_finite(tmp_path, capsys, algo):
+    maj = Majority(3, (1, 2, 3))
+    train_csv = tmp_path / "train.csv"
+    save_sample_csv(generate(maj, NoiseModel("none"), 50, seed=1, stream=1), train_csv)
+    code, _, err = run_cli(capsys, "learn", "--train", str(train_csv), "--calib", str(train_csv),
+                           "--algo", algo, "--d", "2", "--W", "nan", "--eps", "0.2")
+    assert code == 1
+    assert err == "error: weight cap W must be finite and >= 0, got nan\n"
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "certify", "--poly", str(tmp_path / "missing.json"),
                            "--concept", "MAJ 1", "--eps", "0.1", "--mode", "positive")

@@ -328,16 +328,48 @@ def test_majority_9_l1_fit_takes_one_value_per_level():
     assert len(np.unique(sparse_eval_batch(p, cube_matrix(9)))) == 10
 
 
-@pytest.mark.parametrize("fit", ["positive", "negative", "l1"])
-def test_butterfly_fit_counts_only_its_own_constraints(monkeypatch, fit):
-    monkeypatch.setattr(learn, "_takes_butterfly", lambda n, k, M: True)
+def _assert_counts_only_its_own_constraints(fit):
     s = rand_sample(np.random.default_rng(12), 300, 6)
     _, pos, negc = s.deduped
     _, rep = agnostic_l1_fit(s, 2, 4.0) if fit == "l1" else reliable_fit(s, 2, 4.0, 0.3, fit)
     # hinge and hard rows, or the L1 rows: one per distinct labeled point either way
     fit_rows = np.count_nonzero(pos) + np.count_nonzero(negc)
-    M = 22  # monomials of degree <= 2 over 6 variables
-    assert 0 < rep.constraints_active <= fit_rows + 2 * M + 1  # plus the weight-cap block
+    # every L1 row holds with equality; then at most the cap row
+    assert (fit_rows if fit == "l1" else 1) <= rep.constraints_active <= fit_rows + 1
+
+
+@pytest.mark.parametrize("fit", ["positive", "negative", "l1"])
+def test_butterfly_fit_counts_only_its_own_constraints(monkeypatch, fit):
+    monkeypatch.setattr(learn, "_takes_butterfly", lambda n, k, M: True)
+    _assert_counts_only_its_own_constraints(fit)
+
+
+@pytest.mark.parametrize("fit", ["positive", "negative", "l1"])
+def test_dense_fit_counts_only_its_own_constraints(monkeypatch, fit):
+    monkeypatch.setattr(learn, "_takes_butterfly", lambda n, k, M: False)
+    _assert_counts_only_its_own_constraints(fit)
+
+
+@pytest.mark.parametrize("W", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("fit", ["positive", "negative", "l1"])
+def test_fits_reject_a_weight_cap_that_is_not_finite_and_nonnegative(monkeypatch, fit, W):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no LP may be solved for an invalid W")
+
+    monkeypatch.setattr("onesided.lp.linprog", no_solve)
+    s = rand_sample(np.random.default_rng(2), 40, 3)
+    with pytest.raises(InputError, match="W must be finite and >= 0"):
+        agnostic_l1_fit(s, 2, W) if fit == "l1" else reliable_fit(s, 2, W, 0.1, fit)
+
+
+@pytest.mark.parametrize("sign", ["positive", "negative"])
+def test_reliable_fit_zero_weight_gives_the_zero_polynomial(sign):
+    # every label on the hinge side, so no hard row asks for a nonzero p
+    X = cube_matrix(3)
+    s = LabeledSample(X, np.full(8, 1 if sign == "positive" else -1, dtype=np.int8), 3)
+    p, rep = reliable_fit(s, 2, 0.0, 0.1, sign)
+    assert p.terms == {}
+    assert rep.objective_value == pytest.approx(s.m)
 
 
 def test_agnostic_l1_realizable_zero_objective():

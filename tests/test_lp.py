@@ -158,15 +158,13 @@ def _tiny_sample():
     return make_sample([(1, 1), (-1, 1), (1, 1), (-1, -1)], [1, -1, 1, -1], 2)
 
 
-# weight-cap rows over [c_(), c_1, c_2 | u_(), u_1, u_2]: +-c_S - u_S <= 0 per S, then sum u <= W
-_WEIGHT = [
-    [1, 0, 0, -1, 0, 0],
-    [-1, 0, 0, -1, 0, 0],
-    [0, 1, 0, 0, -1, 0],
-    [0, -1, 0, 0, -1, 0],
-    [0, 0, 1, 0, 0, -1],
-    [0, 0, -1, 0, 0, -1],
-    [0, 0, 0, 1, 1, 1],
+# weight-cap rows over [c_(), c_1, c_2 | c+_(), c+_1, c+_2 | c-_(), c-_1, c-_2]: the cap row
+# sum (c+ + c-) <= W ends A_ub, and the split rows c_S - c+_S + c-_S = 0 end A_eq
+_CAP = [[0, 0, 0, 1, 1, 1, 1, 1, 1]]
+_SPLIT = [
+    [1, 0, 0, -1, 0, 0, 1, 0, 0],
+    [0, 1, 0, 0, -1, 0, 0, 1, 0],
+    [0, 0, 1, 0, 0, -1, 0, 0, 1],
 ]
 
 
@@ -179,13 +177,13 @@ def test_reliable_fit_positive_layout(captured):
 
     _, report = reliable_fit(_tiny_sample(), 1, 2.0, 0.25, "positive")
     A = [
-        [-1, -1, -1, 0, 0, 0, -1],  # hinge at (1,1): -p - xi <= -1
-        [1, -1, -1, 0, 0, 0, 0],    # hard at (-1,-1): p <= -1 + eps
-        [1, -1, 1, 0, 0, 0, 0],     # hard at (-1,1)
-    ] + _with_slacks(_WEIGHT, 1)
-    _assert_layout(captured[0], A, [-1, -0.75, -0.75, 0, 0, 0, 0, 0, 0, 2.0])
-    np.testing.assert_array_equal(captured[0]["c"], [0, 0, 0, 0, 0, 0, 2])  # (1,1) appears twice
-    assert captured[0]["bounds"] == [(None, None)] * 3 + [(0.0, None)] * 4
+        [-1, -1, -1, 0, 0, 0, 0, 0, 0, -1],  # hinge at (1,1): -p - xi <= -1
+        [1, -1, -1, 0, 0, 0, 0, 0, 0, 0],    # hard at (-1,-1): p <= -1 + eps
+        [1, -1, 1, 0, 0, 0, 0, 0, 0, 0],     # hard at (-1,1)
+    ] + _with_slacks(_CAP, 1)
+    _assert_layout(captured[0], A, [-1, -0.75, -0.75, 2.0], _with_slacks(_SPLIT, 1), [0, 0, 0])
+    np.testing.assert_array_equal(captured[0]["c"], [0] * 9 + [2])  # (1,1) appears twice
+    assert captured[0]["bounds"] == [(None, None)] * 3 + [(0.0, None)] * 7
     assert captured[0]["method"] == "highs"
     assert report.lp_status == "optimal"
 
@@ -195,28 +193,28 @@ def test_reliable_fit_negative_layout(captured):
 
     reliable_fit(_tiny_sample(), 1, 2.0, 0.25, "negative")
     A = [
-        [1, -1, -1, 0, 0, 0, -1, 0],   # hinge at (-1,-1): p - xi <= -1
-        [1, -1, 1, 0, 0, 0, 0, -1],    # hinge at (-1,1)
-        [-1, -1, -1, 0, 0, 0, 0, 0],   # hard at (1,1): -p <= -(1 - eps)
-    ] + _with_slacks(_WEIGHT, 2)
-    _assert_layout(captured[0], A, [-1, -1, -0.75, 0, 0, 0, 0, 0, 0, 2.0])
+        [1, -1, -1, 0, 0, 0, 0, 0, 0, -1, 0],   # hinge at (-1,-1): p - xi <= -1
+        [1, -1, 1, 0, 0, 0, 0, 0, 0, 0, -1],    # hinge at (-1,1)
+        [-1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0],   # hard at (1,1): -p <= -(1 - eps)
+    ] + _with_slacks(_CAP, 2)
+    _assert_layout(captured[0], A, [-1, -1, -0.75, 2.0], _with_slacks(_SPLIT, 2), [0, 0, 0])
 
 
 def test_agnostic_l1_fit_layout(captured):
     from onesided.learn import agnostic_l1_fit
 
     _, report = agnostic_l1_fit(_tiny_sample(), 1, 2.0)
-    # columns [c_(), c_1, c_2 | u_(), u_1, u_2 | e+ per point | e- per point]
+    # columns [c_(), c_1, c_2 | c+ | c- | e+ per point | e- per point]
     A_eq = [
-        [1, -1, -1, 0, 0, 0, -1, 0, 0, 1, 0, 0],   # (-1,-1), y = -1: p - e+ + e- = y
-        [1, -1, 1, 0, 0, 0, 0, -1, 0, 0, 1, 0],    # (-1,1), y = -1
-        [1, 1, 1, 0, 0, 0, 0, 0, -1, 0, 0, 1],     # (1,1), y = +1
-    ]
-    _assert_layout(captured[0], _with_slacks(_WEIGHT, 6), [0, 0, 0, 0, 0, 0, 2.0], A_eq, [-1, -1, 1])
-    np.testing.assert_array_equal(captured[0]["c"], [0, 0, 0, 0, 0, 0, 1, 1, 2, 1, 1, 2])
-    assert captured[0]["bounds"] == [(None, None)] * 3 + [(0.0, None)] * 9
+        [1, -1, -1, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1, 0, 0],   # (-1,-1), y = -1: p - e+ + e- = y
+        [1, -1, 1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1, 0],    # (-1,1), y = -1
+        [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1],     # (1,1), y = +1
+    ] + _with_slacks(_SPLIT, 6)
+    _assert_layout(captured[0], _with_slacks(_CAP, 6), [2.0], A_eq, [-1, -1, 1, 0, 0, 0])
+    np.testing.assert_array_equal(captured[0]["c"], [0] * 9 + [1, 1, 2, 1, 1, 2])
+    assert captured[0]["bounds"] == [(None, None)] * 3 + [(0.0, None)] * 12
     assert captured[0]["method"] == "highs"
-    assert report.constraints_active >= 3  # every equality row counts as active
+    assert report.constraints_active >= 3  # every equality row of the fit counts as active
 
 
 @pytest.mark.parametrize("mode, A, b", [
@@ -284,17 +282,14 @@ def test_wide_sample_keeps_the_dense_layout(captured):
     phi = characters(distinct, monomials_upto(16, 2)).astype(float)
     hinge, hard = phi[pos > 0], phi[negc > 0]
     M, nh = phi.shape[1], len(hinge)
-    fit = np.block([[-hinge, np.zeros((nh, M)), -np.eye(nh)],
-                    [hard, np.zeros((len(hard), M + nh))]])
-    split = np.zeros((2 * M + 1, 2 * M + nh))
-    for j in range(M):
-        split[2 * j, [j, M + j]] = [1, -1]
-        split[2 * j + 1, [j, M + j]] = [-1, -1]
-    split[-1, M:2 * M] = 1
-    b = np.concatenate([np.full(nh, -1.0), np.full(len(hard), -0.75), np.zeros(2 * M), [4.0]])
-    _assert_layout(captured[0], np.vstack([fit, split]), b)
-    np.testing.assert_array_equal(captured[0]["c"], np.concatenate([np.zeros(2 * M), pos[pos > 0]]))
-    assert captured[0]["bounds"] == [(None, None)] * M + [(0.0, None)] * (M + nh)
+    fit = np.block([[-hinge, np.zeros((nh, 2 * M)), -np.eye(nh)],
+                    [hard, np.zeros((len(hard), 2 * M + nh))]])
+    cap = np.concatenate([np.zeros(M), np.ones(2 * M), np.zeros(nh)])
+    split = np.hstack([np.eye(M), -np.eye(M), np.eye(M), np.zeros((M, nh))])
+    b = np.concatenate([np.full(nh, -1.0), np.full(len(hard), -0.75), [4.0]])
+    _assert_layout(captured[0], np.vstack([fit, cap]), b, split, np.zeros(M))
+    np.testing.assert_array_equal(captured[0]["c"], np.concatenate([np.zeros(3 * M), pos[pos > 0]]))
+    assert captured[0]["bounds"] == [(None, None)] * M + [(0.0, None)] * (2 * M + nh)
 
 
 def test_majority_9_sample_takes_the_butterfly(captured):
@@ -307,8 +302,12 @@ def test_majority_9_sample_takes_the_butterfly(captured):
     call = captured[0]
     A_eq, A_ub = call["A_eq"], call["A_ub"]
     nz = 9 * 512
-    assert A_eq.shape == (nz, len(call["c"])) and np.all(np.diff(A_eq.indptr) <= 3)
-    assert len(call["c"]) == 2 * 512 + 256 + nz  # [c | u | a hinge slack per positive point | z]
+    # the butterfly rows, then the 512 split rows, each of at most 3 nonzeros
+    assert A_eq.shape == (nz + 512, len(call["c"])) and np.all(np.diff(A_eq.indptr) <= 3)
+    assert len(call["c"]) == 3 * 512 + 256 + nz  # [c | c+ | c- | a hinge slack per positive point | z]
+    eye = np.eye(512)
+    np.testing.assert_array_equal(A_eq[nz:, :3 * 512].toarray(), np.hstack([eye, -eye, eye]))
+    assert A_ub.shape[0] == 513  # the fit rows, then the cap row
     assert call["bounds"][-nz:] == [(None, None)] * nz
     # each fit row reads p(x_j) as one entry on z_n: hinge rows have 2 nonzeros, hard rows 1
     np.testing.assert_array_equal(np.diff(A_ub.indptr)[:512], [2] * 256 + [1] * 256)

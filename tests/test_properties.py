@@ -29,8 +29,8 @@ from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
 from onesided.learn import (CALIBRATION_FACTOR, COEF_GRID, ReliableHypothesis, agnostic_l1_fit,
                             agreement_hypothesis, chop, choose_error_threshold, derandomize, reliable_fit)
 from onesided.lp import FEASIBILITY_TOL, LinearProgram, check_feasible, solve
-from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly, compose_counts, cube_numerators,
-                           eval_exact, eval_on_cube, exact_multilinear, expand, interpolate,
+from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly, characters, compose_counts,
+                           cube_numerators, eval_exact, eval_on_cube, exact_multilinear, expand, interpolate,
                            monomials_upto, sparse_eval_batch)
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -156,6 +156,58 @@ def test_butterfly_fit_matches_dense_fit(s, d, W, fit):
         side = 1.0 if fit == POSITIVE else -1.0
         loss = np.maximum(0.0, 1.0 - side * v[s.labels == side]).sum()
     assert abs(loss - obj) <= 1e-6 * max(1.0, abs(obj))
+
+
+def _pair_capped_optimum(s, d, W, fit):
+    """Optimum of a fit with the weight cap written over [c | u | slacks] as the row pair
+    c_S - u_S <= 0, -c_S - u_S <= 0 per monomial and sum u <= W, p dense at the distinct points;
+    None when infeasible."""
+    distinct, pos, negc = s.deduped
+    phi = characters(distinct, monomials_upto(s.n, d)).astype(float)
+    M = phi.shape[1]
+    if fit == "l1":
+        seen = [(j, y, w) for j in range(len(distinct)) for y, w in ((-1, negc[j]), (1, pos[j])) if w]
+        k = len(seen)
+        A_eq = np.hstack([phi[[j for j, _, _ in seen]], np.zeros((k, M)), -np.eye(k), np.eye(k)])
+        b_eq, A_ub, b_ub = [y for _, y, _ in seen], np.zeros((0, 2 * M + 2 * k)), []
+        weights = [w for _, _, w in seen] * 2
+    else:
+        side, hinge_w, hard_w = (1.0, pos, negc) if fit == POSITIVE else (-1.0, negc, pos)
+        hinge, hard = phi[hinge_w > 0], phi[hard_w > 0]
+        nh = len(hinge)
+        A_ub = np.block([[-side * hinge, np.zeros((nh, M)), -np.eye(nh)],
+                         [side * hard, np.zeros((len(hard), M + nh))]])
+        b_ub = [-1.0] * nh + [-0.75] * len(hard)
+        A_eq = b_eq = None
+        weights = list(hinge_w[hinge_w > 0])
+    nslack = len(weights)
+    split = np.zeros((2 * M + 1, 2 * M + nslack))
+    for j in range(M):
+        split[2 * j, [j, M + j]] = [1, -1]
+        split[2 * j + 1, [j, M + j]] = [-1, -1]
+    split[-1, M:2 * M] = 1
+    res = optimize.linprog([0.0] * (2 * M) + weights, A_ub=np.vstack([A_ub, split]),
+                           b_ub=list(b_ub) + [0.0] * (2 * M) + [W], A_eq=A_eq, b_eq=b_eq,
+                           bounds=[(None, None)] * M + [(0, None)] * (M + nslack), method="highs")
+    assert res.status in (0, 2)
+    return res.fun if res.status == 0 else None
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=small_samples(), d=st.integers(0, 6), W=st.sampled_from([0.0, 0.25, 1.0, 4.0]),
+       fit=st.sampled_from([POSITIVE, NEGATIVE, "l1"]), butterfly=st.booleans())
+def test_split_cap_fit_matches_pair_capped_fit(s, d, W, fit, butterfly):
+    # c = c+ - c- with sum (c+ + c-) <= W against the [c | u] row pairs, on either route
+    d = min(d, s.n)
+    args = (agnostic_l1_fit, s, d, W) if fit == "l1" else (reliable_fit, s, d, W, 0.25, fit)
+    ours, ref = _fit_by_route(butterfly, *args), _pair_capped_optimum(s, d, W, fit)
+    if ref is None:
+        assert ours is None
+        return
+    p, report = ours
+    assert abs(report.objective_value - ref) <= 1e-7 * max(1.0, abs(ref))
+    # rounding to COEF_GRID moves each of the M coefficients by at most half a grid step
+    assert sum(abs(c) for c in p.terms.values()) <= W + len(monomials_upto(s.n, d)) * 2.0**-33
 
 
 @settings(max_examples=60, deadline=None)
