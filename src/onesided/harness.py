@@ -61,6 +61,9 @@ class NoiseModel:
         if self.kind == "adversarial_table":
             if not self.table:
                 raise InputError("adversarial_table needs a nonempty table")
+            bad = [prob for _, _, prob in self.table if not prob >= 0]  # NaN fails >= too
+            if bad:
+                raise InputError(f"table probabilities must be >= 0, got {bad[0]}")
             total = sum(prob for _, _, prob in self.table)
             if abs(total - 1.0) > 1e-9:
                 raise InputError(f"table probabilities sum to {total}, expected 1")

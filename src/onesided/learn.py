@@ -8,25 +8,30 @@ weight <= W,
     minimize   sum over true-labeled examples of (1 - p(x_i))_+
     subject to p(x_i) <= -1 + eps   for every false-labeled example,
 
-(the negative-side learner mirrors every role).  The LP is built in matrix
-form over the columns [c (free, one per monomial) | c+ | c- (>= 0, one each
-per monomial) | hinge slacks]: a block of rows reading p at the sample
-points with -I on the slacks, a block of hard rows, then the cap row
-sum_S (c+_S + c-_S) <= W.  The split rows c_S - c+_S + c-_S = 0, one per
-monomial, end ``A_eq``, so sum_S |c_S| <= W while the point rows read c
-alone, and the objective stays exactly the hinge sum.  The L1 learner solves
-the least-absolute-deviation form over [c | c+ | c- | e+ | e-]: one equality
-row p(x_j) - e+_j + e-_j = y_j per distinct labeled point, with both slacks
->= 0 and weighted by the point's count, then the same cap.  Duplicate sample
-points are merged into weighted rows (``LabeledSample.deduped``, computed
-once per sample) before solving; the optimum is unchanged.  Both fits run on
-HiGHS's default ``"highs"`` method (dual simplex on these LPs).
+(the negative-side learner mirrors every role).  The L1 learner solves the
+least-absolute-deviation form: one equality row p(x_j) - e+_j + e-_j = y_j
+per distinct labeled point, with both slacks >= 0 and weighted by the point's
+count.  Duplicate sample points are merged into weighted rows
+(``LabeledSample.deduped``, computed once per sample) before solving; the
+optimum is unchanged.
 
-Both fits write p at their k point rows in one of two ways (``_point_values``),
-chosen by nonzero count for M monomials over n variables.  Dense: each
-row holds the M characters of its point over the c columns (k*M nonzeros).
-Butterfly: free columns z_1..z_n of 2^n each are appended after the slacks,
-with the equality rows z_s = (Walsh-Hadamard butterfly on bit s of z_(s-1)),
+One builder (``_fit``) writes and solves both LPs.  A fit states only its own
+rows: the points, a scale on p(x) per row, a slack block, the right-hand side,
+the slack weights, and whether the rows are <= or =.  The reliable fit gives
+the hinge rows -side * p(x_j) - xi_j <= -1, then the hard rows
+side * p(x_j) <= -1 + eps.  The builder lays the columns out as [c (free, one
+per monomial) | c+ | c- (>= 0, one each per monomial) | slacks | z], ends
+``A_ub`` with the cap row sum_S (c+_S + c-_S) <= W and ``A_eq`` with the split
+rows c_S - c+_S + c-_S = 0, one per monomial, so sum_S |c_S| <= W while the
+fit rows read c alone.  Both fits run on HiGHS's default ``"highs"`` method
+(dual simplex on these LPs).
+
+The builder writes p at the fit's k rows (a point carrying both labels gives
+the reliable fit two) in one of two ways (``_point_values``), chosen by nonzero
+count for M monomials over n variables.  Dense: each row holds the M
+characters of its point over the c columns (k*M nonzeros) and z is empty.
+Butterfly: z is free columns z_1..z_n of 2^n each, with the equality rows
+z_s = (Walsh-Hadamard butterfly on bit s of z_(s-1)) before the split rows,
 where z_0 holds c_S at the bit mask of S (absent monomials are left out), so
 z_n holds p on every cube point and each row reads p(x_j) as one nonzero.
 The butterfly's n*2^n equality rows hold at most 3 nonzeros each, and the
@@ -164,29 +169,6 @@ def learn_disjunction_positive(s: LabeledSample) -> Disjunction:
 # LP fits
 
 
-def _capped_program(slack_weights: np.ndarray, M: int, W: float, A_ub=None, b_ub=None,
-                    A_eq=None, b_eq=None, nfree: int = 0) -> lpmod.LinearProgram:
-    """Minimize the weighted slacks over [c | c+ | c- | slacks | nfree free columns], with c free
-    and c+, c- >= 0: the fit's <= rows, then the cap row sum_S (c+_S + c-_S) <= W; the fit's
-    equality rows, if any, then the split rows c_S - c+_S + c-_S = 0, one per monomial S."""
-    if not (math.isfinite(W) and W >= 0):
-        raise InputError(f"weight cap W must be finite and >= 0, got {W}")
-    ncols = 3 * M + len(slack_weights) + nfree
-    eye = sparse.identity(M, format="csr")
-    split = sparse.hstack([eye, -eye, eye, sparse.csr_array((M, ncols - 3 * M))], format="csr")
-    cap = sparse.hstack([sparse.csr_array((1, M)), sparse.csr_array(np.ones((1, 2 * M))),
-                         sparse.csr_array((1, ncols - 3 * M))], format="csr")
-    A_ub = cap if A_ub is None else sparse.vstack([A_ub, cap], format="csr")
-    b_ub = np.append([] if b_ub is None else b_ub, W)
-    A_eq = split if A_eq is None else sparse.vstack([A_eq, split], format="csr")
-    b_eq = np.append([] if b_eq is None else b_eq, np.zeros(M))
-    return lpmod.LinearProgram(
-        np.concatenate([np.zeros(3 * M), slack_weights.astype(np.float64), np.zeros(nfree)]),
-        A_ub, b_ub, A_eq, b_eq,
-        bounds=tuple([(None, None)] * M + [(0.0, None)] * (2 * M + len(slack_weights)) + [(None, None)] * nfree),
-    )
-
-
 def _takes_butterfly(n: int, k: int, M: int) -> bool:
     """Whether p at k points is written through the butterfly: its n*2^n rows of at most
     3 nonzeros each against the k*M nonzeros of the dense character block."""
@@ -194,53 +176,99 @@ def _takes_butterfly(n: int, k: int, M: int) -> bool:
 
 
 def _point_values(X: np.ndarray, monos, gap: int):
-    """p at the rows of X, as ``(P, B)``: ``P`` gives p(X) from the fit's columns, ``B`` is None
-    or the equality rows (right-hand side 0) that ``P`` relies on.
+    """p at the rows of X over the fit's columns [c | ``gap`` columns | z], as ``(P, B)``:
+    ``P @ x`` is p(X) at every x with ``B @ x = 0``.  Both are CSR, with int32 indices while they fit.
 
-    Dense (B is None): ``P`` is the k x M int8 character block over c.  Butterfly: ``P`` is a
-    k x n*2^n sparse 0/1 block over z = [z_1 | ... | z_n], with the 1 of row j at x_j's index in
-    z_n, and ``B`` the n*2^n butterfly rows over [c | ``gap`` columns | z].  A point's index has
-    bit v - 1 set iff x_v = -1, and z_0[mask of S] = c_S, so z_n[index of x] = p(x).
+    Dense: row j of ``P`` holds the M characters of x_j over c, z is empty and ``B`` has no
+    rows.  Butterfly: z = [z_1 | ... | z_n] of 2^n columns each, ``B`` holds the n*2^n
+    butterfly rows and row j of ``P`` one 1 at x_j's index in z_n.  A point's index has bit
+    v - 1 set iff x_v = -1, and z_0[mask of S] = c_S, so z_n[index of x] = p(x).
     """
-    n, M = X.shape[1], len(monos)
-    if not _takes_butterfly(n, X.shape[0], M):
-        return characters(X, monos), None
-    N = 1 << n
-    idx = np.arange(N)
-    z = M + gap  # first column of z_1
-    prev = np.full(N, -1)  # the column of each entry of z_0: c's column at each mask, -1 where absent
-    prev[[sum(1 << (v - 1) for v in mono) for mono in monos]] = np.arange(M)
-    rows, cols, vals = [], [], []
-    for s in range(n):
-        # z_(s+1)[i] - z_s[lo] - sign * z_s[hi] = 0, where lo, hi are i without and with bit s
-        # and sign is -1 iff i has bit s
-        bit = 1 << s
-        here = z + s * N + idx
-        stage_cols = np.stack([here, prev[idx & ~bit], prev[idx | bit]])
-        stage_vals = np.stack([np.ones(N), -np.ones(N), np.where(idx & bit, 1.0, -1.0)])
-        keep = stage_cols >= 0
-        rows.append(np.broadcast_to(s * N + idx, (3, N))[keep])
-        cols.append(stage_cols[keep])
-        vals.append(stage_vals[keep])
-        prev = here
-    B = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(n * N, z + n * N))
-    at = (X < 0) @ (1 << np.arange(n))  # each point's index in the cube
-    P = sparse.csr_array((np.ones(X.shape[0]), (np.arange(X.shape[0]), (n - 1) * N + at)),
-                         shape=(X.shape[0], n * N))
+    (k, n), M = X.shape, len(monos)
+    if _takes_butterfly(n, k, M):
+        N = 1 << n
+        idx = np.arange(N, dtype=np.int32)
+        z = M + gap  # first column of z_1
+        # the column of each entry of z_0: c's column at each mask, -1 where absent
+        prev = np.full(N, -1, dtype=np.int32)
+        prev[[sum(1 << (v - 1) for v in mono) for mono in monos]] = np.arange(M)
+        rows, cols, vals = [], [], []
+        for s in range(n):
+            # z_(s+1)[i] - z_s[lo] - sign * z_s[hi] = 0, where lo, hi are i without and with bit s
+            # and sign is -1 iff i has bit s
+            bit = 1 << s
+            here = z + s * N + idx
+            stage_cols = np.stack([here, prev[idx & ~bit], prev[idx | bit]])
+            stage_vals = np.stack([np.ones(N), -np.ones(N), np.where(idx & bit, 1.0, -1.0)])
+            keep = stage_cols >= 0
+            rows.append(np.broadcast_to(s * N + idx, (3, N))[keep])
+            cols.append(stage_cols[keep])
+            vals.append(stage_vals[keep])
+            prev = here
+        B = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n * N, z + n * N))
+        at = (X < 0) @ (1 << np.arange(n, dtype=np.int32))  # each point's index in the cube
+        row_cols, row_vals = prev[at][:, None], np.ones((k, 1))
+    else:
+        B = sparse.csr_array((0, M + gap))
+        row_cols, row_vals = np.broadcast_to(np.arange(M, dtype=np.int32), (k, M)), characters(X, monos)
+    w = row_cols.shape[1]
+    indptr = np.arange(0, k * w + 1, w, dtype=sparse.get_index_dtype(maxval=k * w))
+    P = sparse.csr_array((row_vals.astype(np.float64).ravel(), row_cols.ravel(), indptr), shape=(k, B.shape[1]))
     return P, B
 
 
-def _solve_fit(program: lpmod.LinearProgram, s: LabeledSample, monos, d: int, W: float,
-               eps: float | None, fit_eq: int) -> tuple[SparsePolynomial, FitReport]:
-    """Solve a capped fit program: the polynomial on its first ``len(monos)`` columns, rounded
-    to ``COEF_GRID``, and its report, whose active constraints are the ``A_ub`` rows active at
-    the optimum and the fit's own ``fit_eq`` equality rows, which lead ``A_eq``."""
+def _fit_program(X: np.ndarray, monos, scale: np.ndarray, slack, b: np.ndarray,
+                 weights: np.ndarray, equality: bool, W: float) -> lpmod.LinearProgram:
+    """Minimize ``weights`` . xi over [c (free) | c+, c- >= 0 | slacks xi >= 0 | z (free)] subject
+    to the fit rows scale_j * p(x_j) + ``slack``_j . xi (= if ``equality``, else <=) b_j, one per
+    row of X, the cap row sum_S (c+_S + c-_S) <= W, and the split rows c_S - c+_S + c-_S = 0.
+
+    ``A_ub`` holds the fit's <= rows, then the cap row; ``A_eq`` the fit's equality rows, then
+    the butterfly rows, if any, then the split rows, one per monomial S.
+    """
+    M, (k, ns) = len(monos), slack.shape
+    P, B = _point_values(X, monos, 2 * M + ns)
+    nz = B.shape[1] - 3 * M - ns
+    P.data *= np.repeat(scale, np.diff(P.indptr))
+    fit = P + sparse.hstack([sparse.csr_array((k, 3 * M)), slack, sparse.csr_array((k, nz))], format="csr")
+    del P  # so that at most two copies of the point block are live while the rows are stacked
+    eye = sparse.identity(M, format="csr")
+    split = sparse.hstack([eye, -eye, eye, sparse.csr_array((M, ns + nz))], format="csr")
+    cap = sparse.hstack([sparse.csr_array((1, M)), sparse.csr_array(np.ones((1, 2 * M))),
+                         sparse.csr_array((1, ns + nz))], format="csr")
+    zeros = np.zeros(B.shape[0] + M)
+    if equality:
+        A_ub, b_ub = cap, [W]
+        A_eq, b_eq = sparse.vstack([fit, B, split], format="csr"), np.concatenate([b, zeros])
+    else:
+        A_ub, b_ub = sparse.vstack([fit, cap], format="csr"), np.append(b, W)
+        A_eq, b_eq = sparse.vstack([B, split], format="csr"), zeros
+    return lpmod.LinearProgram(
+        np.concatenate([np.zeros(3 * M), weights, np.zeros(nz)]), A_ub, b_ub, A_eq, b_eq,
+        bounds=tuple([(None, None)] * M + [(0.0, None)] * (2 * M + ns) + [(None, None)] * nz),
+    )
+
+
+def _fit(s: LabeledSample, d: int, W: float, eps: float | None, X: np.ndarray, scale: np.ndarray,
+         slack, b: np.ndarray, weights: np.ndarray, equality: bool) -> tuple[SparsePolynomial, FitReport]:
+    """Solve the fit of degree <= d and weight <= W whose own rows are given as for
+    :func:`_fit_program`: the polynomial rounded to ``COEF_GRID``, and its report, whose
+    active constraints are the fit's rows and the cap row that hold with equality."""
+    if s.m < 1:
+        raise InputError("cannot fit an empty sample")
+    monos = monomials_upto(s.n, d)
+    if len(monos) > FEATURE_CAP:
+        raise ResourceLimitError(f"{len(monos)} monomial features exceed cap {FEATURE_CAP}")
+    if not (math.isfinite(W) and W >= 0):
+        raise InputError(f"weight cap W must be finite and >= 0, got {W}")
+    program = _fit_program(X, monos, scale, slack, b, weights, equality, W)
     sol = lpmod.solve(program)
     coefs = np.round(sol.values[:len(monos)] / COEF_GRID) * COEF_GRID
     poly = SparsePolynomial(s.n, {mono: float(c) for mono, c in zip(monos, coefs) if c != 0.0})
-    own_ub = lpmod.LinearProgram(program.c, program.A_ub, program.b_ub)
-    active = fit_eq + lpmod.count_active(own_ub, sol.values)
+    # A_ub holds only the fit's <= rows and the cap row
+    active = (len(b) if equality else 0) + int(np.count_nonzero(
+        np.abs(program.A_ub @ sol.values - program.b_ub) <= lpmod.FEASIBILITY_TOL))
     return poly, FitReport(max(0.0, sol.objective_value), active, eps, float(W), d, s.m, "optimal")
 
 
@@ -256,67 +284,33 @@ def reliable_fit(
         raise InputError(f"sign must be positive or negative, got {sign!r}")
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
-    if s.m < 1:
-        raise InputError("cannot fit an empty sample")
-    monos = monomials_upto(s.n, d)
-    if len(monos) > FEATURE_CAP:
-        raise ResourceLimitError(f"{len(monos)} monomial features exceed cap {FEATURE_CAP}")
     distinct, pos, negc = s.deduped
-    M = len(monos)
-
     # side = +1 for the positive-side learner, -1 for its mirror
     side, hinge_counts, hard_counts = (1.0, pos, negc) if sign == POSITIVE else (-1.0, negc, pos)
     hinge_idx, hard_idx = np.flatnonzero(hinge_counts), np.flatnonzero(hard_counts)
     nh, nhard = len(hinge_idx), len(hard_idx)
-    b_fit = np.concatenate([np.full(nh, -1.0), np.full(nhard, -1.0 + eps)])
-    phi, B = _point_values(distinct, monos, 2 * M + nh)
-    if B is None:
-        A_fit = sparse.vstack([
-            # xi_j >= 1 - side * p(x_j), written -side * p(x_j) - xi_j <= -1
-            sparse.hstack([sparse.csr_array(-side * phi[hinge_idx]), sparse.csr_array((nh, 2 * M)),
-                           -sparse.identity(nh, format="csr")]),
-            # side * p(x_j) <= -1 + eps on every point carrying the protected label
-            sparse.hstack([sparse.csr_array(side * phi[hard_idx]), sparse.csr_array((nhard, 2 * M + nh))]),
-        ])
-        program = _capped_program(hinge_counts[hinge_idx], M, W, A_fit, b_fit)
-    else:  # the same rows with p(x_j) read off z_n
-        A_fit = sparse.vstack([
-            sparse.hstack([sparse.csr_array((nh, 3 * M)), -sparse.identity(nh, format="csr"),
-                           -side * phi[hinge_idx]]),
-            sparse.hstack([sparse.csr_array((nhard, 3 * M + nh)), side * phi[hard_idx]]),
-        ])
-        program = _capped_program(hinge_counts[hinge_idx], M, W, A_fit, b_fit,
-                                  B, np.zeros(B.shape[0]), nfree=phi.shape[1])
+    # xi_j >= 1 - side * p(x_j), written -side * p(x_j) - xi_j <= -1, at every point carrying
+    # the other label; then side * p(x_j) <= -1 + eps at every point carrying the protected label
+    slack = sparse.vstack([-sparse.identity(nh, format="csr"), sparse.csr_array((nhard, nh))], format="csr")
     try:
-        return _solve_fit(program, s, monos, d, W, eps, 0)
+        return _fit(s, d, W, eps, distinct[np.concatenate([hinge_idx, hard_idx])],
+                    np.repeat([-side, side], [nh, nhard]), slack, np.repeat([-1.0, -1.0 + eps], [nh, nhard]),
+                    hinge_counts[hinge_idx], equality=False)
     except InfeasibleError as exc:
         raise InfeasibleError(f"hinge LP infeasible (weight cap W={W} too small for eps={eps})") from exc
 
 
 def agnostic_l1_fit(s: LabeledSample, d: int, W: float) -> tuple[SparsePolynomial, FitReport]:
     """Minimize sum_i |p(x_i) - y_i| subject to weight(p) <= W."""
-    if s.m < 1:
-        raise InputError("cannot fit an empty sample")
-    monos = monomials_upto(s.n, d)
-    if len(monos) > FEATURE_CAP:
-        raise ResourceLimitError(f"{len(monos)} monomial features exceed cap {FEATURE_CAP}")
     distinct, pos, negc = s.deduped
     # the distinct labeled points: per distinct x in turn, (x, -1) then (x, +1) where seen
     counts = np.stack([negc, pos], axis=1).ravel()
     seen = np.flatnonzero(counts)
-    X, y, counts = distinct[seen // 2], np.where(seen % 2, 1.0, -1.0), counts[seen]
-    M, k = len(monos), X.shape[0]
-    # per distinct (x_j, y_j) in turn: p(x_j) - e+_j + e-_j = y_j, so |p(x_j) - y_j| = e+_j + e-_j at the optimum
+    counts, k = counts[seen], len(seen)
     eye = sparse.identity(k, format="csr")
-    phi, B = _point_values(X, monos, 2 * M + 2 * k)
-    if B is None:
-        A_eq = sparse.hstack([sparse.csr_array(phi), sparse.csr_array((k, 2 * M)), -eye, eye])
-        program = _capped_program(np.concatenate([counts, counts]), M, W, A_eq=A_eq, b_eq=y)
-    else:  # the same rows with p(x_j) read off z_n, then the butterfly rows
-        A_eq = sparse.vstack([sparse.hstack([sparse.csr_array((k, 3 * M)), -eye, eye, phi]), B])
-        program = _capped_program(np.concatenate([counts, counts]), M, W, A_eq=A_eq,
-                                  b_eq=np.concatenate([y, np.zeros(B.shape[0])]), nfree=phi.shape[1])
-    return _solve_fit(program, s, monos, d, W, None, k)
+    # per distinct (x_j, y_j) in turn: p(x_j) - e+_j + e-_j = y_j, so |p(x_j) - y_j| = e+_j + e-_j at the optimum
+    return _fit(s, d, W, None, distinct[seen // 2], np.ones(k), sparse.hstack([-eye, eye], format="csr"),
+                np.where(seen % 2, 1.0, -1.0), np.concatenate([counts, counts]), equality=True)
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +435,25 @@ def learn_agnostic_l1(
 
 def plan_samples(n: int, d: int, W: float, eps: float, delta: float) -> SamplePlan:
     """m = max(512/eps^4 * W^2 d ln(2n), 64/eps^2 * (W+1)^2 ln(1/delta))."""
-    if n < 1 or d < 1 or W <= 0:
-        raise InputError("n, d must be >= 1 and W > 0")
+    if n < 1 or d < 1 or not 0 < W < math.inf:
+        raise InputError("n, d must be >= 1 and W finite and > 0")
     if not 0 < eps <= 1 or not 0 < delta < 1:
         raise InputError("need eps in (0, 1] and delta in (0, 1)")
-    term1 = 512.0 / eps**4 * W**2 * d * math.log(2 * n)
-    term2 = 64.0 / eps**2 * (W + 1) ** 2 * math.log(1.0 / delta)
-    return SamplePlan(math.ceil(max(term1, term2)), term1, term2)
+    try:
+        term1 = 512.0 / eps**4 * W**2 * d * math.log(2 * n)
+        term2 = 64.0 / eps**2 * (W + 1) ** 2 * math.log(1.0 / delta)
+        return SamplePlan(math.ceil(max(term1, term2)), term1, term2)
+    except (OverflowError, ZeroDivisionError):  # W**2 or eps**4 out of float range, or an infinite m
+        raise InputError(f"the sample size for W={W}, eps={eps}, delta={delta} overflows a float") from None
 
 
 def rademacher_bound(W: float, d: int, n: int, m: float) -> float:
     """W * sqrt(2 d ln(2n) / m) for degree-d weight-W polynomials on the cube."""
-    if m < 1:
-        raise InputError("need m >= 1")
-    return W * math.sqrt(2.0 * d * math.log(2 * n) / m)
+    if n < 1 or d < 0 or not math.isfinite(W):
+        raise InputError("need n >= 1, d >= 0 and a finite W")
+    if not 1 <= m < math.inf:
+        raise InputError(f"need a finite m >= 1, got {m}")
+    try:
+        return W * math.sqrt(2.0 * d * math.log(2 * n) / m)
+    except OverflowError:  # an integer m beyond float range
+        raise InputError("sample size m overflows a float") from None

@@ -117,12 +117,3 @@ def check_feasible(lp: LinearProgram, x: Sequence[float]) -> float:
         worst.append(np.max(np.maximum(lo - x, x - hi)))
     return float(max(worst))
 
-
-def count_active(lp: LinearProgram, x: np.ndarray) -> int:
-    """Number of constraint rows active at ``x``: every ``A_eq`` row, since it holds with
-    equality at any feasible point, plus the ``A_ub`` rows that hold with equality within
-    ``FEASIBILITY_TOL``."""
-    active = 0 if lp.A_eq is None else lp.A_eq.shape[0]
-    if lp.A_ub is not None:
-        active += int(np.count_nonzero(np.abs(lp.A_ub @ x - lp.b_ub) <= FEASIBILITY_TOL))
-    return active

@@ -36,6 +36,13 @@ def test_plan_human_output_prints_both_terms(capsys):
     assert "term_rademacher" in out and "term_confidence" in out and "m =" in out
 
 
+@pytest.mark.parametrize("W", ["inf", "1e308", "nan"])
+def test_plan_rejects_a_weight_out_of_range(capsys, W):
+    code, out, err = run_cli(capsys, "plan", "--n", "10", "--d", "2", "--W", W, "--eps", "0.1", "--delta", "0.1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "W" in err
+
+
 def test_mineps_reaches_zero_at_full_degree(capsys):
     code, out, _ = run_cli(capsys, "mineps", "--concept", "MAJ 1 2 3 4 5",
                            "--mode", "positive", "--dmax", "5", "--json")

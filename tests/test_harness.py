@@ -100,6 +100,18 @@ def test_adversarial_table_points_have_the_concept_dimension(tmp_path, points):
     assert stored["results"]["error"]["stage"] == "generate"
 
 
+@pytest.mark.parametrize("probs", [[float("nan"), 1.0], [1.5, -0.5]])
+def test_adversarial_table_rejects_nan_and_negative_probabilities(tmp_path, probs):
+    # NaN fails every comparison, so the sum check alone lets it through; [1.5, -0.5] sums to 1
+    table = [[[1, 1], 1, probs[0]], [[-1, 1], -1, probs[1]]]
+    with pytest.raises(InputError, match="must be >= 0"):
+        NoiseModel("adversarial_table", table=tuple((tuple(p), y, q) for p, y, q in table))
+    manifest = {"seed": 0, "concept": "MAJ 1 2", "noise": {"kind": "adversarial_table", "table": table},
+                "learner": {"algo": "disjunction"}, "samples": {"train": 10}}
+    with pytest.raises(InputError, match="must be >= 0"):
+        run_experiment(manifest, root=str(tmp_path))
+
+
 def test_noise_model_validation():
     with pytest.raises(InputError):
         NoiseModel("wat")

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,6 +352,41 @@ def test_dense_fit_counts_only_its_own_constraints(monkeypatch, fit):
     _assert_counts_only_its_own_constraints(fit)
 
 
+class _Solved(Exception):
+    """Raised by a stand-in for linprog in place of a solve."""
+
+
+@pytest.mark.parametrize("make, d, W", [
+    # dense: a k x M character block of about 4000 x 211
+    (lambda: rand_sample(np.random.default_rng(18), 4000, 20), 2, 4.0),
+    # butterfly
+    (lambda: generate(Majority(9, tuple(range(1, 10))), NoiseModel("one_sided_positive", 0.1), 20000, 0),
+     9, 10.375),
+], ids=["dense-n20-d2", "butterfly-maj9"])
+def test_only_the_program_is_live_when_the_solve_starts(monkeypatch, make, d, W):
+    seen = {}
+
+    def spy(c, A_ub, b_ub, A_eq, b_eq, bounds, method):
+        seen["live"] = tracemalloc.get_traced_memory()[0]
+        arrays = [c, b_ub, b_eq] + [a for A in (A_ub, A_eq) for a in (A.data, A.indices, A.indptr)]
+        # bounds: the program's tuple and the list lp.solve makes of it, a pointer per column each
+        seen["program"] = sum(a.nbytes for a in arrays) + 2 * sys.getsizeof(bounds)
+        raise _Solved
+
+    monkeypatch.setattr("onesided.lp.linprog", spy)
+    s = make()
+    with pytest.raises(_Solved):  # fills the caches (s.deduped, monomials_upto) outside the trace
+        reliable_fit(s, d, W, 0.1, "positive")
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Solved):
+            reliable_fit(s, d, W, 0.1, "positive")
+    finally:
+        tracemalloc.stop()
+    # no copy of the fit block, the character block or the butterfly rows outlives the build
+    assert seen["live"] <= 1.25 * seen["program"]
+
+
 @pytest.mark.parametrize("W", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("fit", ["positive", "negative", "l1"])
 def test_fits_reject_a_weight_cap_that_is_not_finite_and_nonnegative(monkeypatch, fit, W):
@@ -450,6 +487,26 @@ def test_rademacher_bound_examples():
     assert rademacher_bound(1, 1, 1, 2 * math.log(2)) == pytest.approx(1.0)
     base = rademacher_bound(3, 2, 40, 1000)
     assert rademacher_bound(3, 2, 40, 4000) == pytest.approx(base / 2)
+
+
+@pytest.mark.parametrize("n, W, eps", [
+    (10, math.inf, 0.1), (10, math.nan, 0.1), (0, 1.0, 0.1),
+    (10, 1e308, 0.1),    # W**2 overflows
+    (10, 1e150, 0.01),   # m overflows
+    (10, 1.0, 1e-100),   # eps**4 underflows to 0
+])
+def test_plan_samples_rejects_inputs_out_of_range(n, W, eps):
+    with pytest.raises(InputError):
+        plan_samples(n, 2, W, eps, 0.1)
+
+
+@pytest.mark.parametrize("W, n, m", [
+    (1.0, 0, 10), (math.inf, 3, 10), (math.nan, 3, 10), (1.0, 3, math.nan), (1.0, 3, math.inf),
+    pytest.param(1.0, 3, 10**400, id="m-beyond-float-range"),
+])
+def test_rademacher_bound_rejects_inputs_out_of_range(W, n, m):
+    with pytest.raises(InputError):
+        rademacher_bound(W, 2, n, m)
 
 
 def test_planned_m_drives_alpha_below_half_eps():

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from onesided.errors import InfeasibleError, InputError, SolverError
-from onesided.lp import LinearProgram, check_feasible, count_active, solve
+from onesided.lp import LinearProgram, check_feasible, solve
 
 
 def test_minimize_with_lower_bound():
@@ -91,16 +91,6 @@ def test_check_feasible_and_dump():
     assert check_feasible(program, [-0.5, 0.0]) == pytest.approx(0.5)  # a bound is violated
     eq = LinearProgram(np.array([1.0, 0.0]), A_eq=[[1.0, -1.0]], b_eq=[0.0])
     assert check_feasible(eq, [1.0, 3.0]) == pytest.approx(2.0)
-
-
-def test_count_active_counts_every_equality_row():
-    program = LinearProgram(np.array([1.0, 1.0]), [[1.0, 0.0], [0.0, 1.0]], [1.0, 5.0],
-                            A_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[3.0, -1.0])
-    x = np.array([1.0, 2.0])
-    assert count_active(program, x) == 3  # both equality rows, and x_1 <= 1 but not x_2 <= 5
-    assert count_active(LinearProgram(np.array([1.0, 1.0]), [[1.0, 0.0]], [1.0]), x) == 1
-    assert count_active(LinearProgram(np.array([1.0, 1.0]), A_eq=[[1.0, 1.0]], b_eq=[3.0]), x) == 1
-    assert count_active(LinearProgram(np.array([1.0, 1.0])), x) == 0
 
 
 def test_validation_errors():
@@ -312,3 +302,17 @@ def test_majority_9_sample_takes_the_butterfly(captured):
     # each fit row reads p(x_j) as one entry on z_n: hinge rows have 2 nonzeros, hard rows 1
     np.testing.assert_array_equal(np.diff(A_ub.indptr)[:512], [2] * 256 + [1] * 256)
     assert A_ub.nnz + A_eq.nnz < 512 * 512
+    assert A_ub.indices.dtype == A_eq.indices.dtype == np.int32
+
+
+def test_route_counts_fit_rows_not_distinct_points(captured):
+    from onesided.cube import LabeledSample, cube_matrix
+    from onesided.learn import reliable_fit
+
+    # both labels at each of the 8 points: k = 16 fit rows (a hinge and a hard row per point)
+    # read p, and M = 7 at d = 2, so 3n*2^n = 72 < k*M = 112 (against 8*M = 56 per distinct point)
+    X = cube_matrix(3)
+    s = LabeledSample(np.vstack([X, X]), np.repeat([1, -1], 8).astype(np.int8), 3)
+    reliable_fit(s, 2, 4.0, 0.25, "positive")
+    assert len(captured[0]["c"]) == 3 * 7 + 8 + 3 * 8  # [c | c+ | c- | a hinge slack per point | z]
+    assert captured[0]["A_eq"].shape[0] == 3 * 8 + 7  # the butterfly rows, then the split rows

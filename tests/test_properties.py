@@ -213,7 +213,8 @@ def test_split_cap_fit_matches_pair_capped_fit(s, d, W, fit, butterfly):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), d=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
 def test_butterfly_rows_give_p_on_the_cube(n, d, seed):
-    # z_s from a plain Walsh-Hadamard pass satisfies every butterfly row, and P z = characters c
+    # z_s from a plain Walsh-Hadamard pass satisfies every butterfly row, and P x = characters c
+    # for x = [c | gap | z] over the whole column layout
     monos = monomials_upto(n, min(d, n))
     rng = np.random.default_rng(seed)
     c, gap = rng.integers(-9, 10, len(monos)).astype(float), int(rng.integers(0, 4))
@@ -229,7 +230,7 @@ def test_butterfly_rows_give_p_on_the_cube(n, d, seed):
         stages.append(z)
     x = np.concatenate([c, np.zeros(gap), *stages])
     assert np.array_equal(B @ x, np.zeros(B.shape[0]))
-    assert np.array_equal(P @ np.concatenate(stages), sparse_eval_batch(SparsePolynomial(n, dict(zip(monos, c))), X))
+    assert np.array_equal(P @ x, sparse_eval_batch(SparsePolynomial(n, dict(zip(monos, c))), X))
 
 
 @settings(max_examples=200)
