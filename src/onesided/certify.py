@@ -38,6 +38,11 @@ from .poly import (SparsePolynomial, StructuredPolynomial, characters, cube_nume
 #: Cap on the number of monomial columns in the LP oracle.
 LP_MONOMIAL_CAP = 4096
 
+#: Cap on the matrix entries (rows x columns) of the oracle's cube LP, counted as two rows
+#: per cube point.  Solves at n = 12-14, d = 3-4 peaked at 188-229 bytes of RSS per entry,
+#: so an admitted program stays below 5.5 GB; n = 14 at d = 3 (15.4M entries) peaked at 2.8 GB.
+CUBE_LP_ENTRY_CAP = 24_000_000
+
 
 @dataclass(frozen=True)
 class CertReport:
@@ -225,13 +230,12 @@ def min_eps(f: Concept, d: int, mode: str) -> tuple[float, SparsePolynomial]:
       each monomial T in S: the symmetric optimum, not a vertex of the cube LP.
     * Every other target (halfspaces, DNFs, CNFs, disjunctions with both signs of a
       variable) takes the cube LP: one column per monomial and one row block per cube
-      point.  It is tall, and HiGHS's interior point method solves it faster and in less
-      memory than dual simplex: about 2.5x faster on OR_10 at d = 3, and MAJ_12 at d = 3
-      peaks 36% lower.  Crossover, on by default, still ends at a vertex, so the witness
-      is a basic solution, as a simplex solve gives.
+      point.  Its matrix is dense, so :data:`CUBE_LP_ENTRY_CAP` bounds its entries
+      before the cube is enumerated.
 
-    Both caps hold on both forms, since the witness has one term per monomial.  The
-    returned eps is never below 0 (nor -0.0).
+    Both forms are solved by :func:`lp.solve`, so the witness is a vertex of its LP.  The
+    n and monomial caps hold on both forms, since the witness has one term per monomial.
+    The returned eps is never below 0 (nor -0.0).
     """
     if mode not in (POSITIVE, NEGATIVE, TWOSIDED):
         raise InputError(f"mode must be positive, negative or twosided, got {mode!r}")
@@ -243,15 +247,18 @@ def min_eps(f: Concept, d: int, mode: str) -> tuple[float, SparsePolynomial]:
         raise ResourceLimitError(f"LP oracle monomial count {len(monos)} exceeds cap {LP_MONOMIAL_CAP}")
     literals = _symmetric_literals(f)
     if literals is None:
+        entries = 2 ** (n + 1) * (len(monos) + 1)  # at most two rows per cube point, over [monomials | eps]
+        if entries > CUBE_LP_ENTRY_CAP:
+            raise ResourceLimitError(f"cube LP of up to {entries} matrix entries exceeds cap {CUBE_LP_ENTRY_CAP}")
         X = cube_matrix(n)
-        program = _error_program(characters(X, monos), eval_concept_batch(f, X), mode)
-        sol = lpmod.solve(program, method="highs-ipm")
-        coefs = sol.values[:-1]
+        basis, fvals = characters(X, monos), eval_concept_batch(f, X)
     else:
-        D = min(d, len(literals))
-        program = _error_program(_krawtchouk(len(literals), D),
-                                 eval_concept_batch(f, _level_points(literals, n)), mode)
-        sol = lpmod.solve(program)
+        basis = _krawtchouk(len(literals), min(d, len(literals)))
+        fvals = eval_concept_batch(f, _level_points(literals, n))
+    sol = lpmod.solve(_error_program(basis, fvals, mode))
+    if literals is None:
+        coefs = sol.values[:-1]
+    else:  # spread c_j over the degree-j monomials in the literals' variables
         sign = {abs(l): 1 if l > 0 else -1 for l in literals}
         coefs = np.array([math.prod(sign[v] for v in mono) * sol.values[len(mono)] if sign.keys() >= set(mono)
                           else 0.0 for mono in monos])

@@ -372,6 +372,8 @@ class LabeledSample:
     n: int
 
     def __post_init__(self):
+        if self.n < 1:
+            raise InputError(f"sample dimension must be >= 1, got n={self.n}")
         pts, lab = np.asarray(self.points), np.asarray(self.labels)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise DimensionError(f"points shaped {pts.shape}, expected (m, {self.n})")
@@ -410,7 +412,8 @@ def dedup(points: np.ndarray, labels: np.ndarray):
 
 
 def make_sample(points: Iterable[Bits], labels: Iterable[int], n: int) -> LabeledSample:
-    pts = np.array([as_bits(p, n) for p in points], dtype=np.int8).reshape(-1, n)
+    rows = [as_bits(p, n) for p in points]
+    pts = np.array(rows, dtype=np.int8).reshape(len(rows), n)  # (m, 0) at n = 0, for LabeledSample to reject
     return LabeledSample(pts, np.array(list(labels), dtype=np.int8), n)
 
 

@@ -23,8 +23,7 @@ side * p(x_j) <= -1 + eps.  The builder lays the columns out as [c (free, one
 per monomial) | c+ | c- (>= 0, one each per monomial) | slacks | z], ends
 ``A_ub`` with the cap row sum_S (c+_S + c-_S) <= W and ``A_eq`` with the split
 rows c_S - c+_S + c-_S = 0, one per monomial, so sum_S |c_S| <= W while the
-fit rows read c alone.  Both fits run on HiGHS's default ``"highs"`` method
-(dual simplex on these LPs).
+fit rows read c alone.
 
 The builder writes p at the fit's k rows (a point carrying both labels gives
 the reliable fit two) in one of two ways (``_point_values``), chosen by nonzero
@@ -152,8 +151,6 @@ def learn_disjunction_positive(s: LabeledSample) -> Disjunction:
     classifies every sample negative as -1 and is maximal: re-adding any
     dropped literal fires on some sample negative.
     """
-    if s.n < 1:
-        raise InputError("need dimension >= 1")
     neg = s.points[s.labels == -1]
     keep: list[int] = []
     for j in range(1, s.n + 1):

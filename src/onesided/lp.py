@@ -8,14 +8,14 @@ CSR arrays.  Callers build their rows as sparse blocks and receive
 :class:`LpSolution` values; a ``>=`` row is written negated as a ``<=`` row.
 Solving passes the matrices unchanged to scipy's HiGHS backend, which is
 deterministic for identical input and enforces a primal feasibility
-tolerance of 1e-7 (its default, matching the contract here).  The caller
-picks the HiGHS algorithm: the default ``"highs"`` (dual simplex on the
-learners' fits), or ``"highs-ipm"`` (interior point, then crossover to a
-vertex) for the tall full-cube LP of the error oracle.  A solve returns an
-optimum or raises: :class:`InfeasibleError` when HiGHS proves that no point
-is feasible, :class:`SolverError` with the backend's message for any other
-outcome, including a "Model error" (say, a matrix entry of 1e21), which scipy
-reports with the status of an infeasible program.
+tolerance of 1e-7 (its default, matching the contract here).  Every program
+is solved by one method, ``"highs"``, which leaves the choice of algorithm
+to HiGHS (its simplex on the package's programs), so an optimum is a vertex.
+A solve returns an optimum or raises: :class:`InfeasibleError` when HiGHS
+proves that no point is feasible, :class:`SolverError` with the backend's
+message for any other outcome, including a "Model error" (say, a matrix
+entry of 1e21), which scipy reports with the status of an infeasible
+program.
 """
 
 from __future__ import annotations
@@ -89,12 +89,12 @@ class LpSolution:
     objective_value: float
 
 
-def solve(lp: LinearProgram, method: str = "highs") -> LpSolution:
-    """An optimum of the program by scipy's HiGHS ``method``, deterministic for identical
+def solve(lp: LinearProgram) -> LpSolution:
+    """An optimum of the program by scipy's ``"highs"`` method, deterministic for identical
     input; raises :class:`InfeasibleError` or :class:`SolverError` instead of returning a status."""
     bounds = list(lp.bounds) if lp.bounds is not None else [(None, None)] * lp.nvars
     res = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq, b_eq=lp.b_eq,
-                  bounds=bounds, method=method)
+                  bounds=bounds, method="highs")
     if res.status == 0:
         return LpSolution(np.asarray(res.x, dtype=np.float64), float(res.fun))
     if res.status == 2 and "infeasible" in res.message:  # scipy's status 2 also covers a HiGHS model error

@@ -166,7 +166,7 @@ class SparsePolynomial:
     terms: dict[Monomial, Coef]
 
     def __post_init__(self):
-        """Validate and canonicalize user input: sorted in-range monomials, exact or float
+        """Validate and canonicalize user input: sorted in-range monomials, exact or finite float
         coefficients, zero terms dropped."""
         clean: dict[Monomial, Coef] = {}
         for mono, coef in self.terms.items():
@@ -179,6 +179,9 @@ class SparsePolynomial:
             if c != 0:
                 clean[key] = clean[key] + c if key in clean else c
         clean = {k: v for k, v in clean.items() if v != 0}
+        for mono, c in clean.items():
+            if isinstance(c, float) and not math.isfinite(c):
+                raise InputError(f"coefficient of monomial {mono} must be finite, got {c}")
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -199,7 +202,13 @@ class SparsePolynomial:
 
     @property
     def weight(self) -> Coef:
-        return sum((abs(c) for c in self.terms.values()), start=Fraction(0))
+        """Sum of |coefficient|: exact over one common denominator when every coefficient is a
+        Fraction, else the running sum from Fraction(0) in term order, float from the first float."""
+        coefs = self.terms.values()
+        if not all(isinstance(c, Fraction) for c in coefs):
+            return sum((abs(c) for c in coefs), start=Fraction(0))
+        den = math.lcm(*{c.denominator for c in coefs})
+        return Fraction(sum(abs(c.numerator) * (den // c.denominator) for c in coefs), den)
 
     def eval(self, x) -> Coef:
         bits = as_bits(x, self.n)

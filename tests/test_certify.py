@@ -1,9 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
-from onesided.certify import min_eps, verify_onesided, verify_twosided
+from onesided import certify
+from onesided.certify import CUBE_LP_ENTRY_CAP, min_eps, verify_onesided, verify_twosided
 from onesided.constructions import halfspace_quarter
 from onesided.cube import (Conjunction, Disjunction, Dnf, Halfspace, Majority, cube_matrix, eval_concept,
                            majority_as_halfspace)
@@ -173,6 +175,28 @@ def test_min_eps_caps():
             min_eps(f, 1, "positive")
     with pytest.raises(ResourceLimitError, match="exceeds cap 4096"):
         min_eps(majority_as_halfspace(Majority(14, tuple(range(1, 15)))), 7, "positive")
+
+
+def test_min_eps_cube_lp_entry_cap_holds_before_the_cube_is_built():
+    halfspace = Halfspace(14, 1, tuple(range(-7, 0)) + tuple(range(1, 8)))
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"exceeds cap {CUBE_LP_ENTRY_CAP}"):
+        min_eps(halfspace, 5, "positive")  # 3,473 monomials: about 85M entries if half the points are false
+    assert time.perf_counter() - start < 1.0
+    # the level LP of a majority at n = 14, d = 5 reads no cube and takes no entry cap
+    assert min_eps(Majority(14, tuple(range(1, 15))), 5, "positive")[0] >= 0.0
+
+
+def test_min_eps_cube_lp_entry_cap_admits_n_14_at_degree_3(monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def admitted(n):
+        raise Admitted
+
+    monkeypatch.setattr(certify, "cube_matrix", admitted)  # stop where the cube LP would be built
+    with pytest.raises(Admitted):
+        min_eps(Halfspace(14, 1, tuple(range(-7, 0)) + tuple(range(1, 8))), 3, "twosided")
 
 
 @pytest.mark.parametrize("f, d", [(Majority(3, (1, 2, 3)), 3), (Dnf(5, ((1, 2), (3, 4, 5))), 5),

@@ -349,6 +349,16 @@ def test_learn_rejects_a_weight_cap_that_is_not_finite(tmp_path, capsys, algo):
     assert err == "error: weight cap W must be finite and >= 0, got nan\n"
 
 
+@pytest.mark.parametrize("algo", [name.replace("_", "-") for name in harness.LEARNERS])
+def test_learn_on_a_sample_of_dimension_zero_is_a_domain_error(tmp_path, capsys, algo):
+    csv_path = tmp_path / "labels_only.csv"
+    csv_path.write_text("y\n1\n-1\n1\n")
+    code, out, err = run_cli(capsys, "learn", "--train", str(csv_path), "--calib", str(csv_path),
+                             "--algo", algo, "--d", "1", "--W", "2", "--eps", "0.2")
+    assert code == 1 and out == ""
+    assert err == "error: sample dimension must be >= 1, got n=0\n"
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "certify", "--poly", str(tmp_path / "missing.json"),
                            "--concept", "MAJ 1", "--eps", "0.1", "--mode", "positive")
@@ -366,6 +376,16 @@ def test_certify_non_finite_eps_is_a_domain_error(tmp_path, capsys, eps):
                            "--eps", eps, "--mode", "positive")
     assert code == 1
     assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize("coef", ["inf", "-inf", "nan"])
+def test_certify_non_finite_coefficient_is_a_domain_error(tmp_path, capsys, coef):
+    poly_path = tmp_path / "poly.json"
+    poly_path.write_text(json.dumps({"form": "sparse", "n": 3, "terms": [{"vars": [1], "coef": coef}]}))
+    code, out, err = run_cli(capsys, "certify", "--poly", str(poly_path), "--concept", "MAJ 1 2 3",
+                             "--eps", "0.1", "--mode", "positive")
+    assert code == 1 and out == ""
+    assert err == f"error: coefficient of monomial (1,) must be finite, got {float(coef)}\n"
 
 
 def test_unclosed_clause_is_a_domain_error(capsys):

@@ -225,6 +225,17 @@ def test_sample_validation():
         LabeledSample(np.ones((2, 2), dtype=np.int8), np.array([1, 0], dtype=np.int8), 2)
 
 
+def test_sample_of_dimension_zero_is_an_input_error(tmp_path):
+    with pytest.raises(InputError, match="dimension must be >= 1, got n=0"):
+        LabeledSample(np.zeros((3, 0), np.int8), [1, -1, 1], 0)
+    with pytest.raises(InputError, match="dimension must be >= 1, got n=0"):
+        make_sample([(), (), ()], [1, -1, 1], 0)
+    path = tmp_path / "labels_only.csv"
+    path.write_text("y\n1\n-1\n")
+    with pytest.raises(InputError, match="dimension must be >= 1, got n=0"):
+        load_sample_csv(path)
+
+
 @pytest.mark.parametrize("points, labels", [
     (np.array([[255, 1]]), np.array([1])),  # 255 would wrap to -1 as int8
     (np.array([[1.5, -1]]), np.array([1])),  # 1.5 would truncate to 1

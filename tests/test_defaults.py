@@ -9,7 +9,7 @@ import inspect
 MODULES = ("cube", "poly", "constructions", "certify", "lp", "learn", "harness", "cli")
 
 #: Defaulted parameters of the public functions and classes (constructors) of MODULES.
-DEFAULTED_CAP = 18
+DEFAULTED_CAP = 17
 
 
 def defaulted_parameters() -> list[str]:

@@ -26,6 +26,11 @@ def test_generate_noiseless_labels_match_concept():
     assert np.array_equal(s.labels, eval_concept_batch(c, s.points))
 
 
+def test_generate_rejects_a_concept_of_dimension_zero():
+    with pytest.raises(InputError, match="dimension must be >= 1, got n=0"):
+        generate(Disjunction(0, ()), NoiseModel("none"), 5, seed=0)
+
+
 def test_generate_is_deterministic_per_seed_and_stream():
     c = maj(3)
     a = generate(c, NoiseModel("symmetric", 0.2), 100, seed=9, stream=1)

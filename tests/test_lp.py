@@ -225,7 +225,7 @@ def test_min_eps_layout(captured, mode, A, b):
 
     min_eps(Dnf(2, ((1,), (2,))), 1, mode)  # OR_2 as a DNF of unit clauses takes the cube LP
     _assert_layout(captured[0], A, b)
-    assert captured[0]["method"] == "highs-ipm"
+    assert captured[0]["method"] == "highs"
 
 
 @pytest.mark.parametrize("mode, A, b", [

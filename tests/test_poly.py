@@ -341,6 +341,20 @@ def test_json_roundtrip_keeps_float_coefficients_and_certificates():
         assert verify_twosided(q, maj, 0.1) == verify_twosided(p, maj, 0.1)
 
 
+@pytest.mark.parametrize("coef", [float("inf"), float("-inf"), float("nan")])
+def test_sparse_polynomial_rejects_non_finite_coefficients(coef):
+    with pytest.raises(InputError, match="must be finite"):
+        SparsePolynomial(2, {(1,): Fraction(1), (2,): coef})
+    with pytest.raises(InputError, match="must be finite"):
+        structured_from_json({"n": 2, "terms": [{"vars": [2], "coef": repr(coef)}]})
+
+
+def test_sparse_polynomial_rejects_a_sum_that_overflows():
+    big = SparsePolynomial(1, {(1,): 1e308})
+    with pytest.raises(InputError, match="must be finite, got inf"):
+        big + big
+
+
 def test_structured_from_json_reads_the_untagged_sparse_form():
     sp = SparsePolynomial(2, {(1,): Fraction(1, 3), (): 0.25})
     assert "form" not in sparse_to_json(sp)

@@ -246,6 +246,21 @@ def test_grid_coefficients_evaluate_exactly(n, data):
     assert [Fraction(v) for v in sparse_eval_batch(p, X)] == exact
 
 
+_FRACTION_COEFS = st.fractions(-1000, 1000, max_denominator=10**6)
+_FLOAT_COEFS = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, 5), kind=st.sampled_from(["fraction", "float", "mixed"]), data=st.data())
+def test_weight_matches_the_pairwise_sum(n, kind, data):
+    coef = {"fraction": _FRACTION_COEFS, "float": _FLOAT_COEFS,
+            "mixed": st.one_of(_FRACTION_COEFS, _FLOAT_COEFS)}[kind]
+    terms = data.draw(st.dictionaries(st.sets(st.integers(1, n)).map(lambda v: tuple(sorted(v))), coef, max_size=20))
+    p = SparsePolynomial(n, terms)
+    pairwise = sum((abs(c) for c in p.terms.values()), start=Fraction(0))  # one Fraction addition per term
+    assert p.weight == pairwise and type(p.weight) is type(pairwise)
+
+
 @st.composite
 def symmetric_targets(draw):
     """MAJ, OR and AND over a random support of at most 6 variables, possibly empty, literals signed
@@ -283,15 +298,15 @@ def _solve_spied(f, d, mode):
 
 @settings(max_examples=80)
 @given(f=symmetric_targets(), d=st.integers(1, 3), mode=st.sampled_from([POSITIVE, NEGATIVE, TWOSIDED]))
-def test_min_eps_matches_simplex_resolve(f, d, mode):
+def test_min_eps_matches_interior_point_resolve(f, d, mode):
     twin = cube_route_twin(f)
     assert np.array_equal(eval_concept_batch(twin, cube_matrix(f.n)), eval_concept_batch(f, cube_matrix(f.n)))
     (eps, _), calls = _solve_spied(twin, d, mode)
     (c, kwargs, res), = calls
-    assert kwargs["method"] == "highs-ipm"
-    simplex = optimize.linprog(c, **{**kwargs, "method": "highs"})
-    assert simplex.status == 0
-    assert eps == pytest.approx(simplex.fun, abs=1e-9)
+    assert kwargs["method"] == "highs"
+    interior = optimize.linprog(c, **{**kwargs, "method": "highs-ipm"})  # a second, independent solver
+    assert interior.status == 0
+    assert eps == pytest.approx(interior.fun, abs=1e-9)
     program = LinearProgram(c, kwargs["A_ub"], kwargs["b_ub"], bounds=tuple(kwargs["bounds"]))
     assert check_feasible(program, res.x) <= 1e-9
 
@@ -328,7 +343,7 @@ def test_disjunction_naming_a_variable_twice_takes_the_cube_lp():
     f = Disjunction(3, (1, -1))  # x_1 or not x_1: constant +1, symmetric in no literal set
     (eps, witness), calls = _solve_spied(f, 2, TWOSIDED)
     (c, kwargs, _), = calls
-    assert len(c) == len(monomials_upto(3, 2)) + 1 and kwargs["method"] == "highs-ipm"
+    assert len(c) == len(monomials_upto(3, 2)) + 1  # one column per monomial and eps: the cube LP
     assert kwargs["A_ub"].shape[0] == 2 * 8  # two rows per cube point
     assert eps == 0.0 and verify_twosided(witness, f, 2e-7).ok
 
@@ -422,7 +437,7 @@ def _metrics_by_loop(pred, y):
 
 
 @settings(max_examples=200)
-@given(pair=st.integers(0, 5).flatmap(lambda n: st.tuples(concepts(n), concepts(n))),
+@given(pair=st.integers(1, 5).flatmap(lambda n: st.tuples(concepts(n), concepts(n))),  # a sample has n >= 1
        m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_agreement_of_concepts_matches_pointwise(pair, m, seed):
     c1, c2 = pair
