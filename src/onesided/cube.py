@@ -397,18 +397,28 @@ class LabeledSample:
 
 
 def dedup(points: np.ndarray, labels: np.ndarray):
-    """Distinct points (sorted) with their +1 and -1 label counts.
+    """Distinct points with their +1 and -1 label counts.
 
+    The distinct rows come in the order of ``np.unique(points, axis=0)``:
+    lexicographic with -1 < +1 and x_1 the most significant coordinate, as in
+    :func:`cube_matrix`.  Each row is keyed by its +1 pattern packed into
+    big-endian 64-bit words, so one sort over the words orders every n.
     Merging repeated points into counted rows keeps LP optima and empirical
     rates exact.
     """
-    distinct, inverse = np.unique(points, axis=0, return_inverse=True)
-    k = distinct.shape[0]
-    pos = np.zeros(k, dtype=np.int64)
-    negc = np.zeros(k, dtype=np.int64)
-    np.add.at(pos, inverse[labels == 1], 1)
-    np.add.at(negc, inverse[labels == -1], 1)
-    return distinct, pos, negc
+    packed = np.packbits(points == 1, axis=1)  # (m, ceil(n / 8)) bytes, x_1 in the top bit
+    # zero-padded to whole words, read big-endian so that word order is row order
+    keys = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(">u8")
+    order = np.lexsort(keys.T[::-1])  # the last key is the primary one: word 0 leads
+    sorted_keys = keys[order]
+    start = np.ones(len(order), dtype=bool)
+    start[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    group = np.cumsum(start) - 1
+    k = int(start.sum())
+    y = labels[order]
+    pos = np.bincount(group[y == 1], minlength=k).astype(np.int64, copy=False)
+    negc = np.bincount(group[y == -1], minlength=k).astype(np.int64, copy=False)
+    return points[order[start]], pos, negc
 
 
 def make_sample(points: Iterable[Bits], labels: Iterable[int], n: int) -> LabeledSample:
@@ -417,13 +427,22 @@ def make_sample(points: Iterable[Bits], labels: Iterable[int], n: int) -> Labele
     return LabeledSample(pts, np.array(list(labels), dtype=np.int8), n)
 
 
+#: The text of one CSV entry, indexed by (last column of its row?, +1?), NUL-padded to 4 bytes.
+_CSV_CELLS = np.array([[b"-1,", b"1,"], [b"-1\r\n", b"1\r\n"]], dtype="S4").view(np.uint8).reshape(2, 2, 4)
+
+
 def save_sample_csv(s: LabeledSample, path) -> None:
-    """Write the sample CSV: header x1,...,xn,y then one +-1 row per example."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(1, s.n + 1)] + ["y"])
-        for row, y in zip(s.points, s.labels):
-            writer.writerow([int(v) for v in row] + [int(y)])
+    """Write the sample CSV: header x1,...,xn,y then one +-1 row per example.
+
+    Rows end in ``\r\n``, the dialect of ``csv.writer``; the body is built in one
+    pass over a table of cell texts.
+    """
+    last = (np.arange(s.n + 1) == s.n).view(np.int8)
+    plus = (np.column_stack([s.points, s.labels]) == 1).view(np.int8)
+    cells = _CSV_CELLS[last, plus]  # (m, n + 1, 4)
+    with open(path, "wb") as fh:
+        fh.write((",".join([f"x{j}" for j in range(1, s.n + 1)] + ["y"]) + "\r\n").encode())
+        fh.write(cells[cells != 0].tobytes())
 
 
 def load_sample_csv(path) -> LabeledSample:
@@ -479,16 +498,20 @@ def empirical_metrics(h, s: LabeledSample) -> ErrorMetrics:
     """Unweighted empirical error rates of a (possibly partial) classifier.
 
     ``h`` is a concept or an object with ``n`` and ``decide_batch`` (a
-    PartialHypothesis or a ReliableHypothesis); see :func:`predict`.
+    PartialHypothesis or a ReliableHypothesis); see :func:`predict`.  It is
+    asked once per distinct point of ``s.deduped``, and each answer counts as
+    many times as its point's +1 and -1 labels: the rates are these integer
+    counts over m, the same as counting example by example.
     """
     if s.m < 1:
         raise InputError("empirical metrics need at least one example")
-    pred = predict(h, s.points)
-    y = s.labels
+    distinct, pos, negc = s.deduped
+    pred = predict(h, distinct)
+    fp, fn = int(negc[pred == 1].sum()), int(pos[pred == -1].sum())
     m = s.m
     return ErrorMetrics(
-        false_pos=float(np.count_nonzero((pred == 1) & (y == -1))) / m,
-        false_neg=float(np.count_nonzero((pred == -1) & (y == 1))) / m,
-        err=float(np.count_nonzero(pred == -y)) / m,
-        unknown_rate=float(np.count_nonzero(pred == 0)) / m,
+        false_pos=fp / m,
+        false_neg=fn / m,
+        err=(fp + fn) / m,
+        unknown_rate=int((pos + negc)[pred == 0].sum()) / m,
     )

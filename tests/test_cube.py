@@ -1,3 +1,4 @@
+import csv
 import itertools
 import tracemalloc
 
@@ -11,6 +12,7 @@ from onesided.cube import (Cnf, Conjunction, Disjunction, Dnf, Halfspace,
                            majority_as_halfspace, make_sample, parse_concept,
                            save_sample_csv, target_values)
 from onesided.errors import DimensionError, InputError
+from onesided.harness import NoiseModel, generate
 
 
 def test_cube_point_validation():
@@ -216,6 +218,31 @@ def test_sample_csv_roundtrip(tmp_path):
     loaded = load_sample_csv(path)
     assert np.array_equal(loaded.points, s.points)
     assert np.array_equal(loaded.labels, s.labels)
+
+
+def _csv_by_writer(s, path):
+    """Reference for save_sample_csv: the header and each example through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{j}" for j in range(1, s.n + 1)] + ["y"])
+        for row, y in zip(s.points, s.labels):
+            writer.writerow([int(v) for v in row] + [int(y)])
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: make_sample([(1,)], [-1], 1),
+    lambda: make_sample([(-1,)], [1], 1),
+    lambda: LabeledSample(np.zeros((0, 3), dtype=np.int8), np.zeros(0, dtype=np.int8), 3),
+    lambda: generate(Majority(9, tuple(range(1, 10))), NoiseModel("one_sided_positive", 0.1), 2000, seed=3),
+], ids=["n1-minus", "n1-plus", "empty", "maj9"])
+def test_sample_csv_bytes_match_csv_writer(tmp_path, sample):
+    s = sample()
+    save_sample_csv(s, tmp_path / "fast.csv")
+    _csv_by_writer(s, tmp_path / "writer.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
+    loaded = load_sample_csv(tmp_path / "fast.csv")
+    assert loaded.n == s.n
+    assert np.array_equal(loaded.points, s.points) and np.array_equal(loaded.labels, s.labels)
 
 
 def test_sample_validation():

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from pointwise import fully_opt_by_rows
 
-from onesided.cube import (Disjunction, Majority, empirical_metrics, eval_concept_batch,
+from onesided.cube import (Disjunction, Majority, constant_concept, empirical_metrics, eval_concept_batch,
                            format_concept)
 from onesided.errors import InputError, ResourceLimitError
 from onesided.harness import (BANKS, GENERATOR_ID, NoiseModel, RunManifest, append_summary_csv, brute_opt,
@@ -208,6 +210,27 @@ def test_brute_opt_fully_mode_zero_error_and_sentinel():
     assert m.unknown_rate == pytest.approx(value)
 
 
+def _fully_bank(kind, n):
+    if kind == "majority":  # holds neither constant: the empty majority is encoded MAJ, not DISJ
+        return majority_bank(n)
+    if kind == "monotone-disjunction":  # holds the constant -1 (DISJ) but not the constant +1
+        return monotone_disjunction_bank(n)
+    return majority_bank(n) + monotone_disjunction_bank(n) + [constant_concept(n, 1)]  # both constants
+
+
+@pytest.mark.parametrize("bank", ["majority", "monotone-disjunction", "both constants"])
+@pytest.mark.parametrize("n, m, eta", [
+    (2, 1, 0.0), (3, 3, 0.3), (4, 10, 0.2),  # few examples: many pairs tie
+    (7, 500, 0.1),  # 130 or more bank rows: the search runs over several blocks
+    (9, 40, 0.2), (9, 3000, 0.1),
+])
+def test_brute_opt_fully_matches_the_row_by_row_scan(bank, n, m, eta):
+    for seed in range(3):
+        s = generate(maj(n), NoiseModel("symmetric", eta), m, seed=seed)
+        concepts = _fully_bank(bank, n)
+        assert brute_opt(s, concepts, "fully") == fully_opt_by_rows(s, concepts)
+
+
 def test_brute_opt_requires_feasible_bank():
     s = generate(maj(3), NoiseModel("symmetric", 0.4), 200, seed=0)
     # no constant -1 in this bank and MAJ 1 2 3 has false positives: the constant -1 answers
@@ -244,6 +267,27 @@ def test_run_experiment_and_replay_byte_identical(tmp_path):
     assert identical
     held = done.results["heldout_metrics"]
     assert held["false_pos"] <= 0.25
+
+
+def test_run_experiment_writes_the_recorded_bytes(tmp_path):
+    # sha256 recorded by an earlier version of the package (numpy 2.4, scipy 1.17 HiGHS): a run
+    # directory stored by one version must replay byte-identical under the next
+    manifest = RunManifest(
+        seed=5,
+        concept="MAJ 1 2 3 4 5",
+        noise=NoiseModel("one_sided_positive", 0.1),
+        learner={"algo": "reliable_positive", "d": 3, "W": 4.0, "eps": 0.2},
+        samples={"train": 600, "calib": 300, "heldout": 600},
+        oracle={"bank": "majority", "mode": "positive"},
+    )
+    run_dir = tmp_path / run_experiment(manifest, root=str(tmp_path)).hash
+    digests = {name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+               for name in ("sample.csv", "hypothesis.json", "result.json")}
+    assert digests == {
+        "sample.csv": "56991a712a8952eacae7d2e17afeaf0e39f143ede396d872930a71708d962991",
+        "hypothesis.json": "bd7549d4dfd146eef96e1b88c573c7a5197a14bc815e6c8a68d1b5d46ba269c7",
+        "result.json": "3b4371a558b0023fe1c0877d61abcde245977f4d182ac146ef8bf10d4a5cce48",
+    }
 
 
 def test_run_experiment_disjunction_and_l1(tmp_path):

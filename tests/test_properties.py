@@ -22,7 +22,7 @@ from onesided.constructions import halfspace_onesided
 from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Cnf, Conjunction, Disjunction, Dnf, ErrorMetrics,
                            Halfspace, LabeledSample, Majority, constant_concept, cube_matrix, dedup,
                            empirical_metrics, eval_concept, eval_concept_batch, format_concept, linear_form,
-                           majority_as_halfspace, make_sample)
+                           majority_as_halfspace, make_sample, predict)
 from onesided.errors import InfeasibleError
 from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
                               monotone_disjunction_bank)
@@ -451,6 +451,30 @@ def test_agreement_of_concepts_matches_pointwise(pair, m, seed):
     assert empirical_metrics(agreement_hypothesis(c1, c2), LabeledSample(X, y, c1.n)) == _metrics_by_loop(pred, y.tolist())
 
 
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(1, 4), m=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["concept", "reliable", "agreement"]))
+def test_count_weighted_metrics_match_per_example_counting(data, n, m, seed, kind):
+    # at most 16 distinct points among up to 60 examples, so most points repeat
+    rng = np.random.default_rng(seed)
+    X = (rng.integers(0, 2, (m, n)) * 2 - 1).astype(np.int8)
+    y = np.where(rng.random(m) < 0.5, 1, -1).astype(np.int8)
+
+    def reliable():
+        p = interpolate(n, data.draw(st.lists(st.sampled_from(DYADIC_VALUES), min_size=2**n, max_size=2**n)))
+        sign = data.draw(st.sampled_from([POSITIVE, NEGATIVE]))
+        return ReliableHypothesis(p, sign, data.draw(st.sampled_from([-0.5, 0.0, 0.5])), None)
+
+    if kind == "concept":
+        h = data.draw(concepts(n))
+    elif kind == "reliable":
+        h = reliable()
+    else:
+        h = agreement_hypothesis(reliable(), data.draw(concepts(n)))
+    pred = [int(predict(h, row[None, :])[0]) for row in X]  # one example at a time
+    assert empirical_metrics(h, LabeledSample(X, y, n)) == _metrics_by_loop(pred, y.tolist())
+
+
 @settings(max_examples=200)
 @given(data=st.data(), n=st.integers(0, 3), sign=st.sampled_from([POSITIVE, NEGATIVE]), clamp=st.booleans(),
        t=st.sampled_from([-math.inf, -1.0, math.inf, 1.0] + [float(v) for v in DYADIC_VALUES]))
@@ -463,6 +487,42 @@ def test_reliable_hypothesis_batch_matches_pointwise(data, n, sign, clamp, t):
         v = float(p.eval(x))
         v = chop(v) if clamp else v
         assert answer == (1 if (v > t if sign == POSITIVE else v >= t) else -1)
+
+
+# ---------------------------------------------------------------------------
+# Dedup against np.unique
+
+
+def _dedup_by_unique(points, labels):
+    """Reference for dedup: np.unique over the rows, label counts gathered through the inverse."""
+    distinct, inverse = np.unique(points, axis=0, return_inverse=True)
+    k = distinct.shape[0]
+    pos = np.zeros(k, dtype=np.int64)
+    negc = np.zeros(k, dtype=np.int64)
+    np.add.at(pos, inverse[labels == 1], 1)
+    np.add.at(negc, inverse[labels == -1], 1)
+    return distinct, pos, negc
+
+
+@settings(max_examples=300)
+@given(n=st.sampled_from([1, 7, 8, 9, 63, 64, 65, 70]),  # across the byte and the 64-bit word boundaries
+       m=st.integers(0, 80), kinds=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_dedup_matches_np_unique(n, m, kinds, seed):
+    # rows drawn from a few kinds, most of them one flipped coordinate away from the first, so
+    # points repeat heavily and distinct points differ in a single byte or word
+    rng = np.random.default_rng(seed)
+    base = np.repeat((rng.integers(0, 2, (1, n)) * 2 - 1).astype(np.int8), kinds, axis=0)
+    base[np.arange(1, kinds), rng.integers(0, n, kinds - 1)] *= -1
+    fresh = rng.random(kinds) < 0.25
+    base[fresh] = rng.integers(0, 2, (int(fresh.sum()), n)) * 2 - 1
+    points = base[rng.integers(0, kinds, m)]
+    labels = np.where(rng.random(m) < 0.5, 1, -1).astype(np.int8)
+    got, want = dedup(points, labels), _dedup_by_unique(points, labels)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+    if m == 0:
+        assert got[0].shape == (0, n) and got[1].shape == got[2].shape == (0,)
 
 
 # ---------------------------------------------------------------------------
