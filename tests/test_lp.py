@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from onesided.errors import InfeasibleError, InputError, SolverError
-from onesided.lp import LinearProgram, check_feasible, solve
+from onesided.lp import FEASIBILITY_TOL, LinearProgram, check_feasible, dual, solve
 
 
 def test_minimize_with_lower_bound():
@@ -107,6 +107,73 @@ def test_validation_errors():
 
 
 # ---------------------------------------------------------------------------
+# The explicit dual: solve(dual(program)) is the program's optimum, read from the dual's marginals
+
+
+def _random_program(seed: int, rows_ub: int, rows_eq: int, cols: int) -> LinearProgram:
+    """A program over free and >= 0 columns built around a feasible x0 and a dual-feasible y0,
+    so it has an optimum."""
+    rng = np.random.default_rng(seed)
+    free = rng.random(cols) < 0.5
+    A = rng.uniform(-2, 2, (rows_ub + rows_eq, cols)) * (rng.random((rows_ub + rows_eq, cols)) < 0.7)
+    x0 = np.where(free, rng.uniform(-2, 2, cols), rng.uniform(0, 2, cols))
+    b = A @ x0 + np.concatenate([rng.uniform(0, 1, rows_ub), np.zeros(rows_eq)])
+    y0 = np.concatenate([rng.uniform(-1, 0, rows_ub), rng.uniform(-1, 1, rows_eq)])
+    c = A.T @ y0 + np.where(free, 0.0, rng.uniform(0, 1, cols))
+    ub = (A[:rows_ub], b[:rows_ub]) if rows_ub else (None, None)
+    eq = (A[rows_ub:], b[rows_ub:]) if rows_eq else (None, None)
+    return LinearProgram(c, *ub, *eq, bounds=tuple((None, None) if f else (0.0, None) for f in free))
+
+
+@pytest.mark.parametrize("seed, rows_ub, rows_eq, cols", [
+    (seed, rows_ub, rows_eq, cols) for seed, (rows_ub, rows_eq, cols) in enumerate(
+        [(3, 2, 5), (6, 1, 4), (2, 3, 6), (5, 0, 3), (0, 3, 5), (8, 4, 9), (4, 2, 2), (7, 3, 7)])])
+def test_dual_gives_the_optimum_of_the_primal(seed, rows_ub, rows_eq, cols):
+    program = _random_program(seed, rows_ub, rows_eq, cols)
+    ref, sol = solve(program), solve(dual(program))
+    assert sol.objective_value == pytest.approx(ref.objective_value, rel=1e-9, abs=1e-9)
+    assert check_feasible(program, sol.values) <= FEASIBILITY_TOL
+    assert program.c @ sol.values == pytest.approx(ref.objective_value, rel=1e-9, abs=1e-9)
+    slack = np.zeros(0) if program.A_ub is None else program.b_ub - program.A_ub @ sol.values
+    np.testing.assert_allclose(sol.slack, slack, rtol=0, atol=1e-12)
+
+
+def test_dual_of_an_unbounded_program_raises_solver_error():
+    # x >= 0 free to grow: the dual, y <= 0 with -y <= -1, has no point
+    with pytest.raises(SolverError) as info:
+        solve(dual(LinearProgram(np.array([-1.0]), [[-1.0]], [0.0])))
+    assert not isinstance(info.value, InfeasibleError)
+
+
+@pytest.mark.parametrize("bounds", [((None, None),), ((0.0, None),)])
+def test_dual_of_an_infeasible_program_raises_infeasible_error(bounds):
+    with pytest.raises(InfeasibleError):  # x <= -1 and x >= 1: the dual is unbounded
+        solve(dual(LinearProgram(np.array([1.0]), [[1.0], [-1.0]], [-1.0, -1.0], bounds=bounds)))
+
+
+def test_dual_reported_unbounded_or_infeasible(monkeypatch):
+    # HiGHS can end with "unbounded or infeasible"; where y = 0 satisfies the dual's rows, as on
+    # every fit, the dual is feasible, so it is unbounded and the primal infeasible
+    from types import SimpleNamespace
+
+    import onesided.lp as lpmod
+
+    monkeypatch.setattr(lpmod, "linprog", lambda c, **kwargs: SimpleNamespace(
+        status=4, message="The problem is unbounded or infeasible. (HiGHS Status 9)", nit=0))
+    with pytest.raises(InfeasibleError):
+        solve(dual(LinearProgram(np.array([0.0, 1.0]), [[1.0, 0.0]], [-1.0], bounds=((None, None), (0.0, None)))))
+    with pytest.raises(SolverError) as info:  # c < 0 at a column >= 0: y = 0 breaks the dual's row
+        solve(dual(LinearProgram(np.array([-1.0]), [[-1.0]], [0.0], bounds=((0.0, None),))))
+    assert not isinstance(info.value, InfeasibleError)
+
+
+@pytest.mark.parametrize("bound", [(0.0, 5.0), (-1.0, None), (None, 3.0), (1.0, None)])
+def test_dual_takes_only_free_and_nonnegative_columns(bound):
+    with pytest.raises(InputError, match="free or >= 0"):
+        dual(LinearProgram(np.array([1.0, 1.0]), [[1.0, 1.0]], [1.0], bounds=((None, None), bound)))
+
+
+# ---------------------------------------------------------------------------
 # Row layout the fits and the oracle hand to the backend.  The rows are written
 # out by hand, so a reordered, re-signed or dropped row fails here.
 
@@ -124,6 +191,24 @@ def captured(monkeypatch):
 
     monkeypatch.setattr(lpmod, "linprog", spy)
     return calls
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The primal programs the fits build, in the form ``captured`` records what reaches linprog."""
+    import onesided.learn as learn
+
+    programs = []
+    real = learn._fit_program
+
+    def spy(*args):
+        p = real(*args)
+        programs.append({"c": p.c, "A_ub": p.A_ub, "b_ub": p.b_ub, "A_eq": p.A_eq, "b_eq": p.b_eq,
+                         "bounds": list(p.bounds)})
+        return p
+
+    monkeypatch.setattr(learn, "_fit_program", spy)
+    return programs
 
 
 def _assert_rows(A, b, A_expected, b_expected):
@@ -162,23 +247,40 @@ def _with_slacks(rows, nslack):
     return [row + [0] * nslack for row in rows]
 
 
-def test_reliable_fit_positive_layout(captured):
+# the reliable positive fit of _tiny_sample() at d = 1, W = 2, eps = 0.25 over
+# [c_(), c_1, c_2 | c+ | c- | xi at (1,1)]: the fit rows, then the cap row
+_POSITIVE_A_UB = [
+    [-1, -1, -1, 0, 0, 0, 0, 0, 0, -1],  # hinge at (1,1): -p - xi <= -1
+    [1, -1, -1, 0, 0, 0, 0, 0, 0, 0],    # hard at (-1,-1): p <= -1 + eps
+    [1, -1, 1, 0, 0, 0, 0, 0, 0, 0],     # hard at (-1,1)
+] + _with_slacks(_CAP, 1)
+_POSITIVE_B_UB = [-1, -0.75, -0.75, 2.0]
+
+
+def test_reliable_fit_positive_layout(built):
     from onesided.learn import reliable_fit
 
     _, report = reliable_fit(_tiny_sample(), 1, 2.0, 0.25, "positive")
-    A = [
-        [-1, -1, -1, 0, 0, 0, 0, 0, 0, -1],  # hinge at (1,1): -p - xi <= -1
-        [1, -1, -1, 0, 0, 0, 0, 0, 0, 0],    # hard at (-1,-1): p <= -1 + eps
-        [1, -1, 1, 0, 0, 0, 0, 0, 0, 0],     # hard at (-1,1)
-    ] + _with_slacks(_CAP, 1)
-    _assert_layout(captured[0], A, [-1, -0.75, -0.75, 2.0], _with_slacks(_SPLIT, 1), [0, 0, 0])
-    np.testing.assert_array_equal(captured[0]["c"], [0] * 9 + [2])  # (1,1) appears twice
-    assert captured[0]["bounds"] == [(None, None)] * 3 + [(0.0, None)] * 7
-    assert captured[0]["method"] == "highs"
+    _assert_layout(built[0], _POSITIVE_A_UB, _POSITIVE_B_UB, _with_slacks(_SPLIT, 1), [0, 0, 0])
+    np.testing.assert_array_equal(built[0]["c"], [0] * 9 + [2])  # (1,1) appears twice
+    assert built[0]["bounds"] == [(None, None)] * 3 + [(0.0, None)] * 7
     assert report.lp_status == "optimal"
 
 
-def test_reliable_fit_negative_layout(captured):
+def test_dense_fit_hands_linprog_the_dual(captured):
+    from onesided.learn import reliable_fit
+
+    reliable_fit(_tiny_sample(), 1, 2.0, 0.25, "positive")
+    # y = [y_ub, one per A_ub row above | y_eq, one per split row]; A = [A_ub; A_eq]
+    A = np.array(_POSITIVE_A_UB + _with_slacks(_SPLIT, 1), dtype=float)
+    free = [0, 1, 2]  # the c columns: A^T y = 0 there; A^T y <= c at c+, c- and xi
+    _assert_layout(captured[0], A.T[3:], [0] * 6 + [2], A.T[free], [0, 0, 0])
+    np.testing.assert_array_equal(captured[0]["c"], np.negative(_POSITIVE_B_UB + [0, 0, 0]))  # minimize -b . y
+    assert captured[0]["bounds"] == [(None, 0.0)] * 4 + [(None, None)] * 3
+    assert captured[0]["method"] == "highs"
+
+
+def test_reliable_fit_negative_layout(built):
     from onesided.learn import reliable_fit
 
     reliable_fit(_tiny_sample(), 1, 2.0, 0.25, "negative")
@@ -187,10 +289,10 @@ def test_reliable_fit_negative_layout(captured):
         [1, -1, 1, 0, 0, 0, 0, 0, 0, 0, -1],    # hinge at (-1,1)
         [-1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0],   # hard at (1,1): -p <= -(1 - eps)
     ] + _with_slacks(_CAP, 2)
-    _assert_layout(captured[0], A, [-1, -1, -0.75, 2.0], _with_slacks(_SPLIT, 2), [0, 0, 0])
+    _assert_layout(built[0], A, [-1, -1, -0.75, 2.0], _with_slacks(_SPLIT, 2), [0, 0, 0])
 
 
-def test_agnostic_l1_fit_layout(captured):
+def test_agnostic_l1_fit_layout(built):
     from onesided.learn import agnostic_l1_fit
 
     _, report = agnostic_l1_fit(_tiny_sample(), 1, 2.0)
@@ -200,10 +302,9 @@ def test_agnostic_l1_fit_layout(captured):
         [1, -1, 1, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1, 0],    # (-1,1), y = -1
         [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 1],     # (1,1), y = +1
     ] + _with_slacks(_SPLIT, 6)
-    _assert_layout(captured[0], _with_slacks(_CAP, 6), [2.0], A_eq, [-1, -1, 1, 0, 0, 0])
-    np.testing.assert_array_equal(captured[0]["c"], [0] * 9 + [1, 1, 2, 1, 1, 2])
-    assert captured[0]["bounds"] == [(None, None)] * 3 + [(0.0, None)] * 12
-    assert captured[0]["method"] == "highs"
+    _assert_layout(built[0], _with_slacks(_CAP, 6), [2.0], A_eq, [-1, -1, 1, 0, 0, 0])
+    np.testing.assert_array_equal(built[0]["c"], [0] * 9 + [1, 1, 2, 1, 1, 2])
+    assert built[0]["bounds"] == [(None, None)] * 3 + [(0.0, None)] * 12
     assert report.constraints_active >= 3  # every equality row of the fit counts as active
 
 
@@ -259,7 +360,7 @@ def test_model_error_is_not_infeasible():
 # Which way the fits write p at the sample points
 
 
-def test_wide_sample_keeps_the_dense_layout(captured):
+def test_wide_sample_keeps_the_dense_layout(built):
     from onesided.cube import LabeledSample
     from onesided.learn import reliable_fit
     from onesided.poly import characters, monomials_upto
@@ -277,9 +378,23 @@ def test_wide_sample_keeps_the_dense_layout(captured):
     cap = np.concatenate([np.zeros(M), np.ones(2 * M), np.zeros(nh)])
     split = np.hstack([np.eye(M), -np.eye(M), np.eye(M), np.zeros((M, nh))])
     b = np.concatenate([np.full(nh, -1.0), np.full(len(hard), -0.75), [4.0]])
-    _assert_layout(captured[0], np.vstack([fit, cap]), b, split, np.zeros(M))
-    np.testing.assert_array_equal(captured[0]["c"], np.concatenate([np.zeros(3 * M), pos[pos > 0]]))
-    assert captured[0]["bounds"] == [(None, None)] * M + [(0.0, None)] * (2 * M + nh)
+    _assert_layout(built[0], np.vstack([fit, cap]), b, split, np.zeros(M))
+    np.testing.assert_array_equal(built[0]["c"], np.concatenate([np.zeros(3 * M), pos[pos > 0]]))
+    assert built[0]["bounds"] == [(None, None)] * M + [(0.0, None)] * (2 * M + nh)
+
+
+def test_dense_fit_with_zero_weight_cap_is_infeasible(captured):
+    from onesided.cube import LabeledSample
+    from onesided.learn import _takes_butterfly, reliable_fit
+
+    rng = np.random.default_rng(22)
+    X = (rng.integers(0, 2, (60, 16)) * 2 - 1).astype(np.int8)
+    s = LabeledSample(X, (rng.integers(0, 2, 60) * 2 - 1).astype(np.int8), 16)
+    assert not _takes_butterfly(16, len(s.deduped[0]), 137)  # M = 137 monomials at d = 2
+    # p = 0 breaks every hard row p(x) <= -1 + eps, so the dual the solver sees is unbounded
+    with pytest.raises(InfeasibleError, match=r"hinge LP infeasible \(weight cap W=0.0 too small for eps=0.25\)"):
+        reliable_fit(s, 2, 0.0, 0.25, "positive")
+    assert (None, 0.0) in captured[0]["bounds"]
 
 
 def test_majority_9_sample_takes_the_butterfly(captured):

@@ -158,6 +158,71 @@ def test_butterfly_fit_matches_dense_fit(s, d, W, fit):
     assert abs(loss - obj) <= 1e-6 * max(1.0, abs(obj))
 
 
+# ---------------------------------------------------------------------------
+# The dense fits solved through their dual against the same primal solved as written
+
+
+def _dense_fit(through_dual: bool, fit, *args):
+    """``fit(*args)`` on the dense route with its program solved through the dual or as written,
+    and that primal program; None when the LP is infeasible."""
+    seen = {}
+    real_dual = lpmod.dual
+
+    def dual(program):
+        seen["program"] = program
+        return real_dual(program) if through_dual else program
+
+    with mock.patch.object(learn, "_takes_butterfly", lambda n, k, M: False), mock.patch.object(lpmod, "dual", dual):
+        try:
+            return fit(*args), seen["program"]
+        except InfeasibleError:
+            return None
+
+
+def _one_optimal_polynomial(program, value: float, M: int) -> bool:
+    """Whether the coefficients c (the first M columns) take one value on the program's optimal
+    face: a generic functional of c spans at most 1e-7 on the points within 1e-9 of the optimum."""
+    r = np.zeros(program.nvars)
+    r[:M] = np.random.default_rng(0).standard_normal(M)
+    A_ub = sparse.vstack([program.A_ub, program.c[None, :]], format="csr")
+    b_ub = np.append(program.b_ub, value + 1e-9 * max(1.0, abs(value)))
+    lo, neg_hi = (solve(LinearProgram(sgn * r, A_ub, b_ub, program.A_eq, program.b_eq, program.bounds)).objective_value
+                  for sgn in (1.0, -1.0))
+    return -neg_hi - lo <= 1e-7
+
+
+@st.composite
+def wide_samples(draw):
+    """Samples over a pool of points at n <= 8, so points repeat and some carry both labels."""
+    n = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.tuples(*[st.sampled_from([-1, 1])] * n), min_size=1, max_size=24))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([-1, 1])), min_size=1, max_size=60))
+    return make_sample([x for x, _ in picks], [y for _, y in picks], n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=wide_samples(), d=st.integers(0, 3), W=st.sampled_from([0.0, 0.25, 1.0, 4.0, 64.0]),
+       fit=st.sampled_from([POSITIVE, NEGATIVE, "l1"]))
+def test_dual_route_matches_the_primal(s, d, W, fit):
+    d = min(d, s.n)
+    args = (agnostic_l1_fit, s, d, W) if fit == "l1" else (reliable_fit, s, d, W, 0.25, fit)
+    via_dual, via_primal = _dense_fit(True, *args), _dense_fit(False, *args)
+    assert (via_dual is None) == (via_primal is None)
+    if via_dual is None:
+        return
+    ((p, report), program), ((q, ref), _) = via_dual, via_primal
+    obj = ref.objective_value
+    assert abs(report.objective_value - obj) <= 1e-9 * max(1.0, abs(obj))
+    # the recovered x is a feasible point of the primal with the optimal value
+    x = solve(lpmod.dual(program)).values
+    assert check_feasible(program, x) <= FEASIBILITY_TOL
+    assert abs(program.c @ x - obj) <= 1e-9 * max(1.0, abs(obj))
+    # two optimal vertices can differ where the optimum is not unique; where it is, both routes find it
+    if _one_optimal_polynomial(program, obj, len(monomials_upto(s.n, d))):
+        assert all(abs(p.terms.get(S, 0.0) - q.terms.get(S, 0.0)) <= COEF_GRID for S in p.terms.keys() | q.terms.keys())
+        assert report.constraints_active == ref.constraints_active
+
+
 def _pair_capped_optimum(s, d, W, fit):
     """Optimum of a fit with the weight cap written over [c | u | slacks] as the row pair
     c_S - u_S <= 0, -c_S - u_S <= 0 per monomial and sum u <= W, p dense at the distinct points;
