@@ -149,7 +149,31 @@ _FULLY_BLOCK = 64
 
 
 def _bank_eval(bank: Sequence[Concept], X: np.ndarray) -> np.ndarray:
-    return np.stack([eval_concept_batch(c, X) for c in bank])
+    """Each concept's values at the rows of a +-1 matrix X, one int8 row per concept.
+
+    The bank's majorities are one product of their 0/1 variable masks against X, and its
+    disjunctions one product of their 0/1 literal masks against the literal indicators
+    [X == 1 | X == -1].  Each entry sums at most 2n small integers, so float32 is exact.  A majority
+    answers +1 iff its sum is > 0, so a tie and the empty majority answer -1; a disjunction iff a
+    literal holds.  Any other concept is evaluated on its own.
+    """
+    n = X.shape[1]
+    E = np.empty((len(bank), X.shape[0]), dtype=np.int8)
+    # per kind: the mask columns of a concept, and the matrix the masks multiply
+    kinds = {Majority: (lambda c: [v - 1 for v in c.vars], X),
+             Disjunction: (lambda c: [l - 1 if l > 0 else n - l - 1 for l in c.literals],
+                           np.hstack([X == 1, X == -1]))}
+    for kind, (columns, values) in kinds.items():
+        rows = [i for i, c in enumerate(bank) if isinstance(c, kind)]
+        masks = np.zeros((len(rows), values.shape[1]), dtype=np.float32)
+        for r, i in enumerate(rows):
+            masks[r, columns(bank[i])] = 1.0
+        E[rows] = np.where(masks @ values.T.astype(np.float32) > 0, np.int8(1), np.int8(-1))
+    batched = tuple(kinds)
+    for i, c in enumerate(bank):
+        if not isinstance(c, batched):
+            E[i] = eval_concept_batch(c, X)
+    return E
 
 
 def brute_opt(s: LabeledSample, bank: Sequence[Concept], mode: str):

@@ -29,12 +29,15 @@ The builder writes p at the fit's k rows (a point carrying both labels gives
 the reliable fit two) in one of two ways (``_point_values``), chosen by nonzero
 count for M monomials over n variables.  Dense: each row holds the M
 characters of its point over the c columns (k*M nonzeros) and z is empty.
-Butterfly: z is free columns z_1..z_n of 2^n each, with the equality rows
-z_s = (Walsh-Hadamard butterfly on bit s of z_(s-1)) before the split rows,
-where z_0 holds c_S at the bit mask of S (absent monomials are left out), so
-z_n holds p on every cube point and each row reads p(x_j) as one nonzero.
-The butterfly's n*2^n equality rows hold at most 3 nonzeros each, and the
-route is taken when 3n*2^n < k*M.  Both forms have the same optimum; only
+Butterfly: z is free columns z_1..z_T of 2^n each, T = ceil(n/2), with the
+equality rows z_t = (4-point Walsh-Hadamard transform on a pair of bits of
+z_(t-1)) before the split rows, where z_0 holds c_S at the bit mask of S
+(absent monomials are left out), so z_T holds p on every cube point and each
+row reads p(x_j) as one nonzero.  The pairs run from the top bits down; an odd
+n ends with a one-bit stage on bit 0.  A two-bit stage's rows hold at most 5
+nonzeros and a one-bit stage's 3, so the butterfly has at most 3n*2^n
+nonzeros, the count of n one-bit stages, and the route is taken when
+3n*2^n < k*M.  Both forms have the same optimum; only
 the fit's own rows and the cap row count in ``FitReport.constraints_active``.
 A dense-route program is solved through its explicit dual (``lp.dual``),
 which HiGHS solved 1.4-5.8 times faster on every dense fit measured; a
@@ -173,8 +176,9 @@ def learn_disjunction_positive(s: LabeledSample) -> Disjunction:
 
 
 def _takes_butterfly(n: int, k: int, M: int) -> bool:
-    """Whether p at k points is written through the butterfly: its n*2^n rows of at most
-    3 nonzeros each against the k*M nonzeros of the dense character block."""
+    """Whether p at k points is written through the butterfly: 3n*2^n, the nonzeros of n
+    one-bit stages and an upper bound on those of the ceil(n/2) stages it is written in,
+    against the k*M nonzeros of the dense character block."""
     return 3 * n * 2**n < k * M
 
 
@@ -183,9 +187,13 @@ def _point_values(X: np.ndarray, monos, gap: int):
     ``P @ x`` is p(X) at every x with ``B @ x = 0``.  Both are CSR, with int32 indices while they fit.
 
     Dense: row j of ``P`` holds the M characters of x_j over c, z is empty and ``B`` has no
-    rows.  Butterfly: z = [z_1 | ... | z_n] of 2^n columns each, ``B`` holds the n*2^n
-    butterfly rows and row j of ``P`` one 1 at x_j's index in z_n.  A point's index has bit
-    v - 1 set iff x_v = -1, and z_0[mask of S] = c_S, so z_n[index of x] = p(x).
+    rows.  Butterfly: z = [z_1 | ... | z_T] of 2^n columns each for T = ceil(n/2) stages, ``B``
+    holds their T*2^n rows and row j of ``P`` one 1 at x_j's index in z_T.  A point's index has
+    bit v - 1 set iff x_v = -1, and z_0[mask of S] = c_S.  Each stage is the 4-point Walsh-Hadamard
+    transform on a pair of bits, from the top pair down (5 nonzeros a row, fewer in the first stage
+    where a monomial is absent); an odd n ends with a one-bit stage on bit 0 (3 nonzeros a row),
+    next to z_T and the fit rows, where the solver took fewer iterations than with it first.  So
+    z_T[index of x] = p(x).
     """
     (k, n), M = X.shape, len(monos)
     if _takes_butterfly(n, k, M):
@@ -196,20 +204,25 @@ def _point_values(X: np.ndarray, monos, gap: int):
         prev = np.full(N, -1, dtype=np.int32)
         prev[[sum(1 << (v - 1) for v in mono) for mono in monos]] = np.arange(M)
         rows, cols, vals = [], [], []
-        for s in range(n):
-            # z_(s+1)[i] - z_s[lo] - sign * z_s[hi] = 0, where lo, hi are i without and with bit s
-            # and sign is -1 iff i has bit s
-            bit = 1 << s
-            here = z + s * N + idx
-            stage_cols = np.stack([here, prev[idx & ~bit], prev[idx | bit]])
-            stage_vals = np.stack([np.ones(N), -np.ones(N), np.where(idx & bit, 1.0, -1.0)])
+        # bits (n - 2, n - 1), then (n - 4, n - 3), ...; an odd n ends with bit 0 alone
+        stages = [(lo, 2) for lo in range(n - 2, -1, -2)] + [(0, 1)] * (n % 2)
+        for t, (lo, r) in enumerate(stages):
+            # z_(t+1)[i] - sum_j (-1)^|i & j| z_t[i with the stage's bits set to those of j] = 0,
+            # over the 2^r patterns j of the stage's bits lo .. lo + r - 1
+            bits = ((1 << r) - 1) << lo
+            js = np.arange(1 << r, dtype=np.int32)[:, None] << lo
+            odd = sum(((idx & js) >> b) & 1 for b in range(lo, lo + r)) & 1  # the parity of |i & j|
+            here = z + t * N + idx
+            stage_cols = np.vstack([here, prev[(idx & ~bits) | js]])
+            stage_vals = np.vstack([np.ones(N), 2.0 * odd - 1.0])
             keep = stage_cols >= 0
-            rows.append(np.broadcast_to(s * N + idx, (3, N))[keep])
+            rows.append(np.broadcast_to(t * N + idx, stage_cols.shape)[keep])
             cols.append(stage_cols[keep])
             vals.append(stage_vals[keep])
             prev = here
+        nz = len(stages) * N
         B = sparse.csr_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(n * N, z + n * N))
+                             shape=(nz, z + nz))
         at = (X < 0) @ (1 << np.arange(n, dtype=np.int32))  # each point's index in the cube
         row_cols, row_vals = prev[at][:, None], np.ones((k, 1))
     else:

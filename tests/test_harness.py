@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from pointwise import fully_opt_by_rows
 
-from onesided.cube import (Disjunction, Majority, constant_concept, empirical_metrics, eval_concept_batch,
-                           format_concept)
+from onesided.cube import (Conjunction, Disjunction, Majority, constant_concept, cube_matrix, empirical_metrics,
+                           eval_concept_batch, format_concept)
 from onesided.errors import InputError, ResourceLimitError
-from onesided.harness import (BANKS, GENERATOR_ID, NoiseModel, RunManifest, append_summary_csv, brute_opt,
-                              generate, majority_bank, manifest_hash,
+from onesided.harness import (BANKS, GENERATOR_ID, NoiseModel, RunManifest, _bank_eval, append_summary_csv,
+                              brute_opt, generate, majority_bank, manifest_hash,
                               monotone_disjunction_bank, oracle_record, replay_run, run_experiment,
                               run_root, stage_rng)
 
@@ -271,7 +271,9 @@ def test_run_experiment_and_replay_byte_identical(tmp_path):
 
 def test_run_experiment_writes_the_recorded_bytes(tmp_path):
     # sha256 recorded by an earlier version of the package (numpy 2.4, scipy 1.17 HiGHS): a run
-    # directory stored by one version must replay byte-identical under the next
+    # directory stored by one version must replay byte-identical under the next.  The fit takes the
+    # butterfly route; the two fit files were re-recorded when its stages took two bits, which
+    # reached the same objective (within 1e-9) at another optimal vertex
     manifest = RunManifest(
         seed=5,
         concept="MAJ 1 2 3 4 5",
@@ -285,8 +287,8 @@ def test_run_experiment_writes_the_recorded_bytes(tmp_path):
                for name in ("sample.csv", "hypothesis.json", "result.json")}
     assert digests == {
         "sample.csv": "56991a712a8952eacae7d2e17afeaf0e39f143ede396d872930a71708d962991",
-        "hypothesis.json": "bd7549d4dfd146eef96e1b88c573c7a5197a14bc815e6c8a68d1b5d46ba269c7",
-        "result.json": "3b4371a558b0023fe1c0877d61abcde245977f4d182ac146ef8bf10d4a5cce48",
+        "hypothesis.json": "24c3c5222de996009cbd45d3edfbfe935b5cd55b27cfbc0f78b102e36a1a470d",
+        "result.json": "665f7741834f7d6b747f9169fffcd410f5347d8ff550ac00701fc01d62655212",
     }
 
 
@@ -383,3 +385,15 @@ def test_run_root_env(monkeypatch, tmp_path):
     monkeypatch.setenv("ONESIDED_RUN_ROOT", str(tmp_path / "custom"))
     assert str(run_root()) == str(tmp_path / "custom")
     assert str(run_root("explicit")) == "explicit"
+
+
+@pytest.mark.parametrize("bank", sorted(BANKS))
+@pytest.mark.parametrize("n", range(1, 10))
+def test_bank_eval_matches_each_concept(bank, n):
+    # the whole bank, the two constants that the fully search adds, and a concept of neither
+    # batched kind, on every cube point (so majorities of even size meet their ties)
+    concepts = BANKS[bank](n) + [constant_concept(n, -1), constant_concept(n, 1), Conjunction(n, (1,))]
+    X = cube_matrix(n)
+    E = _bank_eval(concepts, X)
+    assert E.dtype == np.int8
+    np.testing.assert_array_equal(E, np.stack([eval_concept_batch(c, X) for c in concepts]))

@@ -406,9 +406,9 @@ def test_majority_9_sample_takes_the_butterfly(captured):
     reliable_fit(s, 9, 10.375, 0.1, "positive")
     call = captured[0]
     A_eq, A_ub = call["A_eq"], call["A_ub"]
-    nz = 9 * 512
-    # the butterfly rows, then the 512 split rows, each of at most 3 nonzeros
-    assert A_eq.shape == (nz + 512, len(call["c"])) and np.all(np.diff(A_eq.indptr) <= 3)
+    nz = 5 * 512  # ceil(9/2) stages of the butterfly
+    # the butterfly rows, then the 512 split rows, each of at most 5 nonzeros
+    assert A_eq.shape == (nz + 512, len(call["c"])) and np.all(np.diff(A_eq.indptr) <= 5)
     assert len(call["c"]) == 3 * 512 + 256 + nz  # [c | c+ | c- | a hinge slack per positive point | z]
     eye = np.eye(512)
     np.testing.assert_array_equal(A_eq[nz:, :3 * 512].toarray(), np.hstack([eye, -eye, eye]))
@@ -429,5 +429,6 @@ def test_route_counts_fit_rows_not_distinct_points(captured):
     X = cube_matrix(3)
     s = LabeledSample(np.vstack([X, X]), np.repeat([1, -1], 8).astype(np.int8), 3)
     reliable_fit(s, 2, 4.0, 0.25, "positive")
-    assert len(captured[0]["c"]) == 3 * 7 + 8 + 3 * 8  # [c | c+ | c- | a hinge slack per point | z]
-    assert captured[0]["A_eq"].shape[0] == 3 * 8 + 7  # the butterfly rows, then the split rows
+    # z has ceil(3/2) = 2 stages of 8 columns: [c | c+ | c- | a hinge slack per point | z]
+    assert len(captured[0]["c"]) == 3 * 7 + 8 + 2 * 8
+    assert captured[0]["A_eq"].shape[0] == 2 * 8 + 7  # the butterfly rows, then the split rows

@@ -135,29 +135,6 @@ def small_samples(draw):
     return make_sample([x for x, _ in picks], [y for _, y in picks], n)
 
 
-@settings(max_examples=80, deadline=None)
-@given(s=small_samples(), d=st.integers(0, 6), W=st.sampled_from([0.5, 2.0, 8.0]),
-       fit=st.sampled_from([POSITIVE, NEGATIVE, "l1"]))
-def test_butterfly_fit_matches_dense_fit(s, d, W, fit):
-    d = min(d, s.n)
-    args = (agnostic_l1_fit, s, d, W) if fit == "l1" else (reliable_fit, s, d, W, 0.25, fit)
-    dense, butterfly = _fit_by_route(False, *args), _fit_by_route(True, *args)
-    if dense is None:
-        assert butterfly is None
-        return
-    obj = dense[1].objective_value
-    p, report = butterfly
-    assert abs(report.objective_value - obj) <= 1e-7 * max(1.0, abs(obj))
-    # the butterfly's polynomial has that loss (up to its rounding to COEF_GRID)
-    v = sparse_eval_batch(p, s.points)
-    if fit == "l1":
-        loss = np.abs(v - s.labels).sum()
-    else:
-        side = 1.0 if fit == POSITIVE else -1.0
-        loss = np.maximum(0.0, 1.0 - side * v[s.labels == side]).sum()
-    assert abs(loss - obj) <= 1e-6 * max(1.0, abs(obj))
-
-
 # ---------------------------------------------------------------------------
 # The dense fits solved through their dual against the same primal solved as written
 
@@ -223,6 +200,52 @@ def test_dual_route_matches_the_primal(s, d, W, fit):
         assert report.constraints_active == ref.constraints_active
 
 
+def _butterfly_fit(fit, *args):
+    """``fit(*args)`` on the butterfly route, with the program it solved and that program's
+    optimum x; None when the LP is infeasible."""
+    seen = {}
+    real_solve = lpmod.solve
+
+    def solve_and_keep(program):
+        seen["program"], seen["sol"] = program, real_solve(program)
+        return seen["sol"]
+
+    with mock.patch.object(learn, "_takes_butterfly", lambda n, k, M: True), \
+            mock.patch.object(lpmod, "solve", solve_and_keep):
+        try:
+            return fit(*args), seen["program"], seen["sol"].values
+        except InfeasibleError:
+            return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=wide_samples().filter(lambda s: s.n <= 7), d=st.integers(0, 7),
+       W=st.sampled_from([0.0, 0.25, 1.0, 4.0, 64.0]), fit=st.sampled_from([POSITIVE, NEGATIVE, "l1"]))
+def test_butterfly_fit_matches_dense_fit(s, d, W, fit):
+    # the butterfly of two-bit stages against the dense character block, W from infeasible to loose
+    d = min(d, s.n)
+    args = (agnostic_l1_fit, s, d, W) if fit == "l1" else (reliable_fit, s, d, W, 0.25, fit)
+    dense, butterfly = _fit_by_route(False, *args), _butterfly_fit(*args)
+    assert (dense is None) == (butterfly is None)
+    if dense is None:
+        return
+    (q, ref), ((p, report), program, x) = dense, butterfly
+    obj = ref.objective_value
+    assert abs(report.objective_value - obj) <= 1e-9 * max(1.0, abs(obj))
+    assert check_feasible(program, x) <= FEASIBILITY_TOL
+    # the butterfly's polynomial has that loss (up to its rounding to COEF_GRID)
+    v = sparse_eval_batch(p, s.points)
+    if fit == "l1":
+        loss = np.abs(v - s.labels).sum()
+    else:
+        side = 1.0 if fit == POSITIVE else -1.0
+        loss = np.maximum(0.0, 1.0 - side * v[s.labels == side]).sum()
+    assert abs(loss - obj) <= 1e-6 * max(1.0, abs(obj))
+    # two optimal vertices can differ where the optimum is not unique; where it is, both routes find it
+    if _one_optimal_polynomial(program, obj, len(monomials_upto(s.n, d))):
+        assert all(abs(p.terms.get(S, 0.0) - q.terms.get(S, 0.0)) <= COEF_GRID for S in p.terms.keys() | q.terms.keys())
+
+
 def _pair_capped_optimum(s, d, W, fit):
     """Optimum of a fit with the weight cap written over [c | u | slacks] as the row pair
     c_S - u_S <= 0, -c_S - u_S <= 0 per monomial and sum u <= W, p dense at the distinct points;
@@ -278,8 +301,9 @@ def test_split_cap_fit_matches_pair_capped_fit(s, d, W, fit, butterfly):
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 6), d=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
 def test_butterfly_rows_give_p_on_the_cube(n, d, seed):
-    # z_s from a plain Walsh-Hadamard pass satisfies every butterfly row, and P x = characters c
-    # for x = [c | gap | z] over the whole column layout
+    # z_t from a plain Walsh-Hadamard pass two bits at a time (from the top pair down, bit 0 alone
+    # last when n is odd) satisfies every butterfly row, and P x = characters c for
+    # x = [c | gap | z] over the whole column layout
     monos = monomials_upto(n, min(d, n))
     rng = np.random.default_rng(seed)
     c, gap = rng.integers(-9, 10, len(monos)).astype(float), int(rng.integers(0, 4))
@@ -288,11 +312,13 @@ def test_butterfly_rows_give_p_on_the_cube(n, d, seed):
         P, B = learn._point_values(X, monos, gap)
     z = np.zeros(2**n)
     z[[sum(1 << (v - 1) for v in mono) for mono in monos]] = c
+    h = np.array([[1, 1], [1, -1]])
     stages = []
-    for s in range(n):
-        z = z.reshape(-1, 2, 2**s)
-        z = np.concatenate([z[:, :1] + z[:, 1:], z[:, :1] - z[:, 1:]], axis=1).ravel()
+    for lo, r in [(lo, 2) for lo in range(n - 2, -1, -2)] + [(0, 1)] * (n % 2):
+        # the entries of z that differ only in bits lo .. lo + r - 1 times the 2^r-point Walsh-Hadamard matrix
+        z = np.einsum("ij,ajb->aib", h if r == 1 else np.kron(h, h), z.reshape(-1, 2**r, 2**lo)).ravel()
         stages.append(z)
+    assert len(stages) == (n + 1) // 2 and B.shape[0] == len(stages) * 2**n
     x = np.concatenate([c, np.zeros(gap), *stages])
     assert np.array_equal(B @ x, np.zeros(B.shape[0]))
     assert np.array_equal(P @ x, sparse_eval_batch(SparsePolynomial(n, dict(zip(monos, c))), X))
