@@ -2,8 +2,9 @@
 
 Polynomial types:
 
-* :class:`UniPoly` — univariate polynomials with exact rational coefficients
-  (Chebyshev generation, affine composition, products).
+* :class:`UniPoly` — univariate polynomials with exact rational coefficients,
+  held as integer numerators over one denominator (Chebyshev generation,
+  affine composition, products); the outer polynomials of the constructions.
 * :class:`SparsePolynomial` — multilinear monomial-coefficient maps over
   {-1,+1}^n; multiplication reduces via x_i^2 = 1, so a monomial product is
   the symmetric difference of index sets.
@@ -14,18 +15,20 @@ Polynomial types:
   certified, expanded or stored as it is; the JSON tag of the sparse form
   is ``"sparse"``.
 
-Exact cube values (in ``cube_matrix`` row order) have one format: integer
-numerators over one common denominator (:func:`cube_numerators`), in an int64
-array when a bound proven up front in Python ints rules out overflow (every
-magnitude an operation can form stays below 2^62), and in an object array of
-Python ints otherwise.  The dtype follows from the bound alone, and every
-consumer runs one code path over both.  Values and multilinear coefficients
-convert through one exact Walsh-Hadamard transform of such numerators,
-O(m 2^m) over the m variables a form depends on: a form is evaluated on its
-variable support and its values spread over the rest of the cube.  Variable j
-is bit ``1 << (m - j)`` of a monomial's mask on a support of m variables, so
-values = walsh(coefficients by mask) reversed, and coefficients =
-walsh(values reversed) / 2^m.
+Exact values have one format: integer numerators over one common denominator.
+A :class:`UniPoly` holds its coefficients so, as a tuple of Python ints over a
+gcd-reduced positive denominator, and every operation on it runs on those
+ints.  Exact cube values (in ``cube_matrix`` row order) are held so too
+(:func:`cube_numerators`), in an int64 array when a bound proven up front in
+Python ints rules out overflow (every magnitude an operation can form stays
+below 2^62), and in an object array of Python ints otherwise.  The dtype
+follows from the bound alone, and every consumer runs one code path over both.
+Values and multilinear coefficients convert through one exact Walsh-Hadamard
+transform of such numerators, O(m 2^m) over the m variables a form depends on:
+a form is evaluated on its variable support and its values spread over the
+rest of the cube.  Variable j is bit ``1 << (m - j)`` of a monomial's mask on a
+support of m variables, so values = walsh(coefficients by mask) reversed, and
+coefficients = walsh(values reversed) / 2^m.
 
 An outer polynomial of an integer statistic of x (an :class:`AffineForm`, the
 AND tradeoff) is evaluated once per distinct integer, and :func:`compose_counts`
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,88 +72,170 @@ def _as_coef(v) -> Coef:
 # Univariate polynomials
 
 
-@dataclass(frozen=True)
+def _ratio(c) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact scalar: a Fraction or an integral value."""
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    try:
+        return operator.index(c), 1
+    except TypeError:
+        raise InputError(f"exact polynomials take ints and Fractions, got {type(c).__name__}") from None
+
+
+def _horner(nums: Sequence[int], t: int) -> int:
+    """sum_i nums[i] * t^i for an integer t, in Python ints."""
+    acc = 0
+    for c in reversed(nums):
+        acc = acc * t + c
+    return acc
+
+
+@dataclass(frozen=True, init=False)
 class UniPoly:
-    """coeffs[i] is the coefficient of t^i; trailing zeros are stripped."""
+    """A univariate polynomial with exact rational coefficients, held as integer numerators over
+    one common denominator: nums[i] / den is the coefficient of t^i.
 
-    coeffs: tuple[Fraction, ...]
+    The form is canonical, so equality and hashing go by value: den > 0, trailing
+    zero numerators are stripped (the zero polynomial is ``(), 1``) and
+    gcd(den, *nums) = 1, which makes den the lcm of the reduced coefficient
+    denominators.  Every operation runs on the numerators in Python ints and
+    takes ints and Fractions as scalars; ``coeffs`` gives the coefficients as
+    Fractions.
+    """
 
-    def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, coeffs: Sequence):
+        """The polynomial with coefficient coeffs[i] of t^i, each an int or a Fraction."""
+        ratios = [_ratio(c) for c in coeffs]
+        den = math.lcm(*(d for _, d in ratios))
+        self._set([n * (den // d) for n, d in ratios], den)
+
+    @classmethod
+    def _reduced(cls, nums: list[int], den: int) -> "UniPoly":
+        """The polynomial nums / den, for den > 0, in canonical form."""
+        p = object.__new__(cls)
+        p._set(nums, den)
+        return p
+
+    def _set(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [n // g for n in nums], den // g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """coeffs[i] is the coefficient of t^i, as a reduced Fraction; () for the zero polynomial."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.nums) - 1  # -1 for the zero polynomial
 
     def __call__(self, t) -> Coef:
-        acc = Fraction(0) if isinstance(t, (Fraction, int)) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        """self(t): an exact Fraction for an integral or Fraction t, float Horner otherwise."""
+        if isinstance(t, Fraction):
+            p, q = t.numerator, t.denominator
+            top = max(self.degree, 0)
+            return Fraction(sum(n * p**i * q**(top - i) for i, n in enumerate(self.nums)), self.den * q**top)
+        try:
+            t = operator.index(t)
+        except TypeError:
+            acc = 0.0
+            for n in reversed(self.nums):
+                acc = acc * t + n / self.den
+            return acc
+        return Fraction(_horner(self.nums, t), self.den)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return UniPoly(tuple(ai + bi for ai, bi in itertools.zip_longest(a, b, fillvalue=Fraction(0))))
+        if not isinstance(other, UniPoly):
+            raise InputError(f"a polynomial adds only a UniPoly, got {type(other).__name__}")
+        den = math.lcm(self.den, other.den)
+        out = [0] * max(len(self.nums), len(other.nums))
+        for p in (self, other):
+            scale = den // p.den
+            for i, n in enumerate(p.nums):
+                out[i] += n * scale
+        return UniPoly._reduced(out, den)
 
     def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (Fraction, int)):
-            return UniPoly(tuple(c * other for c in self.coeffs))
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(tuple(out))
+        if isinstance(other, UniPoly):
+            out = [0] * (len(self.nums) + len(other.nums) - 1)  # all zeros when a factor is zero
+            for i, x in enumerate(self.nums):
+                if x:
+                    for j, y in enumerate(other.nums, start=i):
+                        out[j] += x * y
+            return UniPoly._reduced(out, self.den * other.den)
+        num, den = _ratio(other)
+        return UniPoly._reduced([n * num for n in self.nums], self.den * den)
 
     __rmul__ = __mul__
 
+    def __neg__(self) -> "UniPoly":
+        return UniPoly._reduced([-n for n in self.nums], self.den)
+
     def shift(self, c) -> "UniPoly":
         """Add the constant c."""
-        cs = list(self.coeffs) or [Fraction(0)]
-        cs[0] += Fraction(c)
-        return UniPoly(tuple(cs))
+        num, d = _ratio(c)
+        den = math.lcm(self.den, d)
+        out = [n * (den // self.den) for n in self.nums] or [0]
+        out[0] += num * (den // d)
+        return UniPoly._reduced(out, den)
 
     def compose_affine(self, alpha, beta) -> "UniPoly":
-        """The polynomial t -> self(alpha*t + beta), exactly."""
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        inner = UniPoly((beta, alpha))
-        acc = UniPoly((Fraction(0),))
-        for c in reversed(self.coeffs):
-            acc = acc * inner
-            acc = acc.shift(c)
-        return acc
+        """The polynomial t -> self(alpha*t + beta), exactly.
+
+        With alpha*t + beta = (b + a*t) / q over integers, Horner runs on
+        acc <- acc * (b + a*t) + nums[i] * q^(deg - i), and the result is acc
+        over den * q^deg.
+        """
+        if not self.nums:
+            return self
+        (an, ad), (bn, bd) = _ratio(alpha), _ratio(beta)
+        q = math.lcm(ad, bd)
+        a, b = an * (q // ad), bn * (q // bd)
+        acc, qk = [self.nums[-1]], 1
+        for n in reversed(self.nums[:-1]):
+            qk *= q
+            nxt = [c * b for c in acc] + [0]
+            for i, c in enumerate(acc, start=1):
+                nxt[i] += c * a
+            nxt[0] += n * qk
+            acc = nxt
+        return UniPoly._reduced(acc, self.den * qk)
 
     def pow(self, k: int) -> "UniPoly":
-        acc = UniPoly((Fraction(1),))
+        acc = UniPoly((1,))
         for _ in range(k):
             acc = acc * self
         return acc
 
     def max_abs_coeff(self) -> Fraction:
-        return max((abs(c) for c in self.coeffs), default=Fraction(0))
+        return Fraction(max(map(abs, self.nums), default=0), self.den)
 
 
 @lru_cache(maxsize=256)
 def chebyshev(d: int) -> UniPoly:
     """The degree-d Chebyshev polynomial of the first kind, exact coefficients.
 
-    Recurrence: T_0 = 1, T_1 = t, T_{k+1} = 2t*T_k - T_{k-1}.
+    Recurrence: T_0 = 1, T_1 = t, T_{k+1} = 2t*T_k - T_{k-1}, on integer coefficients.
     """
     if d < 0:
         raise InputError("chebyshev degree must be nonnegative")
+    prev, cur = [1], [0, 1]
     if d == 0:
-        return UniPoly((Fraction(1),))
-    if d == 1:
-        return UniPoly((Fraction(0), Fraction(1)))
-    two_t = UniPoly((Fraction(0), Fraction(2)))
-    prev, cur = chebyshev(0), chebyshev(1)
+        return UniPoly(prev)
     for _ in range(d - 1):
-        prev, cur = cur, two_t * cur + (Fraction(-1) * prev)
-    return cur
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return UniPoly(cur)
 
 
 # ---------------------------------------------------------------------------
@@ -443,22 +529,15 @@ def _outer_values(outer: UniPoly, stats: np.ndarray) -> tuple[np.ndarray, int]:
     """(values, D): outer(stats[i]) = values[i] / D for an integer array stats, with D the lcm of the
     reduced denominators; outer is evaluated once per distinct integer of stats.
 
-    With L the lcm of the coefficient denominators, L * outer(t) is an integer
-    polynomial in t, evaluated by Horner; dividing it and L by their common gcd
-    g leaves D = L / g, which is exactly that lcm.
+    Horner on outer's numerators gives den * outer(t) for each distinct t;
+    dividing those and den by their common gcd g leaves D = den / g, which is
+    exactly that lcm.
     """
     ts, inverse = np.unique(stats, return_inverse=True)
-    denom = math.lcm(*(c.denominator for c in outer.coeffs))
-    coeffs = [c.numerator * (denom // c.denominator) for c in reversed(outer.coeffs)]
-    table = []
-    for t in ts.tolist():
-        acc = 0
-        for c in coeffs:
-            acc = acc * t + c
-        table.append(acc)
-    g = math.gcd(denom, *table)
+    table = [_horner(outer.nums, t) for t in ts.tolist()]
+    g = math.gcd(outer.den, *table)
     table = [v // g for v in table]
-    return _exact_array(table, max(map(abs, table)))[inverse], denom // g
+    return _exact_array(table, max(map(abs, table)))[inverse], outer.den // g
 
 
 def negate_onesided(p: StructuredPolynomial) -> StructuredPolynomial:
@@ -470,8 +549,7 @@ def negate_onesided(p: StructuredPolynomial) -> StructuredPolynomial:
     if isinstance(p, SparsePolynomial):
         return SparsePolynomial(p.n, {mono: (coef if len(mono) % 2 else -coef) for mono, coef in p.terms.items()})
     if isinstance(p, AffineForm):
-        outer = UniPoly(tuple(-c for c in p.outer.coeffs))
-        return AffineForm(outer, p.w0, tuple(-wi for wi in p.w))
+        return AffineForm(-p.outer, p.w0, tuple(-wi for wi in p.w))
     if isinstance(p, SumForm):
         return SumForm(tuple(negate_onesided(part) for part in p.parts), -p.offset)
     raise TypeError(f"not a structured polynomial: {p!r}")
@@ -520,7 +598,7 @@ def analytic_bounds(p: StructuredPolynomial) -> tuple[Coef, int, bool]:
         return p.weight, p.degree, True
     if isinstance(p, AffineForm):
         win = abs(p.w0) + sum(abs(wi) for wi in p.w)
-        bound = sum((abs(c) * Fraction(win) ** j for j, c in enumerate(p.outer.coeffs)), start=Fraction(0))
+        bound = Fraction(_horner([abs(c) for c in p.outer.nums], win), p.outer.den)  # sum_j |c_j| win^j
         return bound, min(p.n, max(p.outer.degree, 0)), False
     if isinstance(p, SumForm):
         weights, degrees = [], []

@@ -1,8 +1,10 @@
-"""Point-by-point references: exact cube values and certification, one Fraction at a time, and the
-fully reliable brute-force optimum, one bank row at a time."""
+"""Point-by-point references: exact cube values and certification, one Fraction at a time, the
+fully reliable brute-force optimum, one bank row at a time, and univariate polynomials and step
+polynomials, one Fraction coefficient at a time."""
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -80,3 +82,87 @@ def fully_opt_by_rows(s, bank):
                 best = cand
     value, _, _, i, j = best
     return value, (work[i], work[j])
+
+
+@dataclass(frozen=True)
+class FractionPoly:
+    """A univariate polynomial as one reduced Fraction per coefficient, each operation taking a gcd
+    per coefficient: the reference for ``poly.UniPoly``.  coeffs[i] is the coefficient of t^i;
+    trailing zeros are stripped."""
+
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        cs = tuple(Fraction(c) for c in self.coeffs)
+        while cs and cs[-1] == 0:
+            cs = cs[:-1]
+        object.__setattr__(self, "coeffs", cs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def __call__(self, t):
+        acc = Fraction(0) if isinstance(t, (Fraction, int)) else 0.0
+        for c in reversed(self.coeffs):
+            acc = acc * t + c
+        return acc
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return FractionPoly(tuple(ai + bi for ai, bi in itertools.zip_longest(a, b, fillvalue=Fraction(0))))
+
+    def __mul__(self, other):
+        if isinstance(other, (Fraction, int)):
+            return FractionPoly(tuple(c * other for c in self.coeffs))
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly(tuple(out))
+
+    __rmul__ = __mul__
+
+    def shift(self, c):
+        cs = list(self.coeffs) or [Fraction(0)]
+        cs[0] += Fraction(c)
+        return FractionPoly(tuple(cs))
+
+    def compose_affine(self, alpha, beta):
+        inner = FractionPoly((Fraction(beta), Fraction(alpha)))
+        acc = FractionPoly((Fraction(0),))
+        for c in reversed(self.coeffs):
+            acc = (acc * inner).shift(c)
+        return acc
+
+    def pow(self, k):
+        acc = FractionPoly((Fraction(1),))
+        for _ in range(k):
+            acc = acc * self
+        return acc
+
+    def max_abs_coeff(self):
+        return max((abs(c) for c in self.coeffs), default=Fraction(0))
+
+
+def fraction_chebyshev(d):
+    """T_d by T_{k+1} = 2t*T_k - T_{k-1}, in :class:`FractionPoly`."""
+    prev, cur = FractionPoly((1,)), FractionPoly((0, 1))
+    if d == 0:
+        return prev
+    for _ in range(d - 1):
+        prev, cur = cur, FractionPoly((0, 2)) * cur + Fraction(-1) * prev
+    return cur
+
+
+def fraction_step_poly(params):
+    """``constructions.step_poly`` in :class:`FractionPoly`: C^-1 * prod_{i=0..a}(t-i) *
+    prod_{j=W-b..W-1}(t-j) * T_r((t-a)/(W-b-a)), with C the same expression at t = W."""
+    W, a, b, r = params.W, params.a, params.b, params.r
+    prod = FractionPoly((1,))
+    for root in itertools.chain(range(a + 1), range(W - b, W)):
+        prod = prod * FractionPoly((-root, 1))
+    poly = prod * fraction_chebyshev(r).compose_affine(Fraction(1, W - b - a), Fraction(-a, W - b - a))
+    return poly * (1 / poly(W))

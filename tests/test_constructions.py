@@ -1,9 +1,13 @@
+import hashlib
+import json
 import math
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from pointwise import fraction_step_poly
 
 from onesided.certify import verify_onesided, verify_twosided
 from onesided.constructions import (ConstructionResult, StepPolyParams, and_compose,
@@ -15,7 +19,7 @@ from onesided.cube import (Cnf, Conjunction, Disjunction, Dnf, Halfspace, Majori
                            cube_matrix, eval_concept, majority_as_halfspace)
 from onesided.errors import InputError, ParameterError, ResourceLimitError
 from onesided.poly import (SparsePolynomial, eval_exact, eval_on_cube, expand, negate_onesided,
-                           weight_and_degree)
+                           structured_to_json, weight_and_degree)
 
 
 def maj(n):
@@ -117,6 +121,31 @@ def test_step_poly_coefficient_growth_logged():
         c = math.log(top, W) / k if top > 1 else 0.0
         print(f"step poly W={W} k={k}: max|coef|={top:.3e}, realized c={c:.3f}")
         assert c <= 3.0
+
+
+def _reference_step_params():
+    """Every valid default_step_params(W, k) for W <= 12, and for odd 13 <= W <= 201 (a halfspace's
+    W' = 2W + 1 is odd) the first budget k0 = max(3, ceil(sqrt(W log2(W) ln(2/eps)))) of the
+    doubling schedule at eps = 0.1."""
+    pairs = [(W, k) for W in range(2, 13) for k in range(3, 4 * W + 1)]
+    pairs += [(W, max(3, math.ceil(math.sqrt(W * math.log2(W) * math.log(20))))) for W in range(13, 202, 2)]
+    for W, k in pairs:
+        try:
+            yield default_step_params(W, k)
+        except ParameterError:
+            continue
+
+
+def test_step_poly_matches_the_per_coefficient_fraction_formula():
+    checked = 0
+    for params in _reference_step_params():
+        S = step_poly(params)
+        assert S.coeffs == fraction_step_poly(params).coeffs, params
+        W = params.W
+        assert S(W) == 1
+        assert all(S(root) == 0 for root in [*range(params.a + 1), *range(W - params.b, W)])
+        checked += 1
+    assert checked == 269
 
 
 def test_step_poly_rejects_degenerate_window():
@@ -394,3 +423,33 @@ def test_cnf_is_certified_once(monkeypatch):
     F = Cnf(4, ((1, -2), (3, 4)))
     assert cnf_negative_onesided(F, 2, 0.25).certified
     assert calls == [F]
+
+
+# ---------------------------------------------------------------------------
+# Recorded bytes
+
+
+def _structured_sha256(p):
+    return hashlib.sha256(json.dumps(structured_to_json(p), sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+#: Clauses of a fixed 3-clause width-4 DNF with negated literals at n = 12, the shape of the benchmark's DNF job.
+RECORDED_CLAUSES = ((1, -5, 7, 12), (-2, 3, -9, 10), (4, -6, 8, -11))
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: halfspace_quarter(majority_as_halfspace(maj(401))),
+     "3029949b3a839f4c58bb5d8e084d9972c47d93b85295b7186a9ce4d7d0e4c1a9"),
+    (lambda: halfspace_onesided(majority_as_halfspace(maj(101)), "positive", 0.01).poly,
+     "fe23dec024a66f588968e7a45444029ecae80272c019b85bb0b17b86d533b98e"),
+    (lambda: halfspace_onesided(majority_as_halfspace(maj(101)), "negative", 0.01).poly,
+     "1571dddcd5186ebab4b9ada37446c70202fdea78d5199e0205041e5373d9d136"),
+    (lambda: and_twosided_tradeoff(9, 5, 0.1).poly,
+     "c900f035cdfca4d0db2b807b6b2cbb01e616973c9c7c585e9146b975fba8771a"),
+    (lambda: dnf_positive_onesided(Dnf(12, RECORDED_CLAUSES), 5, 0.1).poly,
+     "6d046aba2dfa784653dd15f149c4a17a1a7ed5d9bc5afc71904c0648c17158b3"),
+], ids=["quarter-MAJ_401", "onesided-MAJ_101-positive", "onesided-MAJ_101-negative", "and-tradeoff-9-5",
+        "dnf-lift-12"])
+def test_construction_json_matches_recorded_bytes(build, digest):
+    # recorded from the per-coefficient Fraction arithmetic this library used before integer numerators
+    assert _structured_sha256(build()) == digest

@@ -62,6 +62,35 @@ def test_unipoly_compose_affine_and_pow():
     assert sq.pow(2).coeffs == (Fraction(0),) * 4 + (Fraction(1),)
 
 
+def test_unipoly_is_canonical_integer_numerators_over_one_denominator():
+    p = UniPoly((Fraction(2, 6), Fraction(-1, 4), 0, Fraction(0)))
+    assert (p.nums, p.den) == ((4, -3), 12)
+    assert p.coeffs == (Fraction(1, 3), Fraction(-1, 4))
+    assert (UniPoly(()).nums, UniPoly(()).den, UniPoly(()).degree) == ((), 1, -1)
+    assert (p * 12).den == 1 and (p * 12).nums == (4, -3)
+    assert p * 0 == UniPoly((0,)) == UniPoly(())
+    assert p == UniPoly((Fraction(1, 3), Fraction(-1, 4))) and hash(p) == hash(UniPoly((Fraction(1, 3), Fraction(-1, 4))))
+
+
+def test_unipoly_evaluates_a_numpy_integer_exactly():
+    outer = UniPoly((Fraction(1, 3), 2**70))
+    exact = Fraction(10625324586456701730817, 3)
+    assert outer(np.int64(3)) == outer(3) == exact
+    assert isinstance(outer(np.int64(3)), Fraction)
+    assert outer(3.0) == float(exact)  # a float argument keeps the float Horner
+
+
+@pytest.mark.parametrize("op, kind", [
+    (lambda p: p * 0.5, "float"), (lambda p: 0.5 * p, "float"), (lambda p: p * np.float64(2), "float64"),
+    (lambda p: p + 1, "int"), (lambda p: p + Fraction(1, 2), "Fraction"), (lambda p: p + 0.5, "float"),
+    (lambda p: p.shift(0.5), "float"), (lambda p: p.compose_affine(0.5, 0), "float"),
+    (lambda p: UniPoly((1, 0.5)), "float"),
+])
+def test_unipoly_rejects_inexact_operands(op, kind):
+    with pytest.raises(InputError, match=rf"\b{kind}\b"):
+        op(UniPoly((1, 2)))
+
+
 def test_eval_examples():
     const = SparsePolynomial(2, {(): Fraction(-1)})
     assert eval_exact(const, (1, -1)) == -1

@@ -9,6 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from scipy import optimize, sparse
+from pointwise import FractionPoly
 from pointwise import exact_value as _exact_value
 from pointwise import pointwise_report as _pointwise_report
 from pointwise import pointwise_slacks as _pointwise_slacks
@@ -692,6 +693,54 @@ def test_expand_matches_eval_exact(p):
     for row in cube_matrix(p.n):
         bits = tuple(int(b) for b in row)
         assert q.eval(bits) == eval_exact(p, bits)
+
+
+BIG = 2**70
+# ints and Fractions from small to 2^70-sized, of either sign
+exact_scalars = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG),
+                          st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+                          st.fractions(min_value=-4, max_value=4, max_denominator=9))
+small_scalars = st.one_of(st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+# degrees 0..30, the zero polynomial (no coefficients, or only zeros) and trailing zeros included
+coefficient_lists = st.lists(exact_scalars, max_size=31)
+
+
+def _same(p, ref):
+    """p has ref's coefficients, degree and largest |coefficient|, in the canonical form of those
+    coefficients (so == and hash agree with the reference's)."""
+    return (p.coeffs == ref.coeffs and p.degree == ref.degree and p.max_abs_coeff() == ref.max_abs_coeff()
+            and p == UniPoly(ref.coeffs) and hash(p) == hash(UniPoly(ref.coeffs)))
+
+
+@settings(max_examples=120)
+@given(a=coefficient_lists, b=coefficient_lists, c=exact_scalars)
+def test_unipoly_arithmetic_matches_per_coefficient_fractions(a, b, c):
+    p, q, rp, rq = UniPoly(a), UniPoly(b), FractionPoly(a), FractionPoly(b)
+    assert _same(p, rp) and _same(q, rq)
+    assert _same(p + q, rp + rq)
+    assert _same(p * q, rp * rq)
+    assert _same(p * c, rp * c) and _same(c * p, rp * c)
+    assert _same(-p, rp * -1)
+    assert _same(p.shift(c), rp.shift(c))
+    assert (p == q) == (rp == rq)
+
+
+@settings(max_examples=60)
+@given(a=coefficient_lists, alpha=small_scalars, beta=small_scalars, k=st.integers(0, 3))
+def test_unipoly_composition_and_powers_match_per_coefficient_fractions(a, alpha, beta, k):
+    p, rp = UniPoly(a), FractionPoly(a)
+    assert _same(p.compose_affine(alpha, beta), rp.compose_affine(alpha, beta))
+    assert _same(p.pow(k), rp.pow(k))
+
+
+@settings(max_examples=120)
+@given(a=coefficient_lists, t=st.integers(-60, 60), u=small_scalars,
+       x=st.floats(min_value=-8, max_value=8, allow_nan=False))
+def test_unipoly_evaluation_matches_per_coefficient_fractions(a, t, u, x):
+    p, rp = UniPoly(a), FractionPoly(a)
+    assert p(t) == p(np.int64(t)) == rp(t)
+    assert p(Fraction(u)) == rp(Fraction(u))
+    assert p(x) == rp(x)  # the same float Horner, so the same bits
 
 
 @settings(max_examples=80)
