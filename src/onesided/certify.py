@@ -35,9 +35,6 @@ from .errors import InputError, ResourceLimitError
 from .poly import (SparsePolynomial, StructuredPolynomial, characters, cube_numerators, from_lp_solution,
                    monomials_upto)
 
-#: Cap on the number of monomial columns in the LP oracle.
-LP_MONOMIAL_CAP = 4096
-
 #: Cap on the matrix entries (rows x columns) of the oracle's cube LP, counted as two rows
 #: per cube point.  Solves at n = 12-14, d = 3-4 peaked at 188-229 bytes of RSS per entry,
 #: so an admitted program stays below 5.5 GB; n = 14 at d = 3 (15.4M entries) peaked at 2.8 GB.
@@ -234,8 +231,9 @@ def min_eps(f: Concept, d: int, mode: str) -> tuple[float, SparsePolynomial]:
       before the cube is enumerated.
 
     Both forms are solved by :func:`lp.solve`, so the witness is a vertex of its LP.  The
-    n and monomial caps hold on both forms, since the witness has one term per monomial.
-    The returned eps is never below 0 (nor -0.0).
+    n cap (n <= 14) holds on both forms, since the witness has one term per monomial, at
+    most 2^14; the entry cap holds on the cube LP, and within it that LP has at most 2,928
+    monomial columns.  The returned eps is never below 0 (nor -0.0).
     """
     if mode not in (POSITIVE, NEGATIVE, TWOSIDED):
         raise InputError(f"mode must be positive, negative or twosided, got {mode!r}")
@@ -243,8 +241,6 @@ def min_eps(f: Concept, d: int, mode: str) -> tuple[float, SparsePolynomial]:
     if n > 14:
         raise ResourceLimitError(f"LP oracle caps at n=14, got n={n}")
     monos = monomials_upto(n, d)
-    if len(monos) > LP_MONOMIAL_CAP:
-        raise ResourceLimitError(f"LP oracle monomial count {len(monos)} exceeds cap {LP_MONOMIAL_CAP}")
     literals = _symmetric_literals(f)
     if literals is None:
         entries = 2 ** (n + 1) * (len(monos) + 1)  # at most two rows per cube point, over [monomials | eps]

@@ -29,8 +29,7 @@ from .certify import CertReport, verify_onesided, verify_twosided
 from .cube import NEGATIVE, POSITIVE, TWOSIDED, Concept, Conjunction, Cnf, Dnf, Halfspace, cube_matrix
 from .errors import InputError, ParameterError, ResourceLimitError
 from .poly import (EXPANSION_CAP, AffineForm, SparsePolynomial, StructuredPolynomial, SumForm, UniPoly,
-                   analytic_bounds, chebyshev, compose_counts, negate_onesided, sparse_constant,
-                   weight_and_degree)
+                   analytic_bounds, chebyshev, compose_counts, expand, negate_onesided, sparse_constant)
 
 
 @dataclass(frozen=True)
@@ -74,11 +73,21 @@ def certified(poly: StructuredPolynomial, target: Concept, sign: str, eps: float
               step_degree: int | None) -> ConstructionResult:
     """``poly`` claimed as a ``sign`` eps-approximation of ``target``, with its certificate.
 
-    Expanding an ``AffineForm`` is exponential, so its bounds are analytic.
-    The certificate is None where the verifier refuses to enumerate the cube.
+    Expanding an ``AffineForm`` is exponential, so its bounds are analytic; every other
+    form claims the exact weight and degree of its expansion.  A weight past the float
+    range is claimed as inf, still an upper bound.  The certificate is None where the
+    verifier refuses to enumerate the cube.
     """
-    wb, db, _ = analytic_bounds(poly) if isinstance(poly, AffineForm) else weight_and_degree(poly)
-    claim = OneSidedSpec(target, sign, eps, max(db, 1), float(wb))
+    if isinstance(poly, AffineForm):
+        wb, db = analytic_bounds(poly)
+    else:
+        full = expand(poly)
+        wb, db = full.weight, full.degree
+    try:
+        weight = float(wb)
+    except OverflowError:
+        weight = math.inf
+    claim = OneSidedSpec(target, sign, eps, max(db, 1), weight)
     try:
         cert = verify_twosided(poly, target, eps) if sign == TWOSIDED else verify_onesided(poly, target, eps, sign)
     except ResourceLimitError:

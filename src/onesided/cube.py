@@ -15,6 +15,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
@@ -46,6 +47,18 @@ def as_bits(x: Bits, n: int) -> tuple[int, ...]:
     if len(raw) != n:
         raise DimensionError(f"point has {len(raw)} entries, expected {n}")
     return tuple(map(int, raw))
+
+
+def store_integer_weights(form) -> None:
+    """Store the fields w0 and w of a frozen linear form (a halfspace or an affine form) as a
+    Python int and a tuple of them; any value that is not an integer (a Fraction or a float,
+    even an integral one) raises InputError."""
+    try:
+        w0, w = operator.index(form.w0), tuple(map(operator.index, form.w))
+    except TypeError:
+        raise InputError(f"weights must be integers, got w0={form.w0!r}, w={form.w!r}") from None
+    object.__setattr__(form, "w0", w0)
+    object.__setattr__(form, "w", w)
 
 
 def linear_form(X: np.ndarray, w0: int, w: Sequence[int]) -> np.ndarray:
@@ -126,6 +139,7 @@ class Halfspace:
     w: tuple[int, ...]
 
     def __post_init__(self):
+        store_integer_weights(self)
         if len(self.w) != self.n:
             raise DimensionError(f"halfspace has {len(self.w)} weights, declared n={self.n}")
         if self.weight < 1:

@@ -53,7 +53,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .cube import CUBE_CAP, BoolFunc, as_bits, cube_matrix, linear_form, target_values
+from .cube import (CUBE_CAP, BoolFunc, as_bits, cube_matrix, linear_form, store_integer_weights,
+                   target_values)
 from .errors import DimensionError, InputError, ResourceLimitError
 
 Coef = Union[Fraction, float]
@@ -210,6 +211,8 @@ class UniPoly:
         return UniPoly._reduced(acc, self.den * qk)
 
     def pow(self, k: int) -> "UniPoly":
+        if k < 0:
+            raise InputError(f"a polynomial takes nonnegative integer powers, got {k}")
         acc = UniPoly((1,))
         for _ in range(k):
             acc = acc * self
@@ -408,6 +411,9 @@ class AffineForm:
     w0: int
     w: tuple[int, ...]
 
+    def __post_init__(self):
+        store_integer_weights(self)
+
     @property
     def n(self) -> int:
         return len(self.w)
@@ -579,35 +585,13 @@ def expand(p: StructuredPolynomial) -> SparsePolynomial:
     raise TypeError(f"not a structured polynomial: {p!r}")
 
 
-def weight_and_degree(p: StructuredPolynomial) -> tuple[Coef, int, bool]:
-    """(weight, degree, exact) of a structured polynomial.
-
-    Within the expansion cap the weight and degree of the expanded multilinear
-    form are exact; beyond it, :func:`analytic_bounds` are returned.
-    """
-    try:
-        q = expand(p)
-        return q.weight, q.degree, True
-    except ResourceLimitError:
-        return analytic_bounds(p)
-
-
-def analytic_bounds(p: StructuredPolynomial) -> tuple[Coef, int, bool]:
-    """(weight, degree, exact) upper bounds read off the structure, without expanding."""
-    if isinstance(p, SparsePolynomial):
-        return p.weight, p.degree, True
-    if isinstance(p, AffineForm):
-        win = abs(p.w0) + sum(abs(wi) for wi in p.w)
-        bound = Fraction(_horner([abs(c) for c in p.outer.nums], win), p.outer.den)  # sum_j |c_j| win^j
-        return bound, min(p.n, max(p.outer.degree, 0)), False
-    if isinstance(p, SumForm):
-        weights, degrees = [], []
-        for part in p.parts:
-            wgt, deg, _ = analytic_bounds(part)
-            weights.append(wgt)
-            degrees.append(deg)
-        return sum(weights, start=abs(p.offset)), max(degrees), False
-    raise TypeError(f"not a structured polynomial: {p!r}")
+def analytic_bounds(p: AffineForm) -> tuple[Fraction, int]:
+    """(weight, degree) upper bounds of an affine form, read off without expanding it:
+    sum_j |c_j| win^j over outer's coefficients c_j, with win = |w0| + sum |w_i|, and
+    min(n, deg outer)."""
+    win = abs(p.w0) + sum(abs(wi) for wi in p.w)
+    bound = Fraction(_horner([abs(c) for c in p.outer.nums], win), p.outer.den)
+    return bound, min(p.n, max(p.outer.degree, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +654,9 @@ def compose_counts(n: int, outer: UniPoly, counts: np.ndarray) -> SparsePolynomi
     """The multilinear polynomial whose value at ``cube_matrix`` row r is outer(counts[r]), exactly,
     for an integer array of 2^n counts: outer is evaluated once per distinct count, then one
     transform gives the coefficients."""
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        raise InputError(f"composition needs integer counts, got dtype {counts.dtype}")
     if len(counts) != 2**n:
         raise DimensionError(f"composition on n={n} needs {2**n} counts, got {len(counts)}")
     values, denom = _outer_values(outer, counts)
@@ -708,10 +695,10 @@ def exact_multilinear(f: BoolFunc, n: int) -> SparsePolynomial:
     """The unique multilinear polynomial agreeing with f on the whole cube.
 
     Coefficients are exact rationals, one transform of the target's +-1
-    values; the cap is n = 16.
+    values; ``EXPANSION_CAP`` bounds n, as it bounds :func:`expand`.
     """
-    if n > 16:
-        raise ResourceLimitError(f"exact interpolation enumerates 2^{n} points; cap is 2^16")
+    if n > EXPANSION_CAP:
+        raise ResourceLimitError(f"exact interpolation enumerates 2^{n} points; cap is 2^{EXPANSION_CAP}")
     # as int64: the 31-bit mask of _abs_sum does not fit in an int8 array
     return _from_cube_numerators(n, target_values(f, cube_matrix(n)).astype(np.int64), 1, range(1, n + 1))
 
@@ -767,7 +754,7 @@ def structured_from_json(obj: Mapping) -> StructuredPolynomial:
     if form == "sparse":
         return sparse_from_json(obj)
     if form == "affine":
-        return AffineForm(UniPoly(tuple(Fraction(c) for c in obj["outer"])), int(obj["w0"]), tuple(int(v) for v in obj["w"]))
+        return AffineForm(UniPoly(tuple(Fraction(c) for c in obj["outer"])), obj["w0"], obj["w"])
     if form == "sum":
         return SumForm(tuple(structured_from_json(part) for part in obj["parts"]), Fraction(obj["offset"]))
     raise InputError(f"unknown structured polynomial form {form!r}")

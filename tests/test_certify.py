@@ -166,15 +166,26 @@ def test_min_eps_witness_verifies(mode):
 
 
 def test_min_eps_caps():
-    with pytest.raises(ResourceLimitError):
-        # 9,908 monomials of degree <= 7 in 14 variables exceed LP_MONOMIAL_CAP = 4096
-        min_eps(Majority(14, tuple(range(1, 15))), 7, "positive")
-    # both caps hold on both LP forms: the level LP of a majority and the cube LP of a halfspace
+    maj14 = Majority(14, tuple(range(1, 15)))
+    # the level LP of MAJ_14 at d = 7 has 9 columns; its witness spreads over 9,908 monomials
+    eps, p = min_eps(maj14, 7, "positive")
+    assert p.degree == 7 and verify_onesided(p, maj14, eps + 2e-7, "positive").ok
+    # the n cap holds on both LP forms: the level LP of a majority and the cube LP of a halfspace
     for f in (Majority(15, tuple(range(1, 16))), majority_as_halfspace(Majority(15, tuple(range(1, 16))))):
         with pytest.raises(ResourceLimitError, match="caps at n=14"):
             min_eps(f, 1, "positive")
-    with pytest.raises(ResourceLimitError, match="exceeds cap 4096"):
-        min_eps(majority_as_halfspace(Majority(14, tuple(range(1, 15)))), 7, "positive")
+    with pytest.raises(ResourceLimitError, match=f"exceeds cap {CUBE_LP_ENTRY_CAP}"):
+        min_eps(majority_as_halfspace(maj14), 7, "positive")
+
+
+def test_min_eps_level_lp_witness_at_large_degree_certifies():
+    maj13 = Majority(13, tuple(range(1, 14)))
+    eps, p = min_eps(maj13, 7, "positive")
+    assert eps == 0.0 and len(p.terms) == 5812  # every monomial of degree <= 7 in 13 variables
+    assert verify_onesided(p, maj13, eps + 2e-7, "positive").ok
+    maj14 = Majority(14, tuple(range(1, 15)))
+    eps, p = min_eps(maj14, 14, "negative")
+    assert verify_onesided(p, maj14, eps + 2e-7, "negative").ok
 
 
 def test_min_eps_cube_lp_entry_cap_holds_before_the_cube_is_built():

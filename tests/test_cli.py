@@ -120,6 +120,16 @@ def test_construct_small_weight_onesided_at_small_eps(capsys):
     assert "certified=True" in out
 
 
+def test_construct_prints_a_weight_bound_past_the_float_range(capsys):
+    argv = ("construct", "--concept", "HALFSPACE 0 1000 1000 1000", "--kind", "onesided", "--eps", "0.01")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert '"weight_bound": Infinity' in out and json.loads(out)["weight_bound"] == math.inf
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "weight<=inf certified=True" in out
+
+
 def test_construct_quarter_beyond_cube_cap_is_uncertified(capsys, monkeypatch):
     import onesided.certify as certify
 

@@ -11,15 +11,15 @@ from pointwise import fraction_step_poly
 
 from onesided.certify import verify_onesided, verify_twosided
 from onesided.constructions import (ConstructionResult, StepPolyParams, and_compose,
-                                    and_twosided_tradeoff, cnf_negative_onesided,
+                                    and_twosided_tradeoff, certified, cnf_negative_onesided,
                                     default_step_params, dnf_positive_onesided, halfspace_onesided,
                                     halfspace_quarter, or_compose, reflect_halfspace,
                                     step_poly)
 from onesided.cube import (Cnf, Conjunction, Disjunction, Dnf, Halfspace, Majority,
                            cube_matrix, eval_concept, majority_as_halfspace)
 from onesided.errors import InputError, ParameterError, ResourceLimitError
-from onesided.poly import (SparsePolynomial, eval_exact, eval_on_cube, expand, negate_onesided,
-                           structured_to_json, weight_and_degree)
+from onesided.poly import (AffineForm, SparsePolynomial, eval_exact, eval_on_cube, expand, negate_onesided,
+                           structured_to_json)
 
 
 def maj(n):
@@ -205,6 +205,12 @@ def test_halfspace_onesided_uncertified_beyond_cap():
     assert res.step_degree == 28  # k0 = ceil(sqrt(61 log2(61) ln 8)), the first budget tried
     assert not res.certified
     assert res.claim.degree_bound >= 1
+
+
+def test_halfspace_onesided_claims_inf_for_a_weight_past_the_float_range():
+    res = halfspace_onesided(Halfspace(3, 0, (1000, 1000, 1000)), "positive", 0.01)
+    assert res.claim.weight_bound == math.inf  # the analytic bound exceeds the largest float
+    assert res.certified
 
 
 def test_halfspace_onesided_rejects_bad_eps():
@@ -453,3 +459,38 @@ RECORDED_CLAUSES = ((1, -5, 7, 12), (-2, 3, -9, 10), (4, -6, 8, -11))
 def test_construction_json_matches_recorded_bytes(build, digest):
     # recorded from the per-coefficient Fraction arithmetic this library used before integer numerators
     assert _structured_sha256(build()) == digest
+
+
+# ---------------------------------------------------------------------------
+# Claims
+
+
+def _composed(compose, sign):
+    return compose([halfspace_onesided(g, sign, 0.125).poly for g in block_maj_halfspaces()])
+
+
+_HALFSPACE6 = Halfspace(6, 1, (3, -1, 2, 2, -5, 1))
+_CLAUSES8 = ((1, -2, 3), (-4, 5), (6, 7, -8))
+CLAIM_CASES = {
+    "quarter": lambda: certified(halfspace_quarter(majority_as_halfspace(maj(7))), maj(7), "positive", 0.25, None),
+    "onesided-positive": lambda: halfspace_onesided(_HALFSPACE6, "positive", 0.1),
+    "onesided-negative": lambda: halfspace_onesided(_HALFSPACE6, "negative", 0.1),
+    "and-tradeoff": lambda: and_twosided_tradeoff(8, 4, 0.1),
+    "dnf": lambda: dnf_positive_onesided(Dnf(8, _CLAUSES8), 2, 0.1),
+    "cnf": lambda: cnf_negative_onesided(Cnf(8, _CLAUSES8), 2, 0.1),
+    "or-compose": lambda: certified(_composed(or_compose, "positive"), or_of_two_maj3, "positive", 0.25, None),
+    "and-compose": lambda: certified(_composed(and_compose, "negative"), and_of_two_maj3, "negative", 0.25, None),
+}
+
+
+@pytest.mark.parametrize("kind", list(CLAIM_CASES))
+def test_claims_bound_their_polynomials(kind):
+    res = CLAIM_CASES[kind]()
+    assert res.certified
+    full = expand(res.poly)
+    if isinstance(res.poly, AffineForm):  # analytic bounds
+        assert res.claim.weight_bound >= float(full.weight)
+        assert res.claim.degree_bound >= full.degree
+    else:  # the expansion's own weight and degree
+        assert res.claim.weight_bound == float(full.weight)
+        assert res.claim.degree_bound == full.degree

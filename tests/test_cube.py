@@ -1,6 +1,7 @@
 import csv
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -144,6 +145,17 @@ def test_halfspace_weight_invariant():
         Halfspace(2, 0, (0, 0))
     assert Halfspace(2, -1, (2, 3)).weight == 6
     assert majority_as_halfspace(Majority(3, (1, 3))).w == (1, 0, 1)
+
+
+def test_halfspace_takes_only_integer_weights():
+    # a fractional w0 once answered [+1, +1] pointwise but [-1, +1] in batch, truncated into int64
+    for w0, w in ((Fraction(3, 2), (1,)), (1.0, (1,)), (0, (Fraction(1, 2),))):
+        with pytest.raises(InputError, match="weights must be integers"):
+            Halfspace(1, w0, w)
+    h = Halfspace(2, np.int64(-1), [np.int8(2), 3])
+    assert (h.w0, h.w) == (-1, (2, 3)) and type(h.w0) is int and all(type(wi) is int for wi in h.w)
+    X = cube_matrix(2)
+    assert eval_concept_batch(h, X).tolist() == [eval_concept(h, tuple(int(v) for v in row)) for row in X]
 
 
 def test_concept_text_roundtrip():

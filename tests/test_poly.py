@@ -12,11 +12,11 @@ from onesided.certify import verify_onesided, verify_twosided
 from onesided.cube import (CUBE_CAP, NEGATIVE, POSITIVE, Dnf, Halfspace, Majority, cube_matrix, eval_concept,
                            eval_concept_batch)
 from onesided.errors import DimensionError, InputError, ResourceLimitError
-from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly,
+from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly, analytic_bounds,
                            characters, chebyshev, compose_counts, cube_numerators, eval_exact, eval_on_cube,
                            exact_multilinear, expand, interpolate, monomials_upto, negate_onesided,
                            sparse_eval_batch, sparse_from_json, sparse_to_json, structured_from_json,
-                           structured_to_json, weight_and_degree)
+                           structured_to_json)
 
 
 def test_chebyshev_base_and_low_degrees():
@@ -60,6 +60,9 @@ def test_unipoly_compose_affine_and_pow():
     comp = sq.compose_affine(2, 1)
     assert comp.coeffs == (Fraction(1), Fraction(4), Fraction(4))
     assert sq.pow(2).coeffs == (Fraction(0),) * 4 + (Fraction(1),)
+    assert sq.pow(0) == UniPoly((1,))
+    with pytest.raises(InputError, match="nonnegative integer powers"):
+        sq.pow(-1)
 
 
 def test_unipoly_is_canonical_integer_numerators_over_one_denominator():
@@ -146,7 +149,7 @@ def test_maj3_exact_form():
 
 
 def test_exact_multilinear_reaches_its_cap():
-    # n = 16 is the declared cap; a halfspace with distinct weights has a dense interpolant
+    # a halfspace with distinct weights has a dense interpolant
     h = Halfspace(16, 1, tuple((-1) ** j * (j % 5 + 1) for j in range(16)))
     p = exact_multilinear(h, 16)
     assert len(p.terms) > 2**14
@@ -155,8 +158,10 @@ def test_exact_multilinear_reaches_its_cap():
     for bits in rng.choice([-1, 1], size=(5, 16)):
         t = tuple(int(b) for b in bits)
         assert p.eval(t) == eval_concept(h, t)
-    with pytest.raises(ResourceLimitError):
-        exact_multilinear(Majority(17, tuple(range(1, 18))), 17)
+    # EXPANSION_CAP = 20 is the declared cap: a dictator reaches it with one term, and n = 21 is refused
+    assert exact_multilinear(Majority(20, (1,)), 20) == SparsePolynomial(20, {(1,): 1})
+    with pytest.raises(ResourceLimitError, match="cap is 2\\^20"):
+        exact_multilinear(Majority(21, (1,)), 21)
 
 
 @pytest.mark.parametrize("f", [Majority(7, tuple(range(1, 8))), Halfspace(8, 1, (3, -1, 2, 2, -5, 1, 4, -2)),
@@ -170,6 +175,11 @@ def test_exact_multilinear_matches_interpolate(f):
 def test_compose_counts_rejects_a_wrong_count_length():
     with pytest.raises(DimensionError):
         compose_counts(2, UniPoly((0, 1)), np.array([0, 1, 2]))
+
+
+def test_compose_counts_rejects_counts_that_are_not_integers():
+    with pytest.raises(InputError, match="integer counts"):
+        compose_counts(1, UniPoly((1, 2)), np.array([0.5, 1.0]))
 
 
 def test_compose_counts_takes_values_beyond_int64():
@@ -274,20 +284,21 @@ def test_interpolation_transform_is_int64_only_below_the_bound(top, monkeypatch)
     assert [q.eval(tuple(int(b) for b in row)) for row in cube_matrix(2)] == values  # 2^64 would wrap in int64
 
 
-def test_weight_and_degree_examples():
+def test_expand_and_analytic_bounds_examples():
     sp = SparsePolynomial(1, {(): Fraction(-1), (1,): Fraction(2)})
-    w, d, exact = weight_and_degree(sp)
-    assert (w, d, exact) == (3, 1, True)
+    assert (expand(sp).weight, expand(sp).degree) == (3, 1)
 
     maj3 = exact_multilinear(Majority(3, (1, 2, 3)), 3)
-    w, d, exact = weight_and_degree(maj3)
-    assert (w, d, exact) == (2, 3, True)
+    assert (expand(maj3).weight, expand(maj3).degree) == (2, 3)
 
     big = AffineForm(chebyshev(4), 0, tuple([1] * 30))
-    w, d, exact = weight_and_degree(big)
-    assert not exact
+    w, d = analytic_bounds(big)
     assert d == 4
     assert w >= chebyshev(4)(30)  # bound dominates the true top value
+
+    small = AffineForm((chebyshev(3).pow(2) * Fraction(1, 2)).shift(-1), 1, (2, -1, 1, 0, 1))
+    w, d = analytic_bounds(small)
+    assert w >= expand(small).weight and d >= expand(small).degree
 
 
 def test_expand_eval_agreement_full_cube():
@@ -390,6 +401,17 @@ def test_structured_from_json_reads_the_untagged_sparse_form():
     assert structured_from_json(sparse_to_json(sp)) == sp
     with pytest.raises(InputError, match="unknown structured polynomial form"):
         structured_from_json({"form": "dense", "n": 2, "terms": []})
+
+
+def test_affine_forms_take_only_integer_weights():
+    # a fractional w0 once read as int in one path and as a Fraction in another
+    with pytest.raises(InputError, match="weights must be integers"):
+        AffineForm(UniPoly((1, 2)), Fraction(1, 2), (1,))
+    with pytest.raises(InputError, match="weights must be integers"):
+        structured_from_json({"form": "affine", "outer": ["1", "2"], "w0": 1.5, "w": [1]})
+    q = AffineForm(UniPoly((1, 2)), np.int64(1), [np.int64(1)])
+    assert (q.w0, q.w) == (1, (1,)) and type(q.w0) is int and type(q.w[0]) is int
+    assert structured_from_json(structured_to_json(q)) == q
 
 
 def test_sparse_polynomials_hash_by_their_terms():
