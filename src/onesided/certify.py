@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
-from scipy import sparse
 
 from . import lp as lpmod
 from .cube import (CUBE_CAP, NEGATIVE, POSITIVE, TWOSIDED, BoolFunc, Concept, Conjunction, Disjunction,
@@ -161,6 +160,8 @@ def _error_program(matrix: np.ndarray, fvals: np.ndarray, mode: str) -> lpmod.Li
     Rows are grouped by point: -f p - eps <= -1 (p gets within eps of f), followed, where
     the mode bounds both sides there, by f p - eps <= 1 (p overshoots f by at most eps).
     """
+    from scipy import sparse  # loaded on the first LP build, as in onesided.lp
+
     point = np.repeat(np.arange(matrix.shape[0]), 1 + _both_sides(fvals, mode))
     second = np.zeros(point.size, dtype=bool)
     second[1:] = point[1:] == point[:-1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -54,7 +55,8 @@ def _cmd_construct(args) -> int:
         "eps": result.claim.eps,
         "concept": format_concept(concept),
         "degree_bound": result.claim.degree_bound,
-        "weight_bound": result.claim.weight_bound,
+        # a claim past the float range is inf, which JSON cannot spell
+        "weight_bound": result.claim.weight_bound if math.isfinite(result.claim.weight_bound) else None,
         "polynomial": structured_to_json(result.poly),
         "certificate": result.certificate.to_json() if result.certificate else None,
     }

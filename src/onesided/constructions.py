@@ -340,14 +340,21 @@ def and_twosided_tradeoff(n: int, d: int, eps: float) -> ConstructionResult:
     raise ParameterError(f"no valid block count for n={n}")
 
 
-def _clause_twosided(n: int, clause: tuple[int, ...], d: int, eps: float) -> SparsePolynomial:
-    """Two-sided eps-approximation of one AND-clause, negations by reflection."""
+def _clause_twosided(n: int, clause: tuple[int, ...], d: int, eps: float,
+                     by_width: dict[int, SparsePolynomial]) -> SparsePolynomial:
+    """Two-sided eps-approximation of one AND-clause, negations by reflection.
+
+    The AND approximation depends only on the clause's width, so it is built once per
+    width and kept in ``by_width`` for the other clauses of that width."""
     if not clause:
         return sparse_constant(n, 1)  # empty clause is identically true
-    inner = and_twosided_tradeoff(len(clause), d, eps)
-    if not inner.certified:
-        raise ParameterError(f"clause approximation failed to certify at width {len(clause)}")
-    return inner.poly.substitute_literals(n, clause)
+    width = len(clause)
+    if width not in by_width:
+        inner = and_twosided_tradeoff(width, d, eps)
+        if not inner.certified:
+            raise ParameterError(f"clause approximation failed to certify at width {width}")
+        by_width[width] = inner.poly
+    return by_width[width].substitute_literals(n, clause)
 
 
 def _dnf_form(F: Dnf, d: int, eps: float) -> StructuredPolynomial:
@@ -357,7 +364,8 @@ def _dnf_form(F: Dnf, d: int, eps: float) -> StructuredPolynomial:
     m = len(F.clauses)
     if m == 0:
         return sparse_constant(F.n, -1)
-    return or_compose([_clause_twosided(F.n, cl, d, eps / m) for cl in F.clauses])
+    by_width: dict[int, SparsePolynomial] = {}  # lives for this call only
+    return or_compose([_clause_twosided(F.n, cl, d, eps / m, by_width) for cl in F.clauses])
 
 
 def dnf_positive_onesided(F: Dnf, d: int, eps: float) -> ConstructionResult:

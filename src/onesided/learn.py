@@ -61,7 +61,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import lp as lpmod
 from .cube import NEGATIVE, POSITIVE, Disjunction, LabeledSample, PartialHypothesis, as_bits, predict
@@ -195,6 +194,8 @@ def _point_values(X: np.ndarray, monos, gap: int):
     next to z_T and the fit rows, where the solver took fewer iterations than with it first.  So
     z_T[index of x] = p(x).
     """
+    from scipy import sparse  # loaded on the first fit, as in onesided.lp
+
     (k, n), M = X.shape, len(monos)
     if _takes_butterfly(n, k, M):
         N = 1 << n
@@ -243,6 +244,8 @@ def _fit_program(X: np.ndarray, monos, scale: np.ndarray, slack, b: np.ndarray,
     ``A_ub`` holds the fit's <= rows, then the cap row; ``A_eq`` the fit's equality rows, then
     the butterfly rows, if any, then the split rows, one per monomial S.
     """
+    from scipy import sparse
+
     M, (k, ns) = len(monos), slack.shape
     P, B = _point_values(X, monos, 2 * M + ns)
     nz = B.shape[1] - 3 * M - ns
@@ -301,6 +304,8 @@ def reliable_fit(
         raise InputError(f"sign must be positive or negative, got {sign!r}")
     if not 0 < eps < 1:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
+    from scipy import sparse
+
     distinct, pos, negc = s.deduped
     # side = +1 for the positive-side learner, -1 for its mirror
     side, hinge_counts, hard_counts = (1.0, pos, negc) if sign == POSITIVE else (-1.0, negc, pos)
@@ -319,6 +324,8 @@ def reliable_fit(
 
 def agnostic_l1_fit(s: LabeledSample, d: int, W: float) -> tuple[SparsePolynomial, FitReport]:
     """Minimize sum_i |p(x_i) - y_i| subject to weight(p) <= W."""
+    from scipy import sparse
+
     distinct, pos, negc = s.deduped
     # the distinct labeled points: per distinct x in turn, (x, -1) then (x, +1) where seen
     counts = np.stack([negc, pos], axis=1).ravel()

@@ -6,6 +6,8 @@ minimize ``c . x`` subject to ``A_ub x <= b_ub``, ``A_eq x = b_eq`` and
 per-variable bounds, with both constraint matrices held as ``scipy.sparse``
 CSR arrays.  Callers build their rows as sparse blocks and receive
 :class:`LpSolution` values; a ``>=`` row is written negated as a ``<=`` row.
+``scipy.sparse`` and ``scipy.optimize`` load on the first LP build or solve,
+not with the package: its constructions and certificates solve no LP.
 Solving passes the matrices unchanged to scipy's HiGHS backend, which is
 deterministic for identical input and enforces a primal feasibility
 tolerance of 1e-7 (its default, matching the contract here).  Every program
@@ -36,19 +38,29 @@ leaves the primal unbounded or infeasible (:class:`SolverError`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import InfeasibleError, InputError, SolverError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 FEASIBILITY_TOL = 1e-7
 
 
+def linprog(c, **kwargs):
+    """scipy's ``linprog``, imported on its first call rather than with the package."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(c, **kwargs)
+
+
 def _rows(A, b, nvars: int, name: str):
     """Validated (CSR matrix, float vector) for one constraint family, or (None, None)."""
+    from scipy import sparse
+
     if A is None and b is None:
         return None, None
     if A is None or b is None:
@@ -129,6 +141,8 @@ def dual(lp: LinearProgram) -> DualProgram:
         raise InputError("the dual is written only for columns that are free or >= 0")
     if lp.A_ub is None and lp.A_eq is None:
         raise InputError("a program without rows has no dual to write")
+    from scipy import sparse
+
     free = np.array([bd[0] is None for bd in bounds])
     blocks = [(A, b) for A, b in ((lp.A_ub, lp.b_ub), (lp.A_eq, lp.b_eq)) if A is not None]
     # A stacked as CSC is A^T as CSR, whose rows are the primal's columns

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -120,11 +119,20 @@ def test_construct_small_weight_onesided_at_small_eps(capsys):
     assert "certified=True" in out
 
 
-def test_construct_prints_a_weight_bound_past_the_float_range(capsys):
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_construct_prints_a_weight_bound_past_the_float_range(capsys, tmp_path):
+    # the claim is inf, which JSON cannot spell: --json and --out write null, the human line inf
     argv = ("construct", "--concept", "HALFSPACE 0 1000 1000 1000", "--kind", "onesided", "--eps", "0.01")
-    code, out, _ = run_cli(capsys, *argv, "--json")
+    code, out, _ = run_cli(capsys, *argv, "--json", "--out", str(tmp_path / "c.json"))
     assert code == 0
-    assert '"weight_bound": Infinity' in out and json.loads(out)["weight_bound"] == math.inf
+    assert _strict_json(out)["weight_bound"] is None
+    assert _strict_json((tmp_path / "c.json").read_text())["weight_bound"] is None
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert "weight<=inf certified=True" in out

@@ -431,6 +431,37 @@ def test_cnf_is_certified_once(monkeypatch):
     assert calls == [F]
 
 
+def test_dnf_builds_one_clause_approximation_per_width(monkeypatch):
+    import onesided.constructions as cons
+
+    widths = []
+
+    def spy(n, d, eps):
+        widths.append(n)
+        return and_twosided_tradeoff(n, d, eps)
+
+    monkeypatch.setattr(cons, "and_twosided_tradeoff", spy)
+    F = Dnf(8, ((1, -2, 3, 4), (-5, 6), (5, 6, -7, 8)))
+    res = dnf_positive_onesided(F, 2, 0.3)
+    assert widths == [4, 2]
+    parts = [and_twosided_tradeoff(len(cl), 2, 0.1).poly.substitute_literals(8, cl) for cl in F.clauses]
+    assert res.poly == or_compose(parts)
+    assert res.certified
+
+
+def test_dnf_raises_at_the_first_clause_width_that_fails(monkeypatch):
+    import dataclasses
+
+    import onesided.constructions as cons
+
+    def uncertified(n, d, eps):
+        return dataclasses.replace(and_twosided_tradeoff(n, d, eps), certificate=None)
+
+    monkeypatch.setattr(cons, "and_twosided_tradeoff", uncertified)
+    with pytest.raises(ParameterError, match="^clause approximation failed to certify at width 3$"):
+        dnf_positive_onesided(Dnf(6, ((), (1, 2, 3), (4, 5))), 2, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # Recorded bytes
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -432,3 +437,40 @@ def test_route_counts_fit_rows_not_distinct_points(captured):
     # z has ceil(3/2) = 2 stages of 8 columns: [c | c+ | c- | a hinge slack per point | z]
     assert len(captured[0]["c"]) == 3 * 7 + 8 + 2 * 8
     assert captured[0]["A_eq"].shape[0] == 2 * 8 + 7  # the butterfly rows, then the split rows
+
+
+#: Runs in a fresh interpreter: every exact path, then one fit and one oracle solve.
+_LP_STACK_ON_FIRST_USE = """
+import sys
+
+import onesided, onesided.cli
+from onesided import certify, constructions, harness, learn, poly
+from onesided.cube import Dnf, Halfspace, Majority
+
+h = Halfspace(5, 0, (1,) * 5)
+res = constructions.halfspace_onesided(h, "positive", 0.1)
+assert res.certified and certify.verify_onesided(res.poly, h, 0.1, "positive").ok
+assert constructions.and_twosided_tradeoff(6, 3, 0.1).certified
+assert constructions.dnf_positive_onesided(Dnf(6, ((1, -2, 3), (4, 5))), 2, 0.25).certified
+poly.exact_multilinear(Majority(3, (1, 2, 3)), 3)
+learn.plan_samples(100, 3, 10.0, 0.1, 0.01)
+s = harness.generate(Majority(3, (1, 2, 3)), harness.NoiseModel(), 40, 0)
+learn.learn_disjunction_positive(s)
+lp_stack = ("scipy.optimize", "scipy.sparse")
+assert not any(name in sys.modules for name in lp_stack), "an exact path loaded scipy's LP stack"
+
+learn.reliable_fit(s, 1, 4.0, 0.5, "positive")
+eps, _ = certify.min_eps(Majority(3, (1, 2, 3)), 1, "positive")
+assert eps >= 0.0
+assert all(name in sys.modules for name in lp_stack)
+"""
+
+
+def test_exact_paths_load_no_lp_stack():
+    # the constructions and certificates solve no LP, so scipy.sparse and scipy.optimize load
+    # only with the first LP build or solve; a fresh interpreter keeps other tests' imports out
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _LP_STACK_ON_FIRST_USE], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
