@@ -95,25 +95,43 @@ def cube_matrix(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Disjunction:
-    """OR of signed literals; the empty disjunction is identically -1."""
+class _Literals:
+    """The literal-list shape: signed literals over n variables, none repeated (a variable may
+    appear in both polarities).  ``clauses`` views it as one clause, the view that the
+    evaluators share with the clause-list shape."""
 
     n: int
     literals: tuple[int, ...]
 
     def __post_init__(self):
         _check_literals(self.literals, self.n)
+
+    @property
+    def clauses(self) -> tuple[tuple[int, ...]]:
+        return (self.literals,)
 
 
 @dataclass(frozen=True)
-class Conjunction:
-    """AND of signed literals; the empty conjunction is identically +1."""
+class _Clauses:
+    """The clause-list shape: clauses of signed literals over n variables, each clause naming a
+    variable at most once."""
 
     n: int
-    literals: tuple[int, ...]
+    clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _check_literals(self.literals, self.n)
+        for clause in self.clauses:
+            _check_literals(clause, self.n)
+            if len({abs(l) for l in clause}) != len(clause):
+                raise InputError(f"variable repeated within clause {clause}")
+
+
+class Disjunction(_Literals):
+    """OR of signed literals; the empty disjunction is identically -1."""
+
+
+class Conjunction(_Literals):
+    """AND of signed literals; the empty conjunction is identically +1."""
 
 
 @dataclass(frozen=True)
@@ -150,34 +168,18 @@ class Halfspace:
         return abs(self.w0) + sum(abs(wi) for wi in self.w)
 
 
-@dataclass(frozen=True)
-class Dnf:
+class Dnf(_Clauses):
     """OR of AND-clauses; each clause is a tuple of signed literals.
 
     A variable appears at most once per clause.
     """
 
-    n: int
-    clauses: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        for clause in self.clauses:
-            _check_clause(clause, self.n)
-
-
-@dataclass(frozen=True)
-class Cnf:
+class Cnf(_Clauses):
     """AND of OR-clauses; each clause is a tuple of signed literals.
 
     A variable appears at most once per clause.
     """
-
-    n: int
-    clauses: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for clause in self.clauses:
-            _check_clause(clause, self.n)
 
 
 Concept = Union[Disjunction, Conjunction, Majority, Halfspace, Dnf, Cnf]
@@ -199,12 +201,6 @@ def _check_literals(literals: Sequence[int], n: int) -> None:
     for lit in literals:
         if lit == 0 or not 1 <= abs(lit) <= n:
             raise InputError(f"literal {lit} out of range for n={n}")
-
-
-def _check_clause(literals: Sequence[int], n: int) -> None:
-    _check_literals(literals, n)
-    if len({abs(l) for l in literals}) != len(literals):
-        raise InputError(f"variable repeated within clause {literals}")
 
 
 def _unit_weights(c: Majority) -> list[int]:
@@ -232,6 +228,10 @@ def constant_concept(n: int, value: int) -> Concept:
     raise InputError("constant concept value must be -1 or +1")
 
 
+#: The clause formulas read as an AND of OR-clauses; the others are an OR of AND-clauses.
+_CNF_SHAPED = (Disjunction, Cnf)
+
+
 def _literal_sat(lit: int, bits: Sequence[int]) -> bool:
     return bits[abs(lit) - 1] == (1 if lit > 0 else -1)
 
@@ -239,20 +239,15 @@ def _literal_sat(lit: int, bits: Sequence[int]) -> bool:
 def eval_concept(c: Concept, x: Bits) -> int:
     """Evaluate a concept at a cube point, returning -1 or +1."""
     bits = as_bits(x, c.n)
-    if isinstance(c, Disjunction):
-        return 1 if any(_literal_sat(l, bits) for l in c.literals) else -1
-    if isinstance(c, Conjunction):
-        return 1 if all(_literal_sat(l, bits) for l in c.literals) else -1
-    if isinstance(c, Majority):
-        return 1 if sum(bits[v - 1] for v in c.vars) > 0 else -1
     if isinstance(c, Halfspace):
         t = c.w0 + sum(wi * b for wi, b in zip(c.w, bits))
         return 1 if t > 0 else -1
-    if isinstance(c, Dnf):
-        return 1 if any(all(_literal_sat(l, bits) for l in cl) for cl in c.clauses) else -1
-    if isinstance(c, Cnf):
-        return 1 if all(any(_literal_sat(l, bits) for l in cl) for cl in c.clauses) else -1
-    raise TypeError(f"not a concept: {c!r}")
+    if isinstance(c, Majority):
+        return 1 if sum(bits[v - 1] for v in c.vars) > 0 else -1
+    if not is_concept(c):
+        raise TypeError(f"not a concept: {c!r}")
+    inner, outer = (any, all) if isinstance(c, _CNF_SHAPED) else (all, any)
+    return 1 if outer(inner(_literal_sat(l, bits) for l in cl) for cl in c.clauses) else -1
 
 
 def eval_concept_batch(c: Concept, X: np.ndarray) -> np.ndarray:
@@ -269,10 +264,10 @@ def eval_concept_batch(c: Concept, X: np.ndarray) -> np.ndarray:
         return np.where(t > 0, 1, -1).astype(np.int8)
     if not is_concept(c):
         raise TypeError(f"not a concept: {c!r}")
-    cnf = isinstance(c, (Disjunction, Cnf))
+    cnf = isinstance(c, _CNF_SHAPED)
     inner, outer = (np.logical_or, np.logical_and) if cnf else (np.logical_and, np.logical_or)
     sat = np.full(X.shape[0], cnf)
-    for clause in c.clauses if isinstance(c, (Dnf, Cnf)) else (c.literals,):
+    for clause in c.clauses:
         hit = np.full(X.shape[0], not cnf)  # the empty clause: false in a CNF, true in a DNF
         for lit in clause:
             inner(hit, X[:, abs(lit) - 1] == (1 if lit > 0 else -1), out=hit)
@@ -306,13 +301,11 @@ def format_concept(c: Concept) -> str:
 
     if isinstance(c, Majority):
         return ("MAJ " + " ".join(str(v) for v in sorted(c.vars))).strip()
-    if isinstance(c, Disjunction):
-        return ("DISJ " + lits(c.literals)).strip()
-    if isinstance(c, Conjunction):
-        return ("CONJ " + lits(c.literals)).strip()
+    if isinstance(c, _Literals):
+        return (("DISJ " if isinstance(c, Disjunction) else "CONJ ") + lits(c.literals)).strip()
     if isinstance(c, Halfspace):
         return "HALFSPACE " + " ".join(str(v) for v in (c.w0, *c.w))
-    if isinstance(c, (Dnf, Cnf)):
+    if isinstance(c, _Clauses):
         kw = "DNF" if isinstance(c, Dnf) else "CNF"
         body = "".join(f"({lits(cl)})" for cl in c.clauses)
         return f"{kw} {body}".strip()
