@@ -74,6 +74,8 @@ def _cmd_construct(args) -> int:
 def _cmd_certify(args) -> int:
     concept = parse_concept(args.concept, args.n)
     payload = json.loads(Path(args.poly).read_text())
+    if not isinstance(payload, dict):
+        raise InputError(f"{args.poly}: expected a JSON object, got {type(payload).__name__}")
     poly = structured_from_json(payload.get("polynomial", payload))
     if args.mode == "twosided":
         report = certify_mod.verify_twosided(poly, concept, args.eps)

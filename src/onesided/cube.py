@@ -104,7 +104,7 @@ class _Literals:
     literals: tuple[int, ...]
 
     def __post_init__(self):
-        _check_literals(self.literals, self.n)
+        object.__setattr__(self, "literals", _signed_literals(self.literals, self.n))
 
     @property
     def clauses(self) -> tuple[tuple[int, ...]]:
@@ -120,10 +120,11 @@ class _Clauses:
     clauses: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for clause in self.clauses:
-            _check_literals(clause, self.n)
+        clauses = tuple(_signed_literals(clause, self.n) for clause in self.clauses)
+        for clause in clauses:
             if len({abs(l) for l in clause}) != len(clause):
                 raise InputError(f"variable repeated within clause {clause}")
+        object.__setattr__(self, "clauses", clauses)
 
 
 class Disjunction(_Literals):
@@ -142,10 +143,12 @@ class Majority:
     vars: tuple[int, ...]
 
     def __post_init__(self):
-        if len(set(self.vars)) != len(self.vars):
-            raise InputError(f"duplicate variable in majority subset {self.vars}")
-        if any(not 1 <= v <= self.n for v in self.vars):
-            raise InputError(f"majority variables out of range [1, {self.n}]: {self.vars}")
+        vs = _int_tuple(self.vars, "majority variables")
+        if len(set(vs)) != len(vs):
+            raise InputError(f"duplicate variable in majority subset {vs}")
+        if vs and not 1 <= min(vs) <= max(vs) <= self.n:
+            raise InputError(f"majority variables out of range [1, {self.n}]: {vs}")
+        object.__setattr__(self, "vars", vs)
 
 
 @dataclass(frozen=True)
@@ -195,12 +198,24 @@ def is_concept(x) -> bool:
     return isinstance(x, _CONCEPT_TYPES)
 
 
-def _check_literals(literals: Sequence[int], n: int) -> None:
-    if len(set(literals)) != len(literals):
-        raise InputError(f"duplicate signed literal in {literals}")
-    for lit in literals:
+def _int_tuple(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as a tuple of Python ints; one that is not an integer (1.5, or even 1.0) raises
+    InputError, as in :func:`store_integer_weights`."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise InputError(f"{what} must be integers, got {values!r}") from None
+
+
+def _signed_literals(literals: Iterable[int], n: int) -> tuple[int, ...]:
+    """The literals as a tuple of Python ints, each naming a variable in [1, n], none repeated."""
+    lits = _int_tuple(literals, "literals")
+    if len(set(lits)) != len(lits):
+        raise InputError(f"duplicate signed literal in {lits}")
+    for lit in lits:
         if lit == 0 or not 1 <= abs(lit) <= n:
             raise InputError(f"literal {lit} out of range for n={n}")
+    return lits
 
 
 def _unit_weights(c: Majority) -> list[int]:
@@ -326,7 +341,7 @@ def parse_concept(text: str, n: int | None = None) -> Concept:
     rest = rest.strip()
 
     def ints(s: str) -> list[int]:
-        return [int(tok) for tok in s.split()] if s else []
+        return _parse_ints(s.split(), f"concept text {text!r}")
 
     if kw == "HALFSPACE":
         ws = ints(rest)
@@ -364,6 +379,17 @@ def parse_concept(text: str, n: int | None = None) -> Concept:
         cls = Dnf if kw == "DNF" else Cnf
         return cls(dim, tuple(clauses))
     raise InputError(f"unknown concept keyword {kw!r}")
+
+
+def _parse_ints(tokens: Iterable[str], where: str) -> list[int]:
+    """The tokens as ints; the first that is not an integer raises InputError naming it and where."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise InputError(f"{where}: {tok!r} is not an integer") from None
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +491,7 @@ def load_sample_csv(path) -> LabeledSample:
                 continue
             if len(row) != n + 1:
                 raise InputError(f"CSV row has {len(row)} fields, expected {n + 1}")
-            vals = [int(v) for v in row]
+            vals = _parse_ints(row, f"sample CSV line {reader.line_num}")
             pts.append(vals[:-1])
             labels.append(vals[-1])
     return make_sample(pts, labels, n)

@@ -24,7 +24,7 @@ import numpy as np
 from .cube import (FULLY, NEGATIVE, POSITIVE, Concept, Disjunction, LabeledSample, Majority,
                    constant_concept, empirical_metrics, eval_concept_batch,
                    format_concept, parse_concept, save_sample_csv)
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, json_field
 from .learn import (learn_agnostic_l1, learn_disjunction_positive, learn_fully_reliable,
                     learn_reliable)
 
@@ -78,10 +78,14 @@ class NoiseModel:
 
     @staticmethod
     def from_json(obj: dict) -> "NoiseModel":
-        table = obj.get("table")
+        table = json_field(obj, "table", (list, type(None)), "noise model", None)
         if table is not None:
-            table = tuple((tuple(row[0]), row[1], float(row[2])) for row in table)
-        return NoiseModel(obj.get("kind", "none"), float(obj.get("eta", 0.0)), table)
+            try:
+                table = tuple((tuple(point), y, float(prob)) for point, y, prob in table)
+            except (TypeError, ValueError):
+                raise InputError(f"noise model 'table' rows must be [point, label, probability]: {table!r}") from None
+        return NoiseModel(json_field(obj, "kind", str, "noise model", "none"),
+                          float(json_field(obj, "eta", (int, float), "noise model", 0.0)), table)
 
 
 def stage_rng(seed: int, stream: int) -> np.random.Generator:
@@ -124,7 +128,10 @@ def _subset_bank(kind, n: int, cap: int, name: str) -> list[Concept]:
     """``kind(n, subset)`` for every variable subset, in mask order (bit j selects x_{j+1})."""
     if n > cap:
         raise ResourceLimitError(f"{name} bank enumerates 2^{n} concepts; cap is n={cap}")
-    return [kind(n, tuple(j + 1 for j in range(n) if (mask >> j) & 1)) for mask in range(2**n)]
+    subsets = [()]
+    for v in range(1, n + 1):  # the masks with top bit v - 1 follow those below it
+        subsets += [s + (v,) for s in subsets]
+    return [kind(n, s) for s in subsets]
 
 
 def majority_bank(n: int) -> list[Concept]:
@@ -337,8 +344,8 @@ class RunManifest:
     learner: dict
     samples: dict
     oracle: dict | None = None
-    results: dict = field(default_factory=dict)
-    artifact_hashes: dict = field(default_factory=dict)
+    results: dict = field(init=False, default_factory=dict)
+    artifact_hashes: dict = field(init=False, default_factory=dict)
 
     def inputs_json(self) -> dict:
         obj = {
@@ -355,15 +362,19 @@ class RunManifest:
 
     @staticmethod
     def from_json(obj: dict) -> "RunManifest":
-        if obj.get("generator", GENERATOR_ID) != GENERATOR_ID:
-            raise InputError(f"unknown generator {obj['generator']!r}; the only generator is {GENERATOR_ID!r}")
+        """Inverse of :meth:`inputs_json`; a malformed manifest raises InputError naming the field."""
+        generator = json_field(obj, "generator", str, "manifest", GENERATOR_ID)
+        if generator != GENERATOR_ID:
+            raise InputError(f"unknown generator {generator!r}; the only generator is {GENERATOR_ID!r}")
+        learner = json_field(obj, "learner", dict, "manifest")
+        json_field(learner, "algo", str, "manifest learner")  # the learner run_experiment trains
         return RunManifest(
-            seed=int(obj["seed"]),
-            concept=obj["concept"],
-            noise=NoiseModel.from_json(obj["noise"]),
-            learner=dict(obj["learner"]),
-            samples=dict(obj["samples"]),
-            oracle=obj.get("oracle"),
+            seed=json_field(obj, "seed", int, "manifest"),
+            concept=json_field(obj, "concept", str, "manifest"),
+            noise=NoiseModel.from_json(json_field(obj, "noise", dict, "manifest")),
+            learner=dict(learner),
+            samples=dict(json_field(obj, "samples", dict, "manifest")),
+            oracle=json_field(obj, "oracle", (dict, type(None)), "manifest", None),
         )
 
     @property

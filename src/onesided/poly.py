@@ -48,14 +48,13 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 import numpy as np
 
 from .cube import (CUBE_CAP, BoolFunc, as_bits, cube_matrix, linear_form, store_integer_weights,
                    target_values)
-from .errors import DimensionError, InputError, ResourceLimitError
+from .errors import DimensionError, InputError, ResourceLimitError, json_field
 
 Coef = Union[Fraction, float]
 
@@ -222,7 +221,6 @@ class UniPoly:
         return Fraction(max(map(abs, self.nums), default=0), self.den)
 
 
-@lru_cache(maxsize=256)
 def chebyshev(d: int) -> UniPoly:
     """The degree-d Chebyshev polynomial of the first kind, exact coefficients.
 
@@ -412,6 +410,8 @@ class AffineForm:
     w: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.outer, UniPoly):
+            raise InputError(f"an affine form's outer must be a UniPoly, got {type(self.outer).__name__}")
         store_integer_weights(self)
 
     @property
@@ -424,6 +424,8 @@ class AffineForm:
 
 @dataclass(frozen=True)
 class SumForm:
+    """offset + the sum of the parts, all of one dimension; the offset is an int or a Fraction."""
+
     parts: tuple["StructuredPolynomial", ...]
     offset: Fraction
 
@@ -433,7 +435,7 @@ class SumForm:
         dims = {part.n for part in self.parts}
         if len(dims) != 1:
             raise DimensionError(f"sum form parts disagree on dimension: {dims}")
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "offset", Fraction(*_ratio(self.offset)))
 
     @property
     def n(self) -> int:
@@ -714,7 +716,10 @@ def _coef_to_str(c: Coef) -> str:
 def _coef_from_str(s: str) -> Coef:
     """Inverse of :func:`_coef_to_str`: an int or fraction string is an exact Fraction, and a float
     repr (any other string) is that float, so a float coefficient reads back as the same value."""
-    return Fraction(s) if re.fullmatch(r"[+-]?\d+(/\d+)?", s) else float(s)
+    try:
+        return Fraction(s) if re.fullmatch(r"[+-]?\d+(/\d+)?", s) else float(s)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"not a coefficient: {s!r}") from None
 
 
 def sparse_to_json(p: SparsePolynomial) -> dict:
@@ -726,8 +731,13 @@ def sparse_to_json(p: SparsePolynomial) -> dict:
 
 
 def sparse_from_json(obj: Mapping) -> SparsePolynomial:
-    terms = {tuple(t["vars"]): _coef_from_str(t["coef"]) for t in obj["terms"]}
-    return SparsePolynomial(int(obj["n"]), terms)
+    terms = {}
+    for t in json_field(obj, "terms", list, "sparse polynomial"):
+        mono = json_field(t, "vars", list, "term")
+        if not all(isinstance(v, int) for v in mono):
+            raise InputError(f"term field 'vars' must hold integers, got {mono!r}")
+        terms[tuple(mono)] = _coef_from_str(json_field(t, "coef", str, "term"))
+    return SparsePolynomial(json_field(obj, "n", int, "sparse polynomial"), terms)
 
 
 def structured_to_json(p: StructuredPolynomial) -> dict:
@@ -750,11 +760,26 @@ def structured_to_json(p: StructuredPolynomial) -> dict:
 
 
 def structured_from_json(obj: Mapping) -> StructuredPolynomial:
-    form = obj.get("form", "sparse")  # sparse_to_json, as in a learned hypothesis, writes no tag
+    """Inverse of :func:`structured_to_json`; a malformed object raises InputError naming the field."""
+    # sparse_to_json, as in a learned hypothesis, writes no tag
+    form = json_field(obj, "form", str, "polynomial", "sparse")
     if form == "sparse":
         return sparse_from_json(obj)
     if form == "affine":
-        return AffineForm(UniPoly(tuple(Fraction(c) for c in obj["outer"])), obj["w0"], obj["w"])
+        outer = [_exact_from_str(c) for c in json_field(obj, "outer", list, "affine form")]
+        return AffineForm(UniPoly(outer), json_field(obj, "w0", (int, float), "affine form"),
+                          json_field(obj, "w", list, "affine form"))
     if form == "sum":
-        return SumForm(tuple(structured_from_json(part) for part in obj["parts"]), Fraction(obj["offset"]))
+        parts = tuple(structured_from_json(part) for part in json_field(obj, "parts", list, "sum form"))
+        return SumForm(parts, _exact_from_str(json_field(obj, "offset", str, "sum form")))
     raise InputError(f"unknown structured polynomial form {form!r}")
+
+
+def _exact_from_str(s) -> Fraction:
+    """An exact coefficient or offset written as a string, such as "-3", "1/3" or "0.25"."""
+    if not isinstance(s, str):
+        raise InputError(f"an exact coefficient must be a string such as \"1/3\", got {s!r}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"not an exact coefficient: {s!r}") from None

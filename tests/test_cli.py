@@ -416,3 +416,46 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["construct"])  # missing required flags
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"n": 1, "terms": [{"vars": [1], "coef": 0.5}]}, "'coef' must be a string"),
+    ({"n": 1, "terms": [{"vars": [1]}]}, "term has no 'coef' field"),
+    ([{"n": 1, "terms": []}], "expected a JSON object"),
+    ({"terms": []}, "sparse polynomial has no 'n' field"),
+    ({"n": 1, "terms": [{"vars": [1.5], "coef": "1"}]}, "'vars' must hold integers"),
+    ({"form": "sum", "offset": 0.5, "parts": [{"n": 1, "terms": []}]}, "'offset' must be a string"),
+    ({"form": "affine", "outer": [1], "w0": 0, "w": [1]}, "must be a string"),
+])
+def test_certify_refuses_a_malformed_polynomial_file(tmp_path, capsys, payload, field):
+    poly_path = tmp_path / "p.json"
+    poly_path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "certify", "--poly", str(poly_path), "--concept", "MAJ 1",
+                             "--eps", "0.1", "--mode", "positive")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    *[(lambda m, key=key: m.pop(key), f"manifest has no {key!r} field")
+      for key in ("seed", "concept", "noise", "learner", "samples")],
+    (lambda m: m["learner"].pop("algo"), "manifest learner has no 'algo' field"),
+    (lambda m: m.update(seed="1"), "manifest field 'seed' must be an integer, got '1'"),
+    (lambda m: m.update(noise=[]), "manifest field 'noise' must be an object, got []"),
+    (lambda m: m["noise"].update(table=[[1, 1]]), "noise model 'table' rows must be [point, label, probability]"),
+])
+def test_bench_reports_a_malformed_manifest_and_runs_the_rest(tmp_path, capsys, edit, message):
+    manifest = RunManifest(seed=1, concept="MAJ 1 2 3", noise=NoiseModel("none"),
+                           learner={"algo": "disjunction"}, samples={"train": 100, "heldout": 100})
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(manifest.inputs_json()))
+    broken_json = json.loads(good.read_text())
+    edit(broken_json)
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(broken_json))
+    root = tmp_path / "runs"
+    code, out, err = run_cli(capsys, "bench", str(broken), str(good), "--root", str(root))
+    assert code == 1
+    assert err.startswith(f"error: {broken}: load: {message}") and err.count("\n") == 1
+    assert len(out.strip().splitlines()) == 1
+    assert (root / manifest.hash / "result.json").is_file()

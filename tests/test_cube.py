@@ -1,5 +1,6 @@
 import csv
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -140,6 +141,33 @@ def test_concept_clause_variable_uniqueness():
         Disjunction(2, (1, 1))
 
 
+@pytest.mark.parametrize("make", [lambda: Majority(3, (1.5,)), lambda: Disjunction(3, (1.5,)),
+                                  lambda: Conjunction(3, (1.0,)), lambda: Dnf(3, ((1, 2.5),)),
+                                  lambda: Cnf(3, (("1",),))])
+def test_concepts_take_only_integer_variables_and_literals(make):
+    # an inexact index would otherwise surface only in evaluation, as a TypeError or an IndexError
+    with pytest.raises(InputError, match="must be integers"):
+        make()
+
+
+def test_concepts_store_variables_and_literals_as_python_ints():
+    maj, disj = Majority(3, [np.int64(1), np.int8(3)]), Disjunction(3, [np.int64(-2)])
+    cnf = Cnf(3, [[np.int64(1), -3], []])
+    for stored in (maj.vars, disj.literals, cnf.clauses, *cnf.clauses):
+        assert type(stored) is tuple
+    assert all(type(v) is int for v in (*maj.vars, *disj.literals, *cnf.clauses[0]))
+    assert disj == Disjunction(3, (-2,))
+    assert cnf == Cnf(3, ((1, -3), ())) and hash(cnf) == hash(Cnf(3, ((1, -3), ())))
+
+
+def test_concept_shapes_keep_class_sensitive_equality():
+    assert Disjunction(1, (1,)) != Conjunction(1, (1,))
+    assert Dnf(1, ((1,),)) != Cnf(1, ((1,),))
+    assert repr(Conjunction(2, (1, -2))) == "Conjunction(n=2, literals=(1, -2))"
+    assert repr(Dnf(2, ((1,), (-2,)))) == "Dnf(n=2, clauses=((1,), (-2,)))"
+    assert Disjunction(2, (1, -2)).clauses == ((1, -2),)
+
+
 def test_halfspace_weight_invariant():
     with pytest.raises(InputError):
         Halfspace(2, 0, (0, 0))
@@ -184,6 +212,9 @@ def test_parse_concept_errors():
         parse_concept("HALFSPACE 0 1 1", n=5)
     for text in ("DNF (+1 -2", "CNF (+1)(-2 +3"):
         with pytest.raises(InputError, match="unclosed clause"):
+            parse_concept(text)
+    for text, token in (("MAJ 1 x", "x"), ("HALFSPACE 0 1.5", "1.5"), ("DNF (+1 +y)", "+y")):
+        with pytest.raises(InputError, match=re.escape(f"'{token}' is not an integer")):
             parse_concept(text)
 
 
@@ -230,6 +261,13 @@ def test_sample_csv_roundtrip(tmp_path):
     loaded = load_sample_csv(path)
     assert np.array_equal(loaded.points, s.points)
     assert np.array_equal(loaded.labels, s.labels)
+
+
+def test_sample_csv_refuses_a_cell_that_is_not_an_integer(tmp_path):
+    path = tmp_path / "sample.csv"
+    path.write_text("x1,x2,y\r\n1,-1,1\r\n-1,1.0,1\r\n")
+    with pytest.raises(InputError, match="sample CSV line 3: '1.0' is not an integer"):
+        load_sample_csv(path)
 
 
 def _csv_by_writer(s, path):

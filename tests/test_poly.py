@@ -445,3 +445,17 @@ def test_sparse_eval_batch_is_the_sequential_term_sum():
         for mono, coef in p.terms.items():
             want += float(coef) * (X[:, [v - 1 for v in mono]].prod(axis=1) if mono else 1.0)
         assert np.array_equal(sparse_eval_batch(p, X), want)
+
+
+def test_sum_forms_take_an_exact_offset():
+    part = SparsePolynomial(1, {(1,): 1})
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(InputError, match="ints and Fractions"):
+        SumForm((part,), 0.1)
+    assert SumForm((part,), np.int64(2)).offset == 2
+    assert SumForm((part,), Fraction(1, 10)).offset == Fraction(1, 10)
+
+
+def test_affine_forms_take_a_unipoly_outer():
+    with pytest.raises(InputError, match="outer must be a UniPoly"):
+        AffineForm([1, 2], 0, (1,))

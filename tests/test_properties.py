@@ -23,7 +23,7 @@ from onesided.constructions import halfspace_onesided
 from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Cnf, Conjunction, Disjunction, Dnf, ErrorMetrics,
                            Halfspace, LabeledSample, Majority, constant_concept, cube_matrix, dedup,
                            empirical_metrics, eval_concept, eval_concept_batch, format_concept, linear_form,
-                           majority_as_halfspace, make_sample, predict)
+                           majority_as_halfspace, make_sample, parse_concept, predict)
 from onesided.errors import InfeasibleError
 from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
                               monotone_disjunction_bank)
@@ -513,6 +513,16 @@ def concepts(draw, n=None):
 def test_eval_concept_batch_matches_pointwise(c):
     X = cube_matrix(c.n)
     assert eval_concept_batch(c, X).tolist() == [eval_concept(c, tuple(row)) for row in X.tolist()]
+
+
+@settings(max_examples=300)
+@given(concepts())
+def test_concept_text_round_trips(c):
+    # parsing sorts literals and variables, so the round trip is checked on text and values
+    again = parse_concept(format_concept(c), n=c.n)
+    assert format_concept(again) == format_concept(c)
+    X = cube_matrix(c.n)
+    assert np.array_equal(eval_concept_batch(again, X), eval_concept_batch(c, X))
 
 
 # ---------------------------------------------------------------------------
