@@ -366,14 +366,20 @@ class RunManifest:
         generator = json_field(obj, "generator", str, "manifest", GENERATOR_ID)
         if generator != GENERATOR_ID:
             raise InputError(f"unknown generator {generator!r}; the only generator is {GENERATOR_ID!r}")
+        # the learner and sample fields that run_experiment reads; only the learner's algo is required
         learner = json_field(obj, "learner", dict, "manifest")
-        json_field(learner, "algo", str, "manifest learner")  # the learner run_experiment trains
+        json_field(learner, "algo", str, "manifest learner")
+        for key, kind in (("d", int), ("W", (int, float)), ("eps", (int, float))):
+            json_field(learner, key, kind, "manifest learner", None)
+        samples = json_field(obj, "samples", dict, "manifest")
+        for key in ("train", "calib", "heldout"):
+            json_field(samples, key, int, "manifest samples", None)
         return RunManifest(
             seed=json_field(obj, "seed", int, "manifest"),
             concept=json_field(obj, "concept", str, "manifest"),
             noise=NoiseModel.from_json(json_field(obj, "noise", dict, "manifest")),
             learner=dict(learner),
-            samples=dict(json_field(obj, "samples", dict, "manifest")),
+            samples=dict(samples),
             oracle=json_field(obj, "oracle", (dict, type(None)), "manifest", None),
         )
 

@@ -442,6 +442,8 @@ def test_certify_refuses_a_malformed_polynomial_file(tmp_path, capsys, payload, 
     (lambda m: m["learner"].pop("algo"), "manifest learner has no 'algo' field"),
     (lambda m: m.update(seed="1"), "manifest field 'seed' must be an integer, got '1'"),
     (lambda m: m.update(noise=[]), "manifest field 'noise' must be an object, got []"),
+    (lambda m: m["samples"].update(train=[100]), "manifest samples field 'train' must be an integer, got [100]"),
+    (lambda m: m["learner"].update(d=[2]), "manifest learner field 'd' must be an integer, got [2]"),
     (lambda m: m["noise"].update(table=[[1, 1]]), "noise model 'table' rows must be [point, label, probability]"),
 ])
 def test_bench_reports_a_malformed_manifest_and_runs_the_rest(tmp_path, capsys, edit, message):
