@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import itertools
+import random
 import re
 import tracemalloc
 from fractions import Fraction
@@ -216,6 +218,55 @@ def test_parse_concept_errors():
     for text, token in (("MAJ 1 x", "x"), ("HALFSPACE 0 1.5", "1.5"), ("DNF (+1 +y)", "+y")):
         with pytest.raises(InputError, match=re.escape(f"'{token}' is not an integer")):
             parse_concept(text)
+
+
+def _concept_text_corpus(count=1000, seed=1402):
+    """Concept texts drawn from a seeded generator: the six keywords in mixed case and an unknown
+    one, integer and malformed tokens, and clause lists with stray or missing parentheses."""
+    rng = random.Random(seed)
+
+    def tokens(signed=True):
+        # distinct variables of [1, 3] or [1, 8]; now and then a repeat, a zero or a non-integer
+        top = rng.choice([3, 8])
+        vs = rng.sample(range(1, top + 1), rng.randint(0, min(top, 4)))
+        out = [v * rng.choice([1, -1]) if signed else v for v in vs]
+        if out and rng.random() < 0.1:
+            out.append(rng.choice([out[0], -out[0], 0]))
+        words = [f"{v:+d}" if rng.random() < 0.5 else str(v) for v in out]
+        if rng.random() < 0.05:
+            words.insert(rng.randint(0, len(words)), rng.choice(["x", "1.5", "+"]))
+        return " ".join(words)
+
+    texts = ["", "   "]
+    for _ in range(count):
+        kw = rng.choice(["MAJ", "DISJ", "CONJ", "HALFSPACE", "DNF", "CNF", "maj", "Disj", "cnf", "WAT"])
+        if kw.upper() in ("DNF", "CNF"):
+            body = "".join(rng.choice(["", " "]) + "(" + tokens() + rng.choice([")", ")", ")", ""])
+                           for _ in range(rng.randint(0, 3)))
+            body += " +1" if rng.random() < 0.05 else ""
+        else:
+            body = tokens(signed=kw.upper() != "MAJ" or rng.random() < 0.1)
+        sep = rng.choice([" ", " ", " ", "  ", ""])
+        texts.append(rng.choice(["", " "]) + kw + sep + body + rng.choice(["", " "]))
+    return texts
+
+
+def test_concept_text_corpus_reads_as_recorded():
+    # sha256 recorded by an earlier version of the package: for every text of the corpus and
+    # n in (None, 3, 8), the parsed concept's format_concept, repr and values on the cube, or the
+    # type of the exception that refuses the text
+    h = hashlib.sha256()
+    for text in _concept_text_corpus():
+        for n in (None, 3, 8):
+            try:
+                c = parse_concept(text, n)
+            except Exception as exc:
+                record = type(exc).__name__
+            else:
+                values = eval_concept_batch(c, cube_matrix(c.n)).tobytes().hex()
+                record = f"{format_concept(c)}|{c!r}|{values}"
+            h.update(f"{text!r} {n} {record}\n".encode())
+    assert h.hexdigest() == "236889c0b4b06f13bafee8e9d612807c5b1f90358ebce4e40f465b494b5ce799"
 
 
 def test_empirical_metrics_examples():

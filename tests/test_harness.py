@@ -128,6 +128,29 @@ def test_noise_model_validation():
         NoiseModel("adversarial_table", table=(((1,), 1, 0.5),))
 
 
+_PIN_TABLE = (((-1, -1, 1), 1, 0.25), ((1, 1, -1), -1, 0.5), ((1, -1, 1), 1, 0.25))
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("none", "d771c440e023d73cf2e095d4677278af1cdb48b337e9e7036d13f7ae713ec55b"),
+    ("one_sided_positive", "fcb86821ec94e7eb37cdc0eef419b2aa81b32c2bd058f7fe3f2a288f38f9f486"),
+    ("one_sided_negative", "f10b5fe3ccb28e102f96b9821c03d81978c1fdd0b00656f7f9b751bcc4713aa7"),
+    ("symmetric", "985b04547d619982c5bccf0a16f7c1f2a3f0331e2d3fbb5bc327acc1e60b830b"),
+    ("adversarial_table", "5e5261d982b5789536bf54f4bf73465ebcc38244df61c485b0de7120d5c7c3fc"),
+])
+def test_generate_writes_the_recorded_samples(kind, digest):
+    # sha256 recorded by an earlier version of the package (numpy 2.4): the points and labels of
+    # every noise kind at eta 0, 0.1 and 0.5 and seeds 0-4, so a stored sample redraws byte-identical
+    h = hashlib.sha256()
+    for eta in (0.0, 0.1, 0.5):
+        noise = NoiseModel(kind, eta, _PIN_TABLE if kind == "adversarial_table" else None)
+        for seed in range(5):
+            s = generate(Majority(3, (1, 2, 3)), noise, 50, seed=seed)
+            h.update(s.points.tobytes())
+            h.update(s.labels.tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_stage_rng_documented_split():
     a = stage_rng(1234, 1).integers(0, 2**32)
     b = stage_rng(1234, 1).integers(0, 2**32)
