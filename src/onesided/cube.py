@@ -18,7 +18,7 @@ import csv
 import operator
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union, get_args
 
 import numpy as np
 
@@ -141,6 +141,7 @@ class Majority:
 
     n: int
     vars: tuple[int, ...]
+    w0 = 0  # not a field: with ``w``, the threshold view sgn(w0 + w.x) with unit weights on vars
 
     def __post_init__(self):
         vs = _int_tuple(self.vars, "majority variables")
@@ -149,6 +150,10 @@ class Majority:
         if vs and not 1 <= min(vs) <= max(vs) <= self.n:
             raise InputError(f"majority variables out of range [1, {self.n}]: {vs}")
         object.__setattr__(self, "vars", vs)
+
+    @cached_property
+    def w(self) -> tuple[int, ...]:
+        return tuple(int(j in self.vars) for j in range(1, self.n + 1))
 
 
 @dataclass(frozen=True)
@@ -187,7 +192,7 @@ class Cnf(_Clauses):
 
 Concept = Union[Disjunction, Conjunction, Majority, Halfspace, Dnf, Cnf]
 
-_CONCEPT_TYPES = (Disjunction, Conjunction, Majority, Halfspace, Dnf, Cnf)
+_CONCEPT_TYPES = get_args(Concept)
 
 #: Evaluable targets accepted by certification and metric helpers.
 BoolFunc = Union[Concept, Callable[[tuple[int, ...]], int]]
@@ -218,18 +223,11 @@ def _signed_literals(literals: Iterable[int], n: int) -> tuple[int, ...]:
     return lits
 
 
-def _unit_weights(c: Majority) -> list[int]:
-    w = [0] * c.n
-    for v in c.vars:
-        w[v - 1] = 1
-    return w
-
-
 def majority_as_halfspace(c: Majority) -> Halfspace:
     """The unit-weight halfspace computing a (nonempty) majority."""
     if not c.vars:
         raise InputError("the empty majority is constant -1, not a halfspace")
-    return Halfspace(c.n, 0, tuple(_unit_weights(c)))
+    return Halfspace(c.n, 0, c.w)
 
 
 def constant_concept(n: int, value: int) -> Concept:
@@ -254,11 +252,8 @@ def _literal_sat(lit: int, bits: Sequence[int]) -> bool:
 def eval_concept(c: Concept, x: Bits) -> int:
     """Evaluate a concept at a cube point, returning -1 or +1."""
     bits = as_bits(x, c.n)
-    if isinstance(c, Halfspace):
-        t = c.w0 + sum(wi * b for wi, b in zip(c.w, bits))
-        return 1 if t > 0 else -1
-    if isinstance(c, Majority):
-        return 1 if sum(bits[v - 1] for v in c.vars) > 0 else -1
+    if isinstance(c, (Halfspace, Majority)):
+        return 1 if c.w0 + sum(map(operator.mul, c.w, bits)) > 0 else -1
     if not is_concept(c):
         raise TypeError(f"not a concept: {c!r}")
     inner, outer = (any, all) if isinstance(c, _CNF_SHAPED) else (all, any)
@@ -274,9 +269,8 @@ def eval_concept_batch(c: Concept, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[1] != c.n:
         raise DimensionError(f"matrix has {X.shape[1] if X.ndim == 2 else '?'} columns, expected {c.n}")
-    if isinstance(c, (Majority, Halfspace)):
-        t = linear_form(X, 0, _unit_weights(c)) if isinstance(c, Majority) else linear_form(X, c.w0, c.w)
-        return np.where(t > 0, 1, -1).astype(np.int8)
+    if isinstance(c, (Halfspace, Majority)):
+        return np.where(linear_form(X, c.w0, c.w) > 0, 1, -1).astype(np.int8)
     if not is_concept(c):
         raise TypeError(f"not a concept: {c!r}")
     cnf = isinstance(c, _CNF_SHAPED)
@@ -308,27 +302,38 @@ def target_values(f: BoolFunc, X: np.ndarray) -> np.ndarray:
 # Concept text format
 
 
+#: Each concept class's keyword in the text format.
+_KEYWORDS = {Disjunction: "DISJ", Conjunction: "CONJ", Majority: "MAJ", Halfspace: "HALFSPACE",
+             Dnf: "DNF", Cnf: "CNF"}
+
+
+def _text_order(literals: Iterable[int]) -> list[int]:
+    """Signed literals in text order: by variable, the positive literal first."""
+    return sorted(literals, key=lambda l: (abs(l), -l))
+
+
 def format_concept(c: Concept) -> str:
     """Canonical one-line text encoding (also used as a deterministic sort key)."""
 
     def lits(ls: Iterable[int]) -> str:
-        return " ".join(f"{l:+d}" for l in sorted(ls, key=lambda l: (abs(l), -l)))
+        return " ".join(f"{l:+d}" for l in _text_order(ls))
 
-    if isinstance(c, Majority):
-        return ("MAJ " + " ".join(str(v) for v in sorted(c.vars))).strip()
-    if isinstance(c, _Literals):
-        return (("DISJ " if isinstance(c, Disjunction) else "CONJ ") + lits(c.literals)).strip()
+    kw = next((kw for cls, kw in _KEYWORDS.items() if isinstance(c, cls)), None)
+    if kw is None:
+        raise TypeError(f"not a concept: {c!r}")
     if isinstance(c, Halfspace):
-        return "HALFSPACE " + " ".join(str(v) for v in (c.w0, *c.w))
-    if isinstance(c, _Clauses):
-        kw = "DNF" if isinstance(c, Dnf) else "CNF"
+        body = " ".join(str(v) for v in (c.w0, *c.w))
+    elif isinstance(c, Majority):
+        body = " ".join(str(v) for v in sorted(c.vars))
+    elif isinstance(c, _Literals):
+        body = lits(c.literals)
+    else:
         body = "".join(f"({lits(cl)})" for cl in c.clauses)
-        return f"{kw} {body}".strip()
-    raise TypeError(f"not a concept: {c!r}")
+    return f"{kw} {body}".rstrip()
 
 
 def parse_concept(text: str, n: int | None = None) -> Concept:
-    """Parse the one-concept-per-line text format.
+    """Parse the one-concept-per-line text format: a keyword, whitespace, then its body.
 
     When ``n`` is omitted it defaults to the largest variable index mentioned
     (for HALFSPACE the weight count fixes it).
@@ -336,14 +341,16 @@ def parse_concept(text: str, n: int | None = None) -> Concept:
     text = text.strip()
     if not text:
         raise InputError("empty concept text")
-    kw, _, rest = text.partition(" ")
-    kw = kw.upper()
-    rest = rest.strip()
+    words = text.split(maxsplit=1)
+    kw, rest = words[0].upper(), words[1] if len(words) == 2 else ""
+    cls = {word: cls for cls, word in _KEYWORDS.items()}.get(kw)
+    if cls is None:
+        raise InputError(f"unknown concept keyword {kw!r}")
 
     def ints(s: str) -> list[int]:
         return _parse_ints(s.split(), f"concept text {text!r}")
 
-    if kw == "HALFSPACE":
+    if cls is Halfspace:
         ws = ints(rest)
         if not ws:
             raise InputError("HALFSPACE needs w0 and at least zero weights")
@@ -351,34 +358,22 @@ def parse_concept(text: str, n: int | None = None) -> Concept:
         if n is not None and n != dim:
             raise DimensionError(f"HALFSPACE lists {dim} weights but n={n} given")
         return Halfspace(dim, ws[0], tuple(ws[1:]))
-    if kw == "MAJ":
-        vs = ints(rest)
-        dim = n if n is not None else (max(vs) if vs else 1)
-        return Majority(dim, tuple(sorted(vs)))
-    if kw in ("DISJ", "CONJ"):
-        ls = ints(rest)
-        dim = n if n is not None else (max(abs(l) for l in ls) if ls else 1)
-        cls = Disjunction if kw == "DISJ" else Conjunction
-        return cls(dim, tuple(sorted(ls, key=lambda l: (abs(l), -l))))
-    if kw in ("DNF", "CNF"):
-        clauses = []
-        body = rest
+    if issubclass(cls, _Clauses):
+        fields = []
+        body = rest.lstrip()
         while body:
-            body = body.lstrip()
-            if not body:
-                break
             if body[0] != "(":
                 raise InputError(f"expected '(' in {kw} clause list: {body!r}")
             close = body.find(")")
             if close < 0:
                 raise InputError(f"unclosed clause in {kw} clause list: {body!r}")
-            clauses.append(tuple(ints(body[1:close])))
-            body = body[close + 1:]
-        allv = [abs(l) for cl in clauses for l in cl]
-        dim = n if n is not None else (max(allv) if allv else 1)
-        cls = Dnf if kw == "DNF" else Cnf
-        return cls(dim, tuple(clauses))
-    raise InputError(f"unknown concept keyword {kw!r}")
+            fields.append(tuple(ints(body[1:close])))
+            body = body[close + 1:].lstrip()
+        mentioned = [l for clause in fields for l in clause]
+    else:
+        fields = mentioned = (sorted if cls is Majority else _text_order)(ints(rest))
+    dim = n if n is not None else max((abs(l) for l in mentioned), default=1)
+    return cls(dim, tuple(fields))
 
 
 def _parse_ints(tokens: Iterable[str], where: str) -> list[int]:

@@ -37,6 +37,12 @@ TRAIN_STREAM, CALIB_STREAM, HELDOUT_STREAM = 1, 2, 3
 # Noise models
 
 
+#: noise kind -> the label its flips never touch: 0 (no label) for symmetric noise, which may flip
+#: either, and None for the kinds that flip no label.
+_NOISE_KEEPS = {"none": None, "one_sided_positive": 1, "one_sided_negative": -1, "symmetric": 0,
+                "adversarial_table": None}
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Label noise applied on top of a planted concept.
@@ -53,11 +59,10 @@ class NoiseModel:
     table: tuple[tuple[tuple[int, ...], int, float], ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "one_sided_positive", "one_sided_negative", "symmetric", "adversarial_table"):
+        if self.kind not in _NOISE_KEEPS:
             raise InputError(f"unknown noise kind {self.kind!r}")
-        if self.kind.endswith("sided_positive") or self.kind in ("one_sided_negative", "symmetric"):
-            if not 0 <= self.eta < 1:
-                raise InputError("eta must lie in [0, 1)")
+        if _NOISE_KEEPS[self.kind] is not None and not 0 <= self.eta < 1:
+            raise InputError("eta must lie in [0, 1)")
         if self.kind == "adversarial_table":
             if not self.table:
                 raise InputError("adversarial_table needs a nonempty table")
@@ -70,7 +75,7 @@ class NoiseModel:
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind}
-        if self.kind in ("one_sided_positive", "one_sided_negative", "symmetric"):
+        if _NOISE_KEEPS[self.kind] is not None:
             out["eta"] = self.eta
         if self.table is not None:
             out["table"] = [[list(p), y, prob] for p, y, prob in self.table]
@@ -108,15 +113,10 @@ def generate(c: Concept, noise: NoiseModel, m: int, seed: int, stream: int = TRA
         return LabeledSample(np.array([rows[i][0] for i in idx]), np.array([rows[i][1] for i in idx]), c.n)
     X = (rng.integers(0, 2, size=(m, c.n)) * 2 - 1).astype(np.int8)
     y = eval_concept_batch(c, X).copy()
-    if noise.kind != "none" and noise.eta > 0:
-        u = rng.random(m)
-        if noise.kind == "one_sided_positive":
-            y[(y == -1) & (u < noise.eta)] = 1
-        elif noise.kind == "one_sided_negative":
-            y[(y == 1) & (u < noise.eta)] = -1
-        elif noise.kind == "symmetric":
-            flip = u < noise.eta
-            y[flip] = -y[flip]
+    keep = _NOISE_KEEPS[noise.kind]
+    if keep is not None and noise.eta > 0:
+        flip = (rng.random(m) < noise.eta) & (y != keep)
+        np.negative(y, out=y, where=flip)
     return LabeledSample(X, y, c.n)
 
 

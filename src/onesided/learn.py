@@ -167,7 +167,7 @@ def learn_disjunction_positive(s: LabeledSample) -> Disjunction:
             keep.append(j)
         if not (col == -1).any():
             keep.append(-j)
-    return Disjunction(s.n, tuple(sorted(keep, key=lambda l: (abs(l), -l))))
+    return Disjunction(s.n, tuple(keep))  # built in text order: by variable, x_j before its negation
 
 
 # ---------------------------------------------------------------------------

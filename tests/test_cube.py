@@ -177,6 +177,16 @@ def test_halfspace_weight_invariant():
     assert majority_as_halfspace(Majority(3, (1, 3))).w == (1, 0, 1)
 
 
+def test_majority_reads_as_a_unit_weight_threshold():
+    c = Majority(4, (3, 1))
+    assert (c.w0, c.w) == (0, (1, 0, 1, 0)) and Majority(2, ()).w == (0, 0)
+    # a view, not a field: repr, equality and hashing see n and vars alone
+    assert repr(c) == "Majority(n=4, vars=(3, 1))"
+    assert c == Majority(4, (3, 1)) and hash(c) == hash(Majority(4, (3, 1)))
+    with pytest.raises(AttributeError):
+        c.w = (1, 1, 1, 1)
+
+
 def test_halfspace_takes_only_integer_weights():
     # a fractional w0 once answered [+1, +1] pointwise but [-1, +1] in batch, truncated into int64
     for w0, w in ((Fraction(3, 2), (1,)), (1.0, (1,)), (0, (Fraction(1, 2),))):
@@ -203,6 +213,12 @@ def test_concept_text_roundtrip():
         assert format_concept(c) == text.strip()
         again = parse_concept(format_concept(c), n=c.n)
         assert again == c
+
+
+@pytest.mark.parametrize("sep", ["\t", "\n", " \t ", "\u00a0"])
+def test_concept_keyword_is_followed_by_any_whitespace(sep):
+    assert parse_concept(f"MAJ{sep}1 2") == Majority(2, (1, 2))
+    assert parse_concept(f"dnf{sep}(+1)(-2)") == Dnf(2, ((1,), (-2,)))
 
 
 def test_parse_concept_errors():
