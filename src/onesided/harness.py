@@ -366,14 +366,18 @@ class RunManifest:
         generator = json_field(obj, "generator", str, "manifest", GENERATOR_ID)
         if generator != GENERATOR_ID:
             raise InputError(f"unknown generator {generator!r}; the only generator is {GENERATOR_ID!r}")
-        # the learner and sample fields that run_experiment reads; only the learner's algo is required
+        # the learner and sample fields that run_experiment reads; of these only the learner's algo
+        # and the training sample size are required
         learner = json_field(obj, "learner", dict, "manifest")
         json_field(learner, "algo", str, "manifest learner")
         for key, kind in (("d", int), ("W", (int, float)), ("eps", (int, float))):
             json_field(learner, key, kind, "manifest learner", None)
         samples = json_field(obj, "samples", dict, "manifest")
-        for key in ("train", "calib", "heldout"):
-            json_field(samples, key, int, "manifest samples", None)
+        json_field(samples, "train", int, "manifest samples")
+        for key, least in (("train", 1), ("calib", 0), ("heldout", 0)):
+            size = json_field(samples, key, int, "manifest samples", least)
+            if size < least:
+                raise InputError(f"manifest samples field {key!r} must be >= {least}, got {size}")
         return RunManifest(
             seed=json_field(obj, "seed", int, "manifest"),
             concept=json_field(obj, "concept", str, "manifest"),

@@ -54,7 +54,7 @@ import numpy as np
 
 from .cube import (CUBE_CAP, BoolFunc, as_bits, cube_matrix, linear_form, store_integer_weights,
                    target_values)
-from .errors import DimensionError, InputError, ResourceLimitError, json_field
+from .errors import DimensionError, InputError, ResourceLimitError, json_field, json_int_list
 
 Coef = Union[Fraction, float]
 
@@ -253,11 +253,14 @@ class SparsePolynomial:
     terms: dict[Monomial, Coef]
 
     def __post_init__(self):
-        """Validate and canonicalize user input: sorted in-range monomials, exact or finite float
-        coefficients, zero terms dropped."""
+        """Validate and canonicalize user input: sorted in-range monomials of integer indices, exact
+        or finite float coefficients, zero terms dropped."""
         clean: dict[Monomial, Coef] = {}
         for mono, coef in self.terms.items():
-            key = tuple(sorted(mono))
+            try:
+                key = tuple(sorted(map(operator.index, mono)))
+            except TypeError:  # 1.0 or "1" would reach evaluation as an index
+                raise InputError(f"monomial {mono!r} must hold integer variable indices") from None
             if len(set(key)) != len(key):
                 raise InputError(f"monomial {mono} repeats a variable")
             if any(not 1 <= v <= self.n for v in key):
@@ -733,10 +736,7 @@ def sparse_to_json(p: SparsePolynomial) -> dict:
 def sparse_from_json(obj: Mapping) -> SparsePolynomial:
     terms = {}
     for t in json_field(obj, "terms", list, "sparse polynomial"):
-        mono = json_field(t, "vars", list, "term")
-        if not all(isinstance(v, int) for v in mono):
-            raise InputError(f"term field 'vars' must hold integers, got {mono!r}")
-        terms[tuple(mono)] = _coef_from_str(json_field(t, "coef", str, "term"))
+        terms[tuple(json_int_list(t, "vars", "term"))] = _coef_from_str(json_field(t, "coef", str, "term"))
     return SparsePolynomial(json_field(obj, "n", int, "sparse polynomial"), terms)
 
 
@@ -768,7 +768,7 @@ def structured_from_json(obj: Mapping) -> StructuredPolynomial:
     if form == "affine":
         outer = [_exact_from_str(c) for c in json_field(obj, "outer", list, "affine form")]
         return AffineForm(UniPoly(outer), json_field(obj, "w0", (int, float), "affine form"),
-                          json_field(obj, "w", list, "affine form"))
+                          json_int_list(obj, "w", "affine form"))
     if form == "sum":
         parts = tuple(structured_from_json(part) for part in json_field(obj, "parts", list, "sum form"))
         return SumForm(parts, _exact_from_str(json_field(obj, "offset", str, "sum form")))

@@ -445,6 +445,16 @@ def test_certify_refuses_a_malformed_polynomial_file(tmp_path, capsys, payload, 
     (lambda m: m["samples"].update(train=[100]), "manifest samples field 'train' must be an integer, got [100]"),
     (lambda m: m["learner"].update(d=[2]), "manifest learner field 'd' must be an integer, got [2]"),
     (lambda m: m["noise"].update(table=[[1, 1]]), "noise model 'table' rows must be [point, label, probability]"),
+    # sample sizes, once refused only at generate with "need m >= 1"
+    (lambda m: m["samples"].pop("train"), "manifest samples has no 'train' field"),
+    (lambda m: m["samples"].update(train=0), "manifest samples field 'train' must be >= 1, got 0"),
+    (lambda m: m["samples"].update(calib=-1), "manifest samples field 'calib' must be >= 0, got -1"),
+    (lambda m: m["samples"].update(heldout=-100), "manifest samples field 'heldout' must be >= 0, got -100"),
+    # JSON true and false, which Python reads as the ints 1 and 0
+    (lambda m: m.update(seed=True), "manifest field 'seed' must be an integer, got True"),
+    (lambda m: m["learner"].update(d=True), "manifest learner field 'd' must be an integer, got True"),
+    (lambda m: m["samples"].update(train=True), "manifest samples field 'train' must be an integer, got True"),
+    (lambda m: m["noise"].update(eta=False), "noise model field 'eta' must be an integer or a number, got False"),
 ])
 def test_bench_reports_a_malformed_manifest_and_runs_the_rest(tmp_path, capsys, edit, message):
     manifest = RunManifest(seed=1, concept="MAJ 1 2 3", noise=NoiseModel("none"),

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -412,6 +413,32 @@ def test_affine_forms_take_only_integer_weights():
     q = AffineForm(UniPoly((1, 2)), np.int64(1), [np.int64(1)])
     assert (q.w0, q.w) == (1, (1,)) and type(q.w0) is int and type(q.w[0]) is int
     assert structured_from_json(structured_to_json(q)) == q
+
+
+@pytest.mark.parametrize("mono", [(1.0,), (2, 1.0), ("1",), 1])
+def test_sparse_polynomial_takes_only_integer_monomial_indices(mono):
+    # a float index once constructed, then failed in evaluation as a numpy IndexError
+    with pytest.raises(InputError, match="integer variable indices"):
+        SparsePolynomial(2, {mono: 1, (2,): 1})
+
+
+def test_sparse_polynomial_stores_monomial_indices_as_python_ints():
+    p = SparsePolynomial(2, {(np.int64(2), np.int8(1)): 1})
+    assert list(p.terms) == [(1, 2)] and all(type(v) is int for v in next(iter(p.terms)))
+    assert sparse_eval_batch(p, cube_matrix(2)).tolist() == [1.0, -1.0, -1.0, 1.0]
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"n": 2, "terms": [{"vars": [True], "coef": "1"}]}, "term field 'vars' must hold integers, got [True]"),
+    ({"n": True, "terms": []}, "sparse polynomial field 'n' must be an integer, got True"),
+    ({"form": "affine", "outer": ["1", "2"], "w0": True, "w": [1]},
+     "affine form field 'w0' must be an integer or a number, got True"),
+    ({"form": "affine", "outer": ["1", "2"], "w0": 0, "w": [1, False]},
+     "affine form field 'w' must hold integers, got [1, False]"),
+])
+def test_polynomial_readers_refuse_true_and_false_as_integers(payload, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        structured_from_json(payload)
 
 
 def test_sparse_polynomials_hash_by_their_terms():
