@@ -205,14 +205,16 @@ def brute_opt(s: LabeledSample, bank: Sequence[Concept], mode: str):
 
     if mode == FULLY:
         work = list(bank)
-        keys = {format_concept(c) for c in work}
+        names = [format_concept(c) for c in work]
+        known = set(names)
         for sentinel in (constant_concept(s.n, -1), constant_concept(s.n, 1)):
-            if format_concept(sentinel) not in keys:
+            name = format_concept(sentinel)
+            if name not in known:
                 work.append(sentinel)
+                names.append(name)
         E = _bank_eval(work, pts).astype(np.float64)
         total = npos + nneg
         # rank[i] orders the names, so (min, max) of two ranks orders their sorted pair of names
-        names = [format_concept(c) for c in work]
         rank = np.unique(names, return_inverse=True)[1]
         best = None  # (value, low rank, high rank, i, j)
         for lo in range(0, len(work), _FULLY_BLOCK):
@@ -233,20 +235,15 @@ def brute_opt(s: LabeledSample, bank: Sequence[Concept], mode: str):
         value, _, _, i, j = best
         return value, (work[i], work[j])
 
-    E = _bank_eval(bank, pts).astype(np.int8)
+    E = _bank_eval(bank, pts)
     fp_mass = ((E == 1) * nneg).sum(axis=1)
     fn_mass = ((E == -1) * npos).sum(axis=1)
-    feas = fp_mass == 0 if mode == POSITIVE else fn_mass == 0
-    value_mass = fn_mass if mode == POSITIVE else fp_mass
+    feas, value_mass = (fp_mass == 0, fn_mass) if mode == POSITIVE else (fn_mass == 0, fp_mass)
     if not feas.any():  # the mode's constant is feasible and no concept's value exceeds its value
         value = (npos if mode == POSITIVE else nneg).sum() / m
         return float(value), constant_concept(s.n, -1 if mode == POSITIVE else 1)
-    best = None
-    for i in np.flatnonzero(feas):
-        cand = (value_mass[i] / m, format_concept(bank[i]), i)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    return float(best[0]), bank[best[2]]
+    i = min(np.flatnonzero(feas), key=lambda j: (value_mass[j], format_concept(bank[j])))
+    return float(value_mass[i] / m), bank[i]
 
 
 def oracle_record(s: LabeledSample, bank_name: str, mode: str) -> dict:

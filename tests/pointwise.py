@@ -1,5 +1,5 @@
 """Point-by-point references: exact cube values and certification, one Fraction at a time, the
-fully reliable brute-force optimum, one bank row at a time, and univariate polynomials and step
+reliable and fully reliable brute-force optima, one bank row at a time, and univariate polynomials and step
 polynomials, one Fraction coefficient at a time."""
 
 import itertools
@@ -53,6 +53,25 @@ def table_target(table):
     """The Boolean function with these values in ``cube_matrix`` row order."""
     n = len(table).bit_length() - 1
     return dict(zip(itertools.product((-1, 1), repeat=n), table)).__getitem__
+
+
+def onesided_opt_by_rows(s, bank, mode):
+    """``brute_opt(s, bank, mode)`` for ``positive`` or ``negative``, one pass over the sample per
+    bank row: among the concepts that never answer the mode's sign on a point of the other label,
+    the first in bank order with the smallest (error count on the mode's label, encoding); when
+    there is none, the constant of the other sign and its error count.  Rates are counts over m."""
+    sign = 1 if mode == POSITIVE else -1
+    best = None  # (count, name, i)
+    for i, c in enumerate(bank):
+        pred = eval_concept_batch(c, s.points)
+        if np.any((pred == sign) & (s.labels == -sign)):
+            continue
+        cand = (int(np.count_nonzero((pred == -sign) & (s.labels == sign))), format_concept(c), i)
+        if best is None or cand[:2] < best[:2]:
+            best = cand
+    if best is None:
+        return np.count_nonzero(s.labels == sign) / s.m, constant_concept(s.n, -sign)
+    return best[0] / s.m, bank[best[2]]
 
 
 def fully_opt_by_rows(s, bank):

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from pointwise import fully_opt_by_rows
+from pointwise import fully_opt_by_rows, onesided_opt_by_rows
 
 from onesided.cube import (Conjunction, Disjunction, Majority, constant_concept, cube_matrix, empirical_metrics,
                            eval_concept_batch, format_concept)
@@ -241,17 +241,47 @@ def _fully_bank(kind, n):
     return majority_bank(n) + monotone_disjunction_bank(n) + [constant_concept(n, 1)]  # both constants
 
 
-@pytest.mark.parametrize("bank", ["majority", "monotone-disjunction", "both constants"])
-@pytest.mark.parametrize("n, m, eta", [
+_BRUTE_OPT_GRID = [
     (2, 1, 0.0), (3, 3, 0.3), (4, 10, 0.2),  # few examples: many pairs tie
     (7, 500, 0.1),  # 130 or more bank rows: the search runs over several blocks
     (9, 40, 0.2), (9, 3000, 0.1),
-])
+]
+
+
+@pytest.mark.parametrize("bank", ["majority", "monotone-disjunction", "both constants"])
+@pytest.mark.parametrize("n, m, eta", _BRUTE_OPT_GRID)
 def test_brute_opt_fully_matches_the_row_by_row_scan(bank, n, m, eta):
     for seed in range(3):
         s = generate(maj(n), NoiseModel("symmetric", eta), m, seed=seed)
         concepts = _fully_bank(bank, n)
         assert brute_opt(s, concepts, "fully") == fully_opt_by_rows(s, concepts)
+
+
+@pytest.mark.parametrize("mode", ["positive", "negative"])
+@pytest.mark.parametrize("bank", ["majority", "monotone-disjunction", "both constants"])
+@pytest.mark.parametrize("n, m, eta", _BRUTE_OPT_GRID)
+def test_brute_opt_reliable_modes_match_the_row_by_row_scan(mode, bank, n, m, eta):
+    for seed in range(3):
+        s = generate(maj(n), NoiseModel("symmetric", eta), m, seed=seed)
+        concepts = _fully_bank(bank, n)
+        assert brute_opt(s, concepts, mode) == onesided_opt_by_rows(s, concepts, mode)
+
+
+@pytest.mark.parametrize("mode", ["positive", "negative"])
+def test_brute_opt_reliable_modes_break_ties_like_the_row_by_row_scan(mode):
+    # tiny samples under heavy noise: many concepts share the optimal rate, several share an
+    # encoding (a bank listed twice), and some banks have no feasible concept at all
+    for n in range(1, 5):
+        for m in range(1, 11):
+            for seed in range(4):
+                s = generate(maj(n), NoiseModel("symmetric", 0.4), m, seed=seed)
+                for bank in (majority_bank(n) + monotone_disjunction_bank(n),
+                             monotone_disjunction_bank(n)[::-1] + majority_bank(n)[::-1],
+                             [maj(n)], [maj(n), maj(n)]):
+                    got, want = brute_opt(s, bank, mode), onesided_opt_by_rows(s, bank, mode)
+                    assert got == want
+                    if any(want[1] is c for c in bank):  # the first of equally encoded concepts
+                        assert got[1] is want[1]
 
 
 def test_brute_opt_requires_feasible_bank():
