@@ -116,7 +116,7 @@ def generate(c: Concept, noise: NoiseModel, m: int, seed: int, stream: int = TRA
     keep = _NOISE_KEEPS[noise.kind]
     if keep is not None and noise.eta > 0:
         flip = (rng.random(m) < noise.eta) & (y != keep)
-        np.negative(y, out=y, where=flip)
+        y *= 1 - 2 * flip.view(np.int8)  # -1 where flipped, +1 elsewhere
     return LabeledSample(X, y, c.n)
 
 
