@@ -1,6 +1,6 @@
 """Point-by-point references: exact cube values and certification, one Fraction at a time, the
-reliable and fully reliable brute-force optima, one bank row at a time, and univariate polynomials and step
-polynomials, one Fraction coefficient at a time."""
+reliable and fully reliable brute-force optima, one bank row at a time, and univariate
+polynomials and step polynomials, one Fraction coefficient at a time."""
 
 import itertools
 import math
