@@ -13,11 +13,21 @@ Two routes, kept deliberately independent of the construction code:
   number of false literals.  Every other target takes the full-cube LP, one
   column per monomial and one row block per point; the tests compare the two.
 
-The exhaustive checks apply one slack rule, max((1 - eps) - f p, f p - (1 + eps))
-with the second term only where the mode bounds p on both sides, to the extremes
-of the integer cube numerators of p on each side of f, in Python ints, and decide
-exactly: a check passes when every slack is <= 0.  Every slack falls one for one
-as eps grows, so a float LP witness is certified at its solved eps plus a margin.
+The exhaustive checks apply one slack rule (:func:`_worst_slacks`), max((1 - eps) - f p,
+f p - (1 + eps)) with the second term only where the mode bounds p on both sides, to
+the extremes of the integer numerators of p on each side of f, in Python ints, and
+decide exactly: a check passes when every slack is <= 0.  Every slack falls one for one
+as eps grows, so a float LP witness is certified at its solved eps plus a margin.  The
+numerators come from one of two routes, which give the same report:
+
+* the level route (:func:`verify_levels`) for an ``AffineForm`` against a halfspace or
+  a majority, and for the AND tradeoff's block counts: p and f read x only through a
+  pair of integer statistics, so a DP finds the reachable pairs, outer is evaluated once
+  per reachable statistic, and the cube is never built.  Its cap is
+  :data:`LEVEL_STATE_CAP` on the DP's states, not ``CUBE_CAP``;
+* the cube scan for every other pair, over the cube numerators of p, within
+  ``CUBE_CAP``.  An affine form whose level states pass their cap within ``CUBE_CAP``
+  is scanned this way too.
 """
 
 from __future__ import annotations
@@ -25,14 +35,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping, Sequence
+
 import numpy as np
 
 from . import lp as lpmod
 from .cube import (CUBE_CAP, NEGATIVE, POSITIVE, TWOSIDED, BoolFunc, Concept, Conjunction, Disjunction,
-                   Majority, cube_matrix, eval_concept_batch, target_values)
+                   Halfspace, Majority, cube_matrix, eval_concept_batch, target_values)
 from .errors import InputError, ResourceLimitError
-from .poly import (SparsePolynomial, StructuredPolynomial, characters, cube_numerators, from_lp_solution,
-                   monomials_upto)
+from .poly import (AffineForm, SparsePolynomial, StructuredPolynomial, UniPoly, characters, cube_numerators,
+                   from_lp_solution, monomials_upto)
 
 #: Cap on the matrix entries (rows x columns) of the oracle's cube LP, counted as two rows
 #: per cube point.  Solves at n = 12-14, d = 3-4 peaked at 188-229 bytes of RSS per entry,
@@ -71,59 +83,165 @@ class CertReport:
         }
 
 
-def _both_sides(fvals, mode: str) -> np.ndarray:
-    """True where the mode bounds p(x) on both sides, |p(x) - f(x)| <= eps, not only f(x) p(x) >= 1 - eps;
-    fvals is an array of f's values or one value."""
-    return np.where(fvals == 1, mode != POSITIVE, mode != NEGATIVE)
+def _both_sides(side: int, mode: str) -> bool:
+    """Whether the mode bounds p on both sides where f = side, |p - f| <= eps, not only f p >= 1 - eps."""
+    return mode != (POSITIVE if side == 1 else NEGATIVE)
+
+
+def _worst_slacks(extremes: dict[int, set[int]], den: int, e: int, k: int,
+                  mode: str) -> tuple[dict[int, int], set[tuple[int, int]]]:
+    """The slack rule of both routes, on each side's extremes, exactly for eps = e / k.
+
+    ``extremes[side]`` holds the least and the largest numerator of p = numerator / den over
+    the points where f = side.  With g = f * numerator, the slack times den * k is
+    max(den (k - e) - k g, k g - den (k + e)), the second term only where the mode bounds p
+    on both sides.  The first term falls and the second rises with g, so a side's worst
+    slack is at one of its extremes, and no numerator strictly between reaches it.  Returns
+    the worst slack of each side present (times den * k), and the (side, numerator) pairs
+    where the largest of them is reached when it is > 0, which the witness is the earliest
+    point of; none when it is <= 0.
+    """
+    slacks = {}
+    for side, nums in extremes.items():
+        for num in nums:
+            g = side * num
+            slacks[side, num] = den * (k - e) - k * g
+            if _both_sides(side, mode):
+                slacks[side, num] = max(slacks[side, num], k * g - den * (k + e))
+    worst: dict[int, int] = {}
+    for (side, _), slack in slacks.items():
+        worst[side] = max(worst.get(side, slack), slack)
+    largest = max(worst.values())
+    return worst, {key for key, slack in slacks.items() if slack == largest > 0}
+
+
+def _exact_eps(eps: float) -> tuple[int, int]:
+    if not math.isfinite(eps):
+        raise InputError(f"eps must be finite, got {eps}")
+    return Fraction(eps).as_integer_ratio()
+
+
+def _report(eps: float, worst: dict[int, int], scale: int, points: int, witness) -> CertReport:
+    """The report of the exact worst slacks ``worst[side]`` (times ``scale``) over the sides present."""
+    wp, wn = (float(Fraction(worst[side], scale)) if side in worst else float("-inf") for side in (1, -1))
+    return CertReport(float(eps), wp, wn, points, witness)
 
 
 def _scan(
     p: StructuredPolynomial,
     f: BoolFunc,
     eps: float,
-    sign: str,
+    mode: str,
 ) -> CertReport:
-    if not math.isfinite(eps):
-        raise InputError(f"eps must be finite, got {eps}")
+    """The level route for an affine form against a threshold, one variable per group; the cube
+    scan for every other pair, and for those whose level states pass the cap within ``CUBE_CAP``."""
     n = p.n
     if getattr(f, "n", None) not in (None, n):
         raise InputError(f"polynomial dimension {n} != target dimension {f.n}")
+    if isinstance(p, AffineForm) and isinstance(f, (Halfspace, Majority)):
+        try:
+            return verify_levels(p.outer, p.w0, f.w0, _variable_groups(p.w, f.w), eps, mode)
+        except ResourceLimitError:
+            if n > CUBE_CAP:
+                raise
+    e, k = _exact_eps(eps)
     nums, denom = cube_numerators(p)  # first: past CUBE_CAP it raises before anything spans the cube
     X = cube_matrix(n)
     fvals = target_values(f, X)
-    e, k = Fraction(eps).as_integer_ratio()
-
-    # With p = nums / denom and g = f nums, the slack times denom * k is
-    # max(denom (k - e) - k g, k g - denom (k + e)), the second term only where the mode
-    # bounds p on both sides, which it does on all of one side of f or none of it.  The
-    # first term falls and the second rises with g, so a side's worst slack is at its
-    # least g, or at its largest g where both terms apply: a few exact Python-int slacks
-    # from the side's extremes, with no per-point arithmetic beyond min, max and ==.
-    worst = {}
-    peaks = []  # (side, g, slack) for each extreme g that attains its side's worst slack
+    extremes = {}  # no per-point arithmetic beyond min, max and ==
     for side in (1, -1):
         on_side = fvals == side
-        if not on_side.any():
-            continue
-        first = nums[np.argmax(on_side)]
-        lo, hi = (int(reduce(nums, where=on_side, initial=first)) for reduce in (np.min, np.max))
-        g_min, g_max = (lo, hi) if side == 1 else (-hi, -lo)
-        candidates = [(g_min, denom * (k - e) - k * g_min)]
-        if _both_sides(side, sign):
-            candidates.append((g_max, k * g_max - denom * (k + e)))
-        worst[side] = max(slack for _, slack in candidates)
-        peaks += [(side, g, slack) for g, slack in candidates if slack == worst[side]]
-
-    largest = max(worst.values())
+        if on_side.any():
+            first = nums[np.argmax(on_side)]
+            extremes[side] = {int(reduce(nums, where=on_side, initial=first)) for reduce in (np.min, np.max)}
+    worst, peaks = _worst_slacks(extremes, denom, e, k, mode)
     wit = None
-    if largest > 0:  # the witness is the earliest point where g takes a value of largest slack
+    if peaks:
         hit = np.zeros(nums.shape, dtype=bool)
-        for side, g, slack in peaks:
-            if slack == largest:
-                hit |= (fvals == side) & (nums == side * g)
+        for side, num in peaks:
+            hit |= (fvals == side) & (nums == num)
         wit = tuple(int(v) for v in X[int(np.argmax(hit))])
-    wp, wn = (float(Fraction(worst[side], denom * k)) if side in worst else float("-inf") for side in (1, -1))
-    return CertReport(float(eps), wp, wn, int(X.shape[0]), wit)
+    return _report(eps, worst, denom * k, int(X.shape[0]), wit)
+
+
+#: Cap on the states of :func:`verify_levels`, summed over its suffix sets.  It admits every pair
+#: of forms over n <= 19, whose suffix sets hold at most 2^(n+1) - 1 states; at n = 19 with
+#: distinct subset sums in both forms (1.05M states) a check peaked at 351 MB RSS in 2.3 s, and a
+#: check that reaches the cap takes about 1.3 s before it raises.
+LEVEL_STATE_CAP = 1_100_000
+
+#: One group of :func:`verify_levels`: each (p statistic, f statistic) value pair the group takes,
+#: mapped to the earliest assignment of its variables that takes it, in that order.
+Group = Mapping[tuple[int, int], tuple[int, ...]]
+
+
+def _variable_groups(w: Sequence[int], v: Sequence[int]) -> list[Group]:
+    """One group per variable j, taking (-w_j, -v_j) at -1 and (w_j, v_j) at +1."""
+    groups = []
+    for wj, vj in zip(w, v):
+        group: dict = {}
+        for bit in (-1, 1):
+            group.setdefault((bit * wj, bit * vj), (bit,))  # a variable neither form reads has one value
+        groups.append(group)
+    return groups
+
+
+def verify_levels(outer: UniPoly, a0: int, b0: int, groups: Sequence[Group], eps: float, mode: str) -> CertReport:
+    """The certificate of p = outer(a0 + sum_G g_G(x_G)) against f = sgn(b0 + sum_G h_G(x_G)) in
+    ``mode``, equal to the cube scan's, without building the cube.
+
+    The groups G are consecutive runs of the variables x_1..x_n, in order; ``groups[i]``
+    maps each pair (g, h) that group i takes to the earliest assignment of its variables
+    (in ``cube_matrix`` order) that takes it, listed in that order.  p and f depend on x
+    only through the pair of statistics (a0 + sum g, b0 + sum h), so:
+
+    * a suffix DP finds the pairs each suffix of groups reaches; outer is evaluated once
+      per reachable p statistic, by integer Horner, and the slack rule of the cube scan
+      runs on each side's extremes;
+    * the witness is the earliest cube row of the largest slack: a walk over the groups
+      takes, in order, the first value from which the rest still reach a pair of that
+      slack, and appends its earliest assignment.
+
+    ``points_checked`` is 2^n.  The suffix sets hold at most :data:`LEVEL_STATE_CAP` states
+    in all; past it the DP raises ``ResourceLimitError``.
+    """
+    if mode not in (POSITIVE, NEGATIVE, TWOSIDED):
+        raise InputError(f"mode must be positive, negative or twosided, got {mode!r}")
+    e, k = _exact_eps(eps)
+    reach = [{(0, 0)}]  # reach[-1]: the sums over the groups after the one being added
+    states = 1
+    n = 0
+    for group in reversed(groups):
+        n += len(next(iter(group.values())))
+        if len(group) == 1 and (0, 0) in group:  # a group neither form reads adds no state
+            reach.append(reach[-1])
+            continue
+        reach.append({(g + sg, h + sh) for g, h in group for sg, sh in reach[-1]})
+        states += len(reach[-1])
+        if states > LEVEL_STATE_CAP:
+            raise ResourceLimitError(f"level certificate passes {LEVEL_STATE_CAP} states")
+    reach.reverse()  # reach[i]: the sums over groups[i:]
+
+    nums = {stat: outer.numerator_at(stat) for stat in {a0 + g for g, _ in reach[0]}}  # p = num / outer.den
+    levels = {(g, h): (1 if b0 + h > 0 else -1, nums[a0 + g]) for g, h in reach[0]}  # (side, numerator)
+    on_side: dict[int, list[int]] = {1: [], -1: []}
+    for side, num in levels.values():
+        on_side[side].append(num)
+    extremes = {side: {min(values), max(values)} for side, values in on_side.items() if values}
+    worst, peaks = _worst_slacks(extremes, outer.den, e, k, mode)
+    wit = None
+    if peaks:
+        need = {pair for pair, level in levels.items() if level in peaks}
+        wit = []
+        for group, rest in zip(groups, reach[1:]):
+            for (g, h), bits in group.items():
+                after = {(ng - g, nh - h) for ng, nh in need} & rest  # what the rest must still reach
+                if after:
+                    need = after
+                    wit += bits
+                    break
+        wit = tuple(wit)
+    return _report(eps, worst, outer.den * k, 2**n, wit)
 
 
 def verify_onesided(
@@ -135,9 +253,9 @@ def verify_onesided(
     """Exhaustively check the one-sided approximation conditions.
 
     Positive sign requires p >= 1 - eps on f^{-1}(+1) and |p + 1| <= eps on
-    f^{-1}(-1); negative sign is the mirror.  Enumeration is lexicographic
-    over bit patterns, so the reported witness (the worst violating point,
-    earliest among ties) is deterministic.
+    f^{-1}(-1); negative sign is the mirror.  The reported witness is the worst
+    violating point, earliest among ties in the lexicographic order of
+    ``cube_matrix``, on either route.
     """
     if sign not in (POSITIVE, NEGATIVE):
         raise InputError(f"sign must be positive or negative, got {sign!r}")
@@ -149,7 +267,7 @@ def verify_twosided(
     f: BoolFunc,
     eps: float,
 ) -> CertReport:
-    """Exhaustively check |p(x) - f(x)| <= eps over the full cube."""
+    """Exhaustively check |p(x) - f(x)| <= eps over the full cube, on the routes of :func:`verify_onesided`."""
     return _scan(p, f, eps, TWOSIDED)
 
 
@@ -162,7 +280,8 @@ def _error_program(matrix: np.ndarray, fvals: np.ndarray, mode: str) -> lpmod.Li
     """
     from scipy import sparse  # loaded on the first LP build, as in onesided.lp
 
-    point = np.repeat(np.arange(matrix.shape[0]), 1 + _both_sides(fvals, mode))
+    both = np.where(fvals == 1, _both_sides(1, mode), _both_sides(-1, mode))
+    point = np.repeat(np.arange(matrix.shape[0]), 1 + both)
     second = np.zeros(point.size, dtype=bool)
     second[1:] = point[1:] == point[:-1]
     side = np.where(second, fvals[point], -fvals[point]).astype(np.int8)

@@ -4,10 +4,12 @@ All constructions are built in exact rational arithmetic so the defining
 identities (normalization at the top endpoint, prescribed roots) hold
 bit-exactly.  Asymptotic parameter choices are replaced by fixed explicit
 constants plus one doubling schedule on the step-polynomial degree budget,
-shared by the halfspace and AND-tradeoff searches.  Every result is built by
-:func:`certified`: size bounds read off the form (analytic for an
-``AffineForm``, exact from the expansion otherwise) and an exhaustive
-certificate, None where the cube exceeds ``CUBE_CAP``.
+shared by the halfspace and AND-tradeoff searches.  Every result carries
+size bounds read off the form (analytic for an ``AffineForm``, exact from the
+expansion otherwise) and an exhaustive certificate.  Halfspace constructions
+and the AND tradeoff are certified on levels (:func:`certify.verify_levels`)
+at any n, within ``LEVEL_STATE_CAP``; the DNF/CNF lifts scan the cube, within
+``CUBE_CAP``.  The certificate is None past the cap of its route.
 
 Two details carry the sgn(0) = -1 tie convention:
 
@@ -24,8 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .certify import CertReport, verify_onesided, verify_twosided
+from .certify import CertReport, verify_levels, verify_onesided, verify_twosided
 from .cube import NEGATIVE, POSITIVE, TWOSIDED, Concept, Conjunction, Cnf, Dnf, Halfspace, cube_matrix
 from .errors import InputError, ParameterError, ResourceLimitError
 from .poly import (EXPANSION_CAP, AffineForm, SparsePolynomial, StructuredPolynomial, SumForm, UniPoly,
@@ -73,10 +76,24 @@ def certified(poly: StructuredPolynomial, target: Concept, sign: str, eps: float
               step_degree: int | None) -> ConstructionResult:
     """``poly`` claimed as a ``sign`` eps-approximation of ``target``, with its certificate.
 
+    The certificate comes from :func:`verify_onesided` or :func:`verify_twosided`, so an
+    ``AffineForm`` against a halfspace or a majority is certified on levels at any n; it
+    is None where the verifier refuses, past ``LEVEL_STATE_CAP`` or ``CUBE_CAP``.
+    """
+    try:
+        cert = verify_twosided(poly, target, eps) if sign == TWOSIDED else verify_onesided(poly, target, eps, sign)
+    except ResourceLimitError:
+        cert = None
+    return _claimed(poly, target, sign, eps, step_degree, cert)
+
+
+def _claimed(poly: StructuredPolynomial, target: Concept, sign: str, eps: float, step_degree: int | None,
+             cert: CertReport | None) -> ConstructionResult:
+    """``poly`` with its claim and the certificate ``cert``.
+
     Expanding an ``AffineForm`` is exponential, so its bounds are analytic; every other
     form claims the exact weight and degree of its expansion.  A weight past the float
-    range is claimed as inf, still an upper bound.  The certificate is None where the
-    verifier refuses to enumerate the cube.
+    range is claimed as inf, still an upper bound.
     """
     if isinstance(poly, AffineForm):
         wb, db = analytic_bounds(poly)
@@ -87,12 +104,7 @@ def certified(poly: StructuredPolynomial, target: Concept, sign: str, eps: float
         weight = float(wb)
     except OverflowError:
         weight = math.inf
-    claim = OneSidedSpec(target, sign, eps, max(db, 1), weight)
-    try:
-        cert = verify_twosided(poly, target, eps) if sign == TWOSIDED else verify_onesided(poly, target, eps, sign)
-    except ResourceLimitError:
-        cert = None
-    return ConstructionResult(poly, claim, cert, step_degree)
+    return ConstructionResult(poly, OneSidedSpec(target, sign, eps, max(db, 1), weight), cert, step_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -195,11 +207,16 @@ def step_poly(params: StepPolyParams) -> UniPoly:
     return poly * (Fraction(1) / c)
 
 
-def _step_schedule(W: int, eps: float, attempt) -> ConstructionResult | None:
+#: What a schedule attempt returns: the budget's certificate and a builder of its result.
+Attempt = tuple[CertReport | None, Callable[[], ConstructionResult]]
+
+
+def _step_schedule(W: int, eps: float, attempt: Callable[[int], Attempt]) -> ConstructionResult | None:
     """``attempt(k)`` over the degree budgets k0 = max(3, ceil(sqrt(W log2(W) ln(2/eps)))), 2 k0, ... < 4W, 4W.
 
-    Skips budgets that raise ``ParameterError``; returns the first result that
-    is certified or has no certificate, else the last (None if none was valid).
+    Skips budgets that raise ``ParameterError``; builds the result of the first budget
+    that is certified or has no certificate, else of the last (None if none was valid),
+    so a budget that does not certify need build nothing beyond its certificate.
     """
     k = max(3, math.ceil(math.sqrt(W * math.log2(W) * math.log(2 / eps))))
     budgets = []
@@ -209,12 +226,12 @@ def _step_schedule(W: int, eps: float, attempt) -> ConstructionResult | None:
     last = None
     for k in budgets + [4 * W]:
         try:
-            last = attempt(k)
+            cert, last = attempt(k)
         except ParameterError:
             continue
-        if last.certificate is None or last.certificate.ok:
+        if cert is None or cert.ok:
             break
-    return last
+    return last() if last else None
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +251,9 @@ def halfspace_onesided(h: Halfspace, sign: str, eps: float) -> ConstructionResul
     The step-polynomial degree budget follows :func:`_step_schedule` at
     W' = 2W + 1, falling back to the largest valid budget when k0 lies above
     all of them (small W').  The negative side is the reflection -p(-x) of the
-    positive construction for the reflected halfspace; past ``CUBE_CAP`` the
-    first valid budget's polynomial comes with ``certificate=None``.
+    positive construction for the reflected halfspace.  Every budget is certified
+    on levels, at any n; past ``LEVEL_STATE_CAP`` (and ``CUBE_CAP``) the first
+    valid budget's polynomial comes with ``certificate=None``.
     """
     if sign not in (POSITIVE, NEGATIVE):
         raise InputError(f"sign must be positive or negative, got {sign!r}")
@@ -244,18 +262,19 @@ def halfspace_onesided(h: Halfspace, sign: str, eps: float) -> ConstructionResul
     base = h if sign == POSITIVE else reflect_halfspace(h)
     Wp = 2 * base.weight + 1
 
-    def attempt(k: int) -> ConstructionResult:
+    def attempt(k: int) -> Attempt:
         # 2*S(W' + t') - 1 over the shifted linear form t' = 2*linform - 1
         outer = (step_poly(default_step_params(Wp, k)) * 2).shift(-1)
         form = AffineForm(outer, Wp - 1 + 2 * base.w0, tuple(2 * wi for wi in base.w))
-        return certified(form if sign == POSITIVE else negate_onesided(form), h, sign, eps, k)
+        result = certified(form if sign == POSITIVE else negate_onesided(form), h, sign, eps, k)
+        return result.certificate, lambda: result
 
     result = _step_schedule(Wp, eps, attempt)
     if result is not None:
         return result
     for k in range(4 * Wp, 2, -1):  # valid budgets form one range, which here ends below k0
         try:
-            return attempt(k)
+            return attempt(k)[1]()
         except ParameterError:
             continue
     raise ParameterError(f"no valid step parameters for W'={Wp}")
@@ -302,15 +321,36 @@ def _block_count_candidates(n: int, ratio_cap: float) -> list[int]:
     ]
 
 
+def _count_attempt(n: int, t: int, outer: UniPoly, eps: float, k: int | None) -> Attempt:
+    """p = outer(number of true blocks) over t consecutive blocks of n // t variables: its certificate
+    against AND_n = sgn(count + 1 - t) on the t + 1 count levels, and a builder of its result.
+
+    On each block both statistics are 1 where the block is all true and 0 elsewhere, so the
+    block is one level group; only the builder expands p, by :func:`compose_counts`.
+    """
+    b = n // t
+    cert = verify_levels(outer, 0, 1 - t, [{(0, 0): (-1,) * b, (1, 1): (1,) * b}] * t, eps, TWOSIDED)
+
+    def build() -> ConstructionResult:
+        # blocks are the consecutive runs of n // t variables, i.e. of cube_matrix columns
+        true_blocks = (cube_matrix(n).reshape(-1, t, b) == 1).all(axis=2).sum(axis=1)
+        return _claimed(compose_counts(n, outer, true_blocks), Conjunction(n, tuple(range(1, n + 1))), TWOSIDED,
+                        eps, k, cert)
+
+    return cert, build
+
+
 def and_twosided_tradeoff(n: int, d: int, eps: float) -> ConstructionResult:
     """Two-sided eps-approximation of AND_n trading degree for weight.
 
     Splits the input into t blocks (t the largest divisor of n with
     t/log2(t) <= n^2 log2(1/eps)/d^2), counts the true blocks at every cube
     point, and wraps that count with a step polynomial, p = 2*S(count) - 1,
-    S built at W = t with the doubling schedule.  :func:`compose_counts` expands
-    p to a sparse multilinear form, so n must stay within ``EXPANSION_CAP``;
-    t = 1 is the exact product form 2*AND_n - 1, of outer 2c - 1.
+    S built at W = t with the doubling schedule; t = 1 is the exact product
+    form 2*AND_n - 1, of outer 2c - 1.  AND_n is sgn(count + 1 - t), so each
+    budget is certified on the t + 1 count levels (:func:`verify_levels`), and
+    only the chosen one is expanded by :func:`compose_counts` to a sparse
+    multilinear form; n must stay within ``EXPANSION_CAP``.
     """
     if n < 1:
         raise InputError("and_twosided_tradeoff needs n >= 1")
@@ -320,19 +360,12 @@ def and_twosided_tradeoff(n: int, d: int, eps: float) -> ConstructionResult:
         raise InputError(f"eps must lie in (0, 1), got {eps}")
     if n > EXPANSION_CAP:
         raise ResourceLimitError(f"tradeoff construction expands; n={n} exceeds cap {EXPANSION_CAP}")
-    target = Conjunction(n, tuple(range(1, n + 1)))
     ratio_cap = n * n * math.log2(1 / eps) / (d * d)
     for t in _block_count_candidates(n, ratio_cap):
-        # blocks are the consecutive runs of n // t variables, i.e. of cube_matrix columns
-        true_blocks = (cube_matrix(n).reshape(-1, t, n // t) == 1).all(axis=2).sum(axis=1)
         if t == 1:
-            return certified(compose_counts(n, UniPoly((-1, 2)), true_blocks), target, TWOSIDED, eps, None)
-
-        def attempt(k: int) -> ConstructionResult:
-            outer = (step_poly(default_step_params(t, k)) * 2).shift(-1)
-            return certified(compose_counts(n, outer, true_blocks), target, TWOSIDED, eps, k)
-
-        result = _step_schedule(t, eps, attempt)
+            return _count_attempt(n, 1, UniPoly((-1, 2)), eps, None)[1]()
+        result = _step_schedule(
+            t, eps, lambda k, t=t: _count_attempt(n, t, (step_poly(default_step_params(t, k)) * 2).shift(-1), eps, k))
         if result is not None:
             return result  # an uncertified result records the exhausted schedule in its certificate
         # the chosen block count admits no valid step parameters (tiny W=t);

@@ -63,6 +63,8 @@ class NoiseModel:
             raise InputError(f"unknown noise kind {self.kind!r}")
         if _NOISE_KEEPS[self.kind] is not None and not 0 <= self.eta < 1:
             raise InputError("eta must lie in [0, 1)")
+        if self.table is not None and self.kind != "adversarial_table":
+            raise InputError(f"noise kind {self.kind!r} takes no table; only adversarial_table does")
         if self.kind == "adversarial_table":
             if not self.table:
                 raise InputError("adversarial_table needs a nonempty table")
@@ -375,8 +377,11 @@ class RunManifest:
             size = json_field(samples, key, int, "manifest samples", least)
             if size < least:
                 raise InputError(f"manifest samples field {key!r} must be >= {least}, got {size}")
+        seed = json_field(obj, "seed", int, "manifest")
+        if seed < 0:  # numpy seeds a generator from nonnegative integers only
+            raise InputError(f"manifest field 'seed' must be >= 0, got {seed}")
         return RunManifest(
-            seed=json_field(obj, "seed", int, "manifest"),
+            seed=seed,
             concept=json_field(obj, "concept", str, "manifest"),
             noise=NoiseModel.from_json(json_field(obj, "noise", dict, "manifest")),
             learner=dict(learner),

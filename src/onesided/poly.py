@@ -150,7 +150,11 @@ class UniPoly:
             for n in reversed(self.nums):
                 acc = acc * t + n / self.den
             return acc
-        return Fraction(_horner(self.nums, t), self.den)
+        return Fraction(self.numerator_at(t), self.den)
+
+    def numerator_at(self, t: int) -> int:
+        """den * self(t) for an integer t: Horner on the numerators, in Python ints."""
+        return _horner(self.nums, t)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):

@@ -138,19 +138,20 @@ def test_construct_prints_a_weight_bound_past_the_float_range(capsys, tmp_path):
     assert "weight<=inf certified=True" in out
 
 
-def test_construct_quarter_beyond_cube_cap_is_uncertified(capsys, monkeypatch):
+def test_construct_quarter_beyond_cube_cap_certifies_on_levels(capsys, monkeypatch):
     import onesided.certify as certify
 
     def no_enumeration(n):
         raise AssertionError(f"enumerated the {n}-cube")
 
-    monkeypatch.setattr(certify, "cube_matrix", no_enumeration)  # what _scan enumerates with
+    monkeypatch.setattr(certify, "cube_matrix", no_enumeration)  # what the cube scan enumerates with
     n = certify.CUBE_CAP + 1
     code, out, _ = run_cli(capsys, "construct", "--concept", "MAJ " + " ".join(map(str, range(1, n + 1))),
                            "--kind", "quarter", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["certificate"] is None
+    assert payload["certificate"]["ok"]
+    assert payload["certificate"]["points"] == 2**n
     assert payload["degree_bound"] == 20  # 4 * ceil(sqrt(25))
 
 
@@ -445,6 +446,10 @@ def test_certify_refuses_a_malformed_polynomial_file(tmp_path, capsys, payload, 
     (lambda m: m["samples"].update(train=[100]), "manifest samples field 'train' must be an integer, got [100]"),
     (lambda m: m["learner"].update(d=[2]), "manifest learner field 'd' must be an integer, got [2]"),
     (lambda m: m["noise"].update(table=[[1, 1]]), "noise model 'table' rows must be [point, label, probability]"),
+    # a table under another kind would reach to_json and the manifest hash
+    (lambda m: m["noise"].update(table=[[[1, 1, 1], 1, 1.0]]), "noise kind 'none' takes no table"),
+    # a negative seed, once refused only at generate by numpy, after manifest.json was written
+    (lambda m: m.update(seed=-1), "manifest field 'seed' must be >= 0, got -1"),
     # sample sizes, once refused only at generate with "need m >= 1"
     (lambda m: m["samples"].pop("train"), "manifest samples has no 'train' field"),
     (lambda m: m["samples"].update(train=0), "manifest samples field 'train' must be >= 1, got 0"),

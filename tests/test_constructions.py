@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -198,13 +199,24 @@ def test_halfspace_onesided_small_weight_takes_largest_valid_budget(h, sign, eps
     assert res.step_degree == k
 
 
-def test_halfspace_onesided_uncertified_beyond_cap():
+def test_halfspace_onesided_certifies_beyond_cube_cap_on_levels():
     h = Halfspace(30, 0, tuple([1] * 30))
     res = halfspace_onesided(h, "positive", 0.25)  # n = 30 exceeds CUBE_CAP
-    assert res.certificate is None
-    assert res.step_degree == 28  # k0 = ceil(sqrt(61 log2(61) ln 8)), the first budget tried
-    assert not res.certified
-    assert res.claim.degree_bound >= 1
+    assert res.certified
+    assert res.certificate.points_checked == 2**30
+    # k0 = ceil(sqrt(61 log2(61) ln 8)) = 28, the first budget tried, fails; the schedule stops at 2 k0
+    assert res.step_degree == 56
+    assert res.claim.degree_bound == 30
+
+
+def test_halfspace_onesided_certifies_maj_101_in_seconds():
+    maj = Majority(101, tuple(range(1, 102)))
+    start = time.perf_counter()
+    res = halfspace_onesided(majority_as_halfspace(maj), "positive", 0.1)
+    assert time.perf_counter() - start < 5  # about 0.02 s on a 2-core x86-64 VM
+    assert res.certified
+    assert res.certificate.points_checked == 2**101
+    assert res.certificate == verify_onesided(res.poly, maj, 0.1, "positive")
 
 
 def test_halfspace_onesided_claims_inf_for_a_weight_past_the_float_range():

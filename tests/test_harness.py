@@ -128,6 +128,23 @@ def test_noise_model_validation():
         NoiseModel("adversarial_table", table=(((1,), 1, 0.5),))
 
 
+@pytest.mark.parametrize("kind", ["none", "symmetric", "one_sided_positive", "one_sided_negative"])
+def test_noise_model_refuses_a_table_under_another_kind(kind):
+    table = (((1, 1), 1, 1.0),)
+    with pytest.raises(InputError, match=f"noise kind '{kind}' takes no table"):
+        NoiseModel(kind, 0.1, table)
+    with pytest.raises(InputError, match="takes no table"):
+        NoiseModel.from_json({"kind": kind, "eta": 0.1, "table": [[[1, 1], 1, 1.0]]})
+
+
+def test_run_experiment_refuses_a_negative_seed_before_writing(tmp_path):
+    manifest = {"seed": -1, "concept": "MAJ 1 2 3", "noise": {"kind": "none"},
+                "learner": {"algo": "disjunction"}, "samples": {"train": 10}}
+    with pytest.raises(InputError, match="'seed' must be >= 0"):
+        run_experiment(manifest, root=str(tmp_path))
+    assert not any(tmp_path.iterdir())
+
+
 _PIN_TABLE = (((-1, -1, 1), 1, 0.25), ((1, 1, -1), -1, 0.5), ((1, -1, 1), 1, 0.25))
 
 

@@ -18,13 +18,14 @@ from test_learn import brute_threshold_scan
 
 import onesided.learn as learn
 import onesided.lp as lpmod
-from onesided.certify import min_eps, verify_onesided, verify_twosided
-from onesided.constructions import halfspace_onesided
+import onesided.certify as certify_mod
+from onesided.certify import min_eps, verify_levels, verify_onesided, verify_twosided
+from onesided.constructions import and_twosided_tradeoff, default_step_params, halfspace_onesided, step_poly
 from onesided.cube import (NEGATIVE, POSITIVE, TWOSIDED, Cnf, Conjunction, Disjunction, Dnf, ErrorMetrics,
                            Halfspace, LabeledSample, Majority, constant_concept, cube_matrix, dedup,
                            empirical_metrics, eval_concept, eval_concept_batch, format_concept, linear_form,
                            majority_as_halfspace, make_sample, parse_concept, predict)
-from onesided.errors import InfeasibleError
+from onesided.errors import InfeasibleError, ParameterError
 from onesided.harness import (NoiseModel, brute_opt, generate, majority_bank,
                               monotone_disjunction_bank)
 from onesided.learn import (CALIBRATION_FACTOR, COEF_GRID, ReliableHypothesis, agnostic_l1_fit,
@@ -32,7 +33,7 @@ from onesided.learn import (CALIBRATION_FACTOR, COEF_GRID, ReliableHypothesis, a
 from onesided.lp import FEASIBILITY_TOL, LinearProgram, check_feasible, solve
 from onesided.poly import (AffineForm, SparsePolynomial, SumForm, UniPoly, characters, compose_counts,
                            cube_numerators, eval_exact, eval_on_cube, exact_multilinear, expand, interpolate,
-                           monomials_upto, sparse_eval_batch)
+                           monomials_upto, negate_onesided, sparse_eval_batch)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -864,6 +865,71 @@ def test_halfspace_onesided_certifies(h, sign, eps):
     res = halfspace_onesided(h, sign, eps)
     assert res.certified
     assert res.certificate == verify_onesided(res.poly, h, eps, sign)
+
+
+# ---------------------------------------------------------------------------
+# The level route against the cube scan
+
+
+def _cube_scanned(p):
+    """p as a one-part sum form: the same values, which the verifier scans on the cube."""
+    return SumForm((p,), Fraction(0))
+
+
+def _all_modes(p, f, eps):
+    return ([verify_onesided(p, f, eps, sign).to_json() for sign in (POSITIVE, NEGATIVE)]
+            + [verify_twosided(p, f, eps).to_json()])
+
+
+@st.composite
+def affine_threshold_pairs(draw):
+    """An affine form and a halfspace or majority over n <= 12, their weights drawn independently:
+    a random outer, or a halfspace construction for the target, maybe reflected by negate_onesided."""
+    n = draw(st.integers(0, 12))
+    weights = st.lists(st.integers(-3, 3), min_size=n, max_size=n)  # zeros included
+    nonzero = st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4])
+    if n and draw(st.booleans()):
+        f = Majority(n, tuple(sorted(draw(st.sets(st.integers(1, n))))))
+    else:
+        f = Halfspace(n, draw(nonzero), tuple(draw(weights)))
+    if isinstance(f, Halfspace) and draw(st.booleans()):  # passes its own mode at eps >= 0.1
+        return halfspace_onesided(f, draw(st.sampled_from([POSITIVE, NEGATIVE])), 0.1).poly, f
+    p = AffineForm(UniPoly(tuple(draw(st.lists(fractions, max_size=8)))), draw(nonzero), tuple(draw(weights)))
+    return (negate_onesided(p) if draw(st.booleans()) else p), f
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=affine_threshold_pairs(),
+       eps=st.one_of(st.sampled_from([0, 1e-3, 0.1, 0.25, 0.5, 2.0]), st.floats(0, 4)))
+def test_level_route_matches_the_cube_scan(pair, eps):
+    p, f = pair
+    with mock.patch.object(certify_mod, "cube_matrix", side_effect=AssertionError("enumerated the cube")):
+        levels = _all_modes(p, f, eps)
+    for rep in levels:
+        hypothesis.event("witness" if rep["witness"] is not None else "no witness")
+    assert levels == _all_modes(_cube_scanned(p), f, eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), eps=st.sampled_from([0.3, 0.1, 0.01, 1e-4]))
+def test_count_levels_match_the_cube_scan_of_the_tradeoff_polynomial(data, n, eps):
+    target = Conjunction(n, tuple(range(1, n + 1)))
+    for t in (t for t in range(1, n + 1) if n % t == 0):
+        b = n // t
+        blocks = [{(0, 0): (-1,) * b, (1, 1): (1,) * b}] * t  # AND_n = sgn(true blocks + 1 - t)
+        true_blocks = (cube_matrix(n).reshape(-1, t, b) == 1).all(axis=2).sum(axis=1)
+        outers = [UniPoly((-1, 2)), UniPoly(tuple(data.draw(st.lists(fractions, max_size=6))))]
+        if t > 1:
+            try:
+                outers.append((step_poly(default_step_params(t, data.draw(st.integers(3, 4 * t)))) * 2).shift(-1))
+            except ParameterError:
+                pass
+        for outer in outers:
+            levels = [verify_levels(outer, 0, 1 - t, blocks, eps, mode).to_json()
+                      for mode in (POSITIVE, NEGATIVE, TWOSIDED)]
+            assert levels == _all_modes(compose_counts(n, outer, true_blocks), target, eps)
+    res = and_twosided_tradeoff(n, data.draw(st.integers(1, n)), eps)
+    assert res.certificate == verify_twosided(res.poly, target, eps)
 
 
 # ---------------------------------------------------------------------------
